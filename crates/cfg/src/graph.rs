@@ -7,22 +7,13 @@
 //! block graph the module computes reachability from the program entry and
 //! immediate dominators (the iterative Cooper–Harvey–Kennedy algorithm), which
 //! back the verifier's "`REC` on all paths" invariant.
-//!
-//! The leader computation ([`leaders`]) is shared with the block-level
-//! execution lowering in [`crate::block`], so the verifier's blocks and the
-//! interpreters' [`crate::DecodedBlock`]s are always the same partition.
 
 use amnesiac_isa::{DecodedInst, DecodedOp};
 
 /// Marks the block leaders of `decoded[..code_len]`: pc 0, the entry, every
 /// in-range control target, and every instruction following a control
 /// instruction. Returns one flag per main-code pc (empty if `code_len` is 0).
-///
-/// This is the single leader computation in the workspace; both the static
-/// [`Cfg`] and the executable [`crate::BlockTable`] partition the code with
-/// it, so an instruction is a block start for the verifier exactly when it is
-/// a legal control-transfer landing point for the block-dispatch loops.
-pub fn leaders(decoded: &[DecodedInst], code_len: usize, entry: usize) -> Vec<bool> {
+fn leaders(decoded: &[DecodedInst], code_len: usize, entry: usize) -> Vec<bool> {
     let code_len = code_len.min(decoded.len());
     let mut leader = vec![false; code_len];
     if code_len == 0 {

@@ -1,31 +1,15 @@
 #![warn(missing_docs)]
 #![deny(unsafe_code)]
 
-//! Shared control-flow structure over the predecoded instruction stream.
+//! Control-flow structure of a program's main code, for static analysis.
 //!
-//! This crate is the workspace's single home for block-level program
-//! structure, consumed from two directions:
-//!
-//! * **Static analysis** ([`graph`]): basic blocks, reachability from the
-//!   entry, and immediate dominators over the main-code region — the
-//!   substrate of `amnesiac-verify`'s "`REC` on all paths" dataflow.
-//! * **Execution** ([`block`]): the same leader computation lowered into a
-//!   [`BlockTable`] of [`DecodedBlock`]s — straight-line superblocks with
-//!   common adjacent instruction pairs fused into superinstructions — that
-//!   all three interpreters (`amnesiac-sim`'s classic core,
-//!   `amnesiac-core`'s amnesic core, and `amnesiac-compiler`'s validation
-//!   replay) dispatch on at block granularity.
-//!
-//! Keeping both views in one crate guarantees the verifier and the
-//! interpreters agree on what a basic block *is*: there is exactly one
-//! leader computation ([`graph`] exposes it to both lowerings), so a block
-//! proven single-entry by the verifier is the same block the executors run
-//! without re-dispatching.
+//! [`graph`] builds basic blocks over the predecoded instruction stream,
+//! reachability from the entry, and immediate dominators over the main-code
+//! region — the substrate of `amnesiac-verify`'s "`REC` on all paths"
+//! dataflow and of `amnesiac-absint`'s abstract interpreters. Execution
+//! does not use it: the interpreters run instruction by instruction on
+//! `amnesiac-sim`'s engine.
 
-pub mod block;
 pub mod graph;
 
-pub use block::{
-    BlockInst, BlockTable, DecodedBlock, Dispatch, Fusion, FusionStats, NUM_CATEGORIES,
-};
 pub use graph::{BasicBlock, Cfg};

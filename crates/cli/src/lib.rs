@@ -84,7 +84,7 @@ use amnesiac_compiler::{compile, compile_cached, CompileOptions};
 use amnesiac_core::{AmnesicConfig, AmnesicCore, Policy};
 use amnesiac_isa::{disassemble, parse_asm, Program};
 use amnesiac_profile::profile_program;
-use amnesiac_sim::{ClassicCore, CoreConfig, Dispatch};
+use amnesiac_sim::{ClassicCore, CoreConfig};
 use amnesiac_telemetry::JsonSink;
 use amnesiac_workloads::{
     build_control, build_extended, build_focal, Scale, CONTROL_NAMES, EXTENDED_NAMES, FOCAL_NAMES,
@@ -134,10 +134,6 @@ pub struct Command {
     pub seed: Option<u64>,
     /// Weighted verb mix for the loadgen verbs (`--mix <verb=w,...>`).
     pub mix: Option<String>,
-    /// Interpreter dispatch granularity for the executing program verbs
-    /// (`--dispatch <inst|block>`; block-level is the default, inst is the
-    /// differential oracle).
-    pub dispatch: Option<Dispatch>,
     /// Persistent compile-cache directory (`--cache-dir <dir>`) for the
     /// cacheable verbs (compile, disasm, verify) and the serve verbs,
     /// where it backs the shared in-process cache across restarts.
@@ -223,7 +219,7 @@ impl std::error::Error for CliError {}
 
 /// The usage text.
 pub const USAGE: &str = "usage: amnesiac <run|disasm|profile|compile|compare> \
-<prog.asm | prog.bin | bench:NAME> [--paper-scale] [--dispatch <inst|block>]
+<prog.asm | prog.bin | bench:NAME> [--paper-scale]
        amnesiac encode <prog | bench:NAME> <out.bin>
        amnesiac verify [<prog | bench:NAME>] [--json <dir>] [--scale <test|paper>]
        amnesiac lint [<prog | bench:NAME>] [--json <dir>] [--scale <test|paper>]
@@ -291,7 +287,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut duration_ms = None;
     let mut seed = None;
     let mut mix = None;
-    let mut dispatch = None;
     let mut cache_dir = None;
     let mut cluster = None;
     let mut i = 0;
@@ -445,13 +440,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     })?;
                 set_once(&mut cluster, parsed, arg)?;
             }
-            "--dispatch" => {
-                let raw = flag_value(args, &mut i, arg, "<inst|block>")?;
-                let parsed = Dispatch::parse(raw).ok_or_else(|| {
-                    CliError::Usage(format!("--dispatch: `{raw}` is neither `inst` nor `block`"))
-                })?;
-                set_once(&mut dispatch, parsed, arg)?;
-            }
             flag if flag.starts_with("--") => {
                 return Err(CliError::Usage(format!("unknown flag `{flag}`")));
             }
@@ -506,23 +494,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 )));
             }
         }
-    }
-    let executes_programs = matches!(
-        verb,
-        Verb::Run
-            | Verb::Trace
-            | Verb::Profile
-            | Verb::Compile
-            | Verb::Compare
-            | Verb::Verify
-            | Verb::Lint
-    );
-    if dispatch.is_some() && !executes_programs {
-        return Err(CliError::Usage(
-            "--dispatch only applies to the executing program verbs \
-             (run, trace, profile, compile, compare, verify, lint)"
-                .into(),
-        ));
     }
     let cacheable = matches!(verb, Verb::Compile | Verb::Disasm | Verb::Verify) || serve_verb;
     if cache_dir.is_some() && !cacheable {
@@ -594,7 +565,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         duration_ms,
         seed,
         mix,
-        dispatch,
         cache_dir,
         cluster,
     })
@@ -617,12 +587,6 @@ impl Command {
         } else {
             Scale::Test
         })
-    }
-
-    /// The interpreter dispatch mode: an explicit `--dispatch` wins,
-    /// otherwise block-level execution (the production default).
-    pub fn effective_dispatch(&self) -> Dispatch {
-        self.dispatch.unwrap_or_default()
     }
 }
 
@@ -734,8 +698,7 @@ fn compile_maybe_cached(
 fn run_program_verb(command: &Command, cache: Option<&CompileCache>) -> Result<Response, CliError> {
     let target = command.target.as_deref().expect("parse_args enforced this");
     let program = load_program(target, command.effective_scale() == Scale::Paper)?;
-    let mut config = CoreConfig::paper();
-    config.dispatch = command.effective_dispatch();
+    let config = CoreConfig::paper();
     let tool = |e: &dyn std::fmt::Display| CliError::Tool(e.to_string());
     match command.verb {
         Verb::Encode => {
@@ -813,9 +776,7 @@ fn run_program_verb(command: &Command, cache: Option<&CompileCache>) -> Result<R
                 compile(&program, &profile, &CompileOptions::default()).map_err(|e| tool(&e))?;
             let mut policies = Vec::new();
             for policy in Policy::ALL_EXTENDED {
-                let mut amnesic_config = AmnesicConfig::paper(policy);
-                amnesic_config.core.dispatch = command.effective_dispatch();
-                let result = AmnesicCore::new(amnesic_config)
+                let result = AmnesicCore::new(AmnesicConfig::paper(policy))
                     .run(&binary)
                     .map_err(|e| tool(&e))?;
                 if result.run.final_memory != classic.final_memory {
@@ -841,8 +802,7 @@ fn run_verify(command: &Command, cache: Option<&CompileCache>) -> Result<Respons
     match command.target.as_deref() {
         Some(target) => {
             let program = load_program(target, command.effective_scale() == Scale::Paper)?;
-            let mut config = CoreConfig::paper();
-            config.dispatch = command.effective_dispatch();
+            let config = CoreConfig::paper();
             let tool = |e: &dyn std::fmt::Display| CliError::Tool(e.to_string());
             let (binary, _) =
                 compile_maybe_cached(cache, &program, &config, &CompileOptions::default())
@@ -867,8 +827,7 @@ fn run_lint(command: &Command) -> Result<Response, CliError> {
     match command.target.as_deref() {
         Some(target) => {
             let program = load_program(target, command.effective_scale() == Scale::Paper)?;
-            let mut config = CoreConfig::paper();
-            config.dispatch = command.effective_dispatch();
+            let config = CoreConfig::paper();
             let tool = |e: &dyn std::fmt::Display| CliError::Tool(e.to_string());
             let (profile, _) = profile_program(&program, &config).map_err(|e| tool(&e))?;
             let (_, report) =
@@ -1151,49 +1110,6 @@ mod tests {
         match parse_args(&args(&["run", "bench:is", "--cache-dir", "/tmp/c"])) {
             Err(CliError::Usage(msg)) => assert!(msg.contains("cacheable"), "{msg}"),
             other => panic!("expected usage error, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn parses_and_validates_the_dispatch_flag() {
-        let c = parse_args(&args(&["run", "bench:is", "--dispatch", "inst"])).unwrap();
-        assert_eq!(c.dispatch, Some(Dispatch::Inst));
-        assert_eq!(c.effective_dispatch(), Dispatch::Inst);
-        let c = parse_args(&args(&["compare", "bench:is", "--dispatch", "block"])).unwrap();
-        assert_eq!(c.dispatch, Some(Dispatch::Block));
-        // default is block-level execution
-        let c = parse_args(&args(&["run", "bench:is"])).unwrap();
-        assert_eq!(c.dispatch, None);
-        assert_eq!(c.effective_dispatch(), Dispatch::Block);
-        // bad mode name
-        match parse_args(&args(&["run", "bench:is", "--dispatch", "turbo"])) {
-            Err(CliError::Usage(msg)) => assert!(msg.contains("neither"), "{msg}"),
-            other => panic!("expected usage error, got {other:?}"),
-        }
-        // duplicate
-        match parse_args(&args(&[
-            "run",
-            "bench:is",
-            "--dispatch",
-            "inst",
-            "--dispatch",
-            "block",
-        ])) {
-            Err(CliError::Usage(msg)) => assert_eq!(msg, "--dispatch given twice"),
-            other => panic!("expected usage error, got {other:?}"),
-        }
-        // only the executing program verbs accept it
-        for argv in [
-            &["bench-snapshot", "o.json", "--dispatch", "inst"][..],
-            &["serve", "--dispatch", "block"],
-            &["disasm", "bench:is", "--dispatch", "inst"],
-        ] {
-            match parse_args(&args(argv)) {
-                Err(CliError::Usage(msg)) => {
-                    assert!(msg.contains("--dispatch only applies"), "{argv:?}: {msg}")
-                }
-                other => panic!("{argv:?}: expected usage error, got {other:?}"),
-            }
         }
     }
 

@@ -141,7 +141,6 @@ pub(crate) fn request_command(request: &Request) -> Result<Command, ServeError> 
         duration_ms: None,
         seed: None,
         mix: None,
-        dispatch: None,
         cache_dir: None,
         cluster: None,
     })

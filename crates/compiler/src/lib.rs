@@ -44,9 +44,6 @@ pub use pipeline::{
     compile, compile_cached, redundant_stores, ArtifactStore, CompileError, CompileOptions,
     CompileReport, SiteDecision, SiteOutcome, SliceSetPolicy,
 };
-pub use replay::{
-    replay_validate, replay_validate_table, replay_validate_with, ReplayError, ReplayOutcome,
-    SliceReplayStats,
-};
+pub use replay::{replay_validate, ReplayError, ReplayOutcome, SliceReplayStats};
 pub use slice::{SliceInstSpec, SliceSpec};
 pub use storage::StorageBounds;

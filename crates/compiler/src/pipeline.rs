@@ -3,7 +3,7 @@
 use std::collections::BTreeSet;
 
 use amnesiac_energy::EnergyModel;
-use amnesiac_isa::{IsaError, Program};
+use amnesiac_isa::{predecode, DecodedInst, IsaError, Program};
 use amnesiac_mem::ServiceLevel;
 use amnesiac_pool::Pool;
 use amnesiac_profile::{ProgramProfile, Unswappable};
@@ -11,11 +11,9 @@ use amnesiac_sim::RunError;
 use amnesiac_telemetry::{Json, ToJson};
 use amnesiac_verify::VerifyReport;
 
-use amnesiac_cfg::BlockTable;
-
 use crate::annotate::annotate_with_map;
 use crate::estimate::SliceEstimator;
-use crate::replay::{replay_validate, replay_validate_table};
+use crate::replay::{replay_decoded, replay_validate};
 use crate::slice::SliceSpec;
 use crate::storage::StorageBounds;
 
@@ -442,10 +440,10 @@ struct ValidationSummary {
 /// compile on any Error-severity diagnostic. This is the pre-replay gate:
 /// the §3.2 slice invariants are proven for *all* inputs before the dynamic
 /// replay (which only exercises the profiled ones) is allowed to run.
-fn gate_verify(annotated: &Program, table: &BlockTable) -> Result<VerifyReport, CompileError> {
+fn gate_verify(annotated: &Program, decoded: &[DecodedInst]) -> Result<VerifyReport, CompileError> {
     let report = amnesiac_verify::verify_decoded(
         annotated,
-        table.decoded(),
+        decoded,
         &amnesiac_verify::VerifyOptions::default(),
     );
     if !report.is_clean() {
@@ -506,7 +504,7 @@ fn validation_shards(n_specs: usize) -> usize {
 fn failing_load_pcs(
     program: &Program,
     annotated: &Program,
-    table: &BlockTable,
+    decoded: &[DecodedInst],
     specs: &[SliceSpec],
     fuse: u64,
     shards: usize,
@@ -518,7 +516,7 @@ fn failing_load_pcs(
         failing.iter().map(|&id| by_pc[id as usize]).collect()
     }
     if shards <= 1 {
-        let outcome = replay_validate_table(annotated, table, fuse)?;
+        let outcome = replay_decoded(annotated, decoded, fuse)?;
         return Ok(ids_to_pcs(&outcome.failing_slices(), specs));
     }
     let per_shard = specs.len().div_ceil(shards);
@@ -556,11 +554,11 @@ fn validate_specs(
     options: &CompileOptions,
 ) -> Result<ValidationSummary, CompileError> {
     let (mut annotated, mut pc_map) = annotate_with_map(program, &specs)?;
-    // One lowering per annotated binary, shared by the static verify gate
-    // and the round's validation replay (both walk the same predecoded
-    // stream; rebuilding it twice per round showed up in compile timings).
-    let mut table = BlockTable::build(&annotated);
-    let mut verify_report = gate_verify(&annotated, &table)?;
+    // One predecode per annotated binary, shared by the static verify gate
+    // and the round's validation replay (decoding it twice per round showed
+    // up in compile timings).
+    let mut decoded = predecode(&annotated);
+    let mut verify_report = gate_verify(&annotated, &decoded)?;
     let mut rounds = 0;
     let mut rounds_saved = 0;
     let mut rounds_saved_static = 0;
@@ -580,7 +578,7 @@ fn validate_specs(
             let round_dropped = failing_load_pcs(
                 program,
                 &annotated,
-                &table,
+                &decoded,
                 &specs,
                 options.replay_fuse,
                 validation_shards(specs.len()),
@@ -600,8 +598,8 @@ fn validate_specs(
             specs.retain(|s| !round_dropped.contains(&s.load_pc));
             dropped_pcs.extend(round_dropped);
             (annotated, pc_map) = annotate_with_map(program, &specs)?;
-            table = BlockTable::build(&annotated);
-            verify_report = gate_verify(&annotated, &table)?;
+            decoded = predecode(&annotated);
+            verify_report = gate_verify(&annotated, &decoded)?;
             if specs.is_empty() {
                 break;
             }
@@ -1047,9 +1045,9 @@ mod tests {
         );
         let specs = vec![bad_spec(load_a, add_a), good];
         let (annotated, _) = annotate_with_map(&p, &specs).unwrap();
-        let table = BlockTable::build(&annotated);
-        let sequential = failing_load_pcs(&p, &annotated, &table, &specs, 10_000, 1).unwrap();
-        let sharded = failing_load_pcs(&p, &annotated, &table, &specs, 10_000, 2).unwrap();
+        let decoded = predecode(&annotated);
+        let sequential = failing_load_pcs(&p, &annotated, &decoded, &specs, 10_000, 1).unwrap();
+        let sharded = failing_load_pcs(&p, &annotated, &decoded, &specs, 10_000, 2).unwrap();
         assert_eq!(sequential, BTreeSet::from([load_a]));
         assert_eq!(
             sharded, sequential,
@@ -1123,7 +1121,7 @@ mod tests {
             base: Reg(1),
             offset: 0,
         };
-        match gate_verify(&annotated, &BlockTable::build(&annotated)) {
+        match gate_verify(&annotated, &predecode(&annotated)) {
             Err(CompileError::Verify(report)) => {
                 assert!(report
                     .diagnostics

@@ -6,10 +6,9 @@
 
 use std::collections::BTreeMap;
 
-use amnesiac_cfg::{BlockTable, Dispatch, Fusion};
-use amnesiac_isa::{predecode, DecodedInst, DecodedOp, OperandSource, Program, NUM_REGS};
-use amnesiac_mem::{FastMap, PagedMem};
-use amnesiac_sim::RunError;
+use amnesiac_isa::{predecode, Category, DecodedInst, OperandSource, Program, SliceId, NUM_REGS};
+use amnesiac_mem::{FastMap, ServiceLevel};
+use amnesiac_sim::{execute, ArchState, Hooks, RcmpOutcome, RunError};
 
 /// Per-slice replay statistics.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -58,7 +57,7 @@ impl ReplayOutcome {
 /// Replay error (re-exported alias of the simulator's error type).
 pub type ReplayError = RunError;
 
-/// Runs the validation replay with the default block-level dispatch.
+/// Runs the validation replay.
 ///
 /// # Errors
 ///
@@ -68,313 +67,98 @@ pub fn replay_validate(
     program: &Program,
     max_instructions: u64,
 ) -> Result<ReplayOutcome, RunError> {
-    replay_validate_with(program, max_instructions, Dispatch::Block)
+    replay_decoded(program, &predecode(program), max_instructions)
 }
 
-/// Runs the validation replay with an explicit dispatch mode (the
-/// instruction-level oracle backs the block-mode differential suite).
-///
-/// # Errors
-///
-/// See [`replay_validate`].
-pub fn replay_validate_with(
-    program: &Program,
-    max_instructions: u64,
-    dispatch: Dispatch,
-) -> Result<ReplayOutcome, RunError> {
-    match dispatch {
-        Dispatch::Inst => replay_inst(program, max_instructions),
-        Dispatch::Block => replay_block(program, max_instructions),
-    }
-}
-
-/// The instruction-level replay loop, kept verbatim as the differential
-/// oracle for the block engine.
-fn replay_inst(program: &Program, max_instructions: u64) -> Result<ReplayOutcome, RunError> {
-    let mut regs = [0u64; NUM_REGS];
-    let mut mem: PagedMem = program.data.iter().collect();
-    let mut hist: FastMap<u16, [u64; 3]> = FastMap::default();
-    let mut per_slice = vec![SliceReplayStats::default(); program.slices.len()];
-    let mut scratch: Vec<u64> = Vec::new();
-    // Hoist the per-retirement enum re-matching out of the loop; the table
-    // covers slice bodies too, so `traverse` shares it.
-    let decoded = predecode(program);
-
-    let mut pc = program.entry;
-    let mut retired = 0u64;
-    loop {
-        if retired >= max_instructions {
-            return Err(RunError::FuseBlown {
-                limit: max_instructions,
-            });
-        }
-        if pc >= program.code_len {
-            return Err(RunError::PcOutOfRange { pc });
-        }
-        retired += 1;
-        let d = &decoded[pc];
-        let mut vals = [0u64; 3];
-        for (j, s) in d.srcs.iter().enumerate() {
-            if let Some(r) = s {
-                vals[j] = regs[r.index()];
-            }
-        }
-        let mut next = pc + 1;
-        match d.op {
-            DecodedOp::Halt => break,
-            DecodedOp::Load { offset } => {
-                let addr = vals[0].wrapping_add(offset as u64);
-                regs[d.dst.expect("loads have a dst").index()] = mem.get(addr);
-            }
-            DecodedOp::Store { offset } => {
-                let addr = vals[1].wrapping_add(offset as u64);
-                mem.set(addr, vals[0]);
-            }
-            DecodedOp::Branch { cond, target } => {
-                if cond.eval(vals[0], vals[1]) {
-                    next = target;
-                }
-            }
-            DecodedOp::Jump { target } => next = target,
-            DecodedOp::Rec { key } => {
-                hist.insert(key, vals);
-            }
-            DecodedOp::Rcmp { offset, slice } => {
-                let addr = vals[0].wrapping_add(offset as u64);
-                let actual = mem.get(addr);
-                let stats = &mut per_slice[slice.index()];
-                stats.fired += 1;
-                match traverse(program, &decoded, slice.0, &regs, &hist, &mut scratch) {
-                    Some(recomputed) if recomputed == actual => stats.matches += 1,
-                    Some(_) => stats.mismatches += 1,
-                    None => stats.missing_hist += 1,
-                }
-                // validation always keeps the architecturally correct value
-                regs[d.dst.expect("RCMP has a dst").index()] = actual;
-            }
-            DecodedOp::Rtn => {
-                return Err(RunError::UnexpectedInstruction {
-                    pc,
-                    what: program.instructions[pc].to_string(),
-                })
-            }
-            _ => {
-                let dst = d.dst.expect("compute has dst");
-                regs[dst.index()] = d.eval_compute(vals);
-            }
-        }
-        pc = next;
-    }
-
-    let mut output = BTreeMap::new();
-    for range in &program.output {
-        for addr in range.iter() {
-            output.insert(addr, mem.get(addr));
-        }
-    }
-    Ok(ReplayOutcome { per_slice, output })
-}
-
-/// The block-level replay loop: dispatches whole basic blocks, with fused
-/// pairs retiring both halves in one handler. Functionally identical to
-/// [`replay_inst`] by construction; slice traversal walks the same table's
-/// decoded stream.
-fn replay_block(program: &Program, max_instructions: u64) -> Result<ReplayOutcome, RunError> {
-    replay_validate_table(program, &BlockTable::build(program), max_instructions)
-}
-
-/// Block-mode replay over a caller-supplied [`BlockTable`] of `program`.
+/// [`replay_validate`] over a caller-supplied predecode of `program`.
 ///
 /// The validation loop re-annotates and replays up to
-/// `MAX_VALIDATION_ROUNDS` times per compile; callers that already lowered
-/// the round's annotated binary (the compile gate shares one table between
-/// static verification and this replay) pass it in instead of paying a
-/// rebuild here.
-///
-/// # Errors
-///
-/// See [`replay_validate`].
-pub fn replay_validate_table(
+/// `MAX_VALIDATION_ROUNDS` times per compile; the compile gate predecodes
+/// each round's annotated binary once and shares the stream between static
+/// verification and this replay.
+pub(crate) fn replay_decoded(
     program: &Program,
-    table: &BlockTable,
+    decoded: &[DecodedInst],
     max_instructions: u64,
 ) -> Result<ReplayOutcome, RunError> {
-    let mut regs = [0u64; NUM_REGS];
-    let mut mem: PagedMem = program.data.iter().collect();
-    let mut hist: FastMap<u16, [u64; 3]> = FastMap::default();
-    let mut per_slice = vec![SliceReplayStats::default(); program.slices.len()];
-    let mut scratch: Vec<u64> = Vec::new();
-    let decoded = table.decoded();
+    let mut hooks = ReplayHooks {
+        program,
+        decoded,
+        hist: FastMap::default(),
+        per_slice: vec![SliceReplayStats::default(); program.slices.len()],
+        scratch: Vec::new(),
+    };
+    let halted = execute(program, decoded, max_instructions, &mut hooks)?;
+    Ok(ReplayOutcome {
+        per_slice: hooks.per_slice,
+        output: halted.state.output(program),
+    })
+}
 
-    let mut pc = program.entry;
-    let mut retired = 0u64;
-    'run: loop {
-        if retired >= max_instructions {
-            return Err(RunError::FuseBlown {
-                limit: max_instructions,
-            });
-        }
-        if pc >= program.code_len {
-            return Err(RunError::PcOutOfRange { pc });
-        }
-        let block = table.main_block(pc);
-        let mut next = block.end;
-        for bi in table.units(block) {
-            if retired >= max_instructions {
-                return Err(RunError::FuseBlown {
-                    limit: max_instructions,
-                });
-            }
-            let ipc = bi.pc as usize;
-            match bi.fused {
-                None => {
-                    let d = &decoded[ipc];
-                    retired += 1;
-                    match d.op {
-                        DecodedOp::Halt => break 'run,
-                        DecodedOp::Load { offset } => rstep_load(&mut regs, &mem, d, offset),
-                        DecodedOp::Store { offset } => rstep_store(&regs, &mut mem, d, offset),
-                        DecodedOp::Branch { cond, target } => {
-                            let vals = rgather(&regs, d);
-                            if cond.eval(vals[0], vals[1]) {
-                                next = target;
-                            }
-                        }
-                        DecodedOp::Jump { target } => next = target,
-                        DecodedOp::Rec { key } => {
-                            hist.insert(key, rgather(&regs, d));
-                        }
-                        DecodedOp::Rcmp { offset, slice } => {
-                            let vals = rgather(&regs, d);
-                            let addr = vals[0].wrapping_add(offset as u64);
-                            let actual = mem.get(addr);
-                            let stats = &mut per_slice[slice.index()];
-                            stats.fired += 1;
-                            match traverse(program, decoded, slice.0, &regs, &hist, &mut scratch) {
-                                Some(recomputed) if recomputed == actual => stats.matches += 1,
-                                Some(_) => stats.mismatches += 1,
-                                None => stats.missing_hist += 1,
-                            }
-                            // validation always keeps the architecturally
-                            // correct value
-                            regs[d.dst.expect("RCMP has a dst").index()] = actual;
-                        }
-                        DecodedOp::Rtn => {
-                            return Err(RunError::UnexpectedInstruction {
-                                pc: ipc,
-                                what: program.instructions[ipc].to_string(),
-                            })
-                        }
-                        _ => rstep_compute(&mut regs, d),
-                    }
-                }
-                Some(Fusion::CmpBranch) => {
-                    let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                    retired += 1;
-                    rstep_compute(&mut regs, a);
-                    if retired >= max_instructions {
-                        return Err(RunError::FuseBlown {
-                            limit: max_instructions,
-                        });
-                    }
-                    retired += 1;
-                    let DecodedOp::Branch { cond, target } = b.op else {
-                        unreachable!("CmpBranch second half is a branch");
-                    };
-                    let vals = rgather(&regs, b);
-                    if cond.eval(vals[0], vals[1]) {
-                        next = target;
-                    }
-                }
-                Some(Fusion::LoadAlu) => {
-                    let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                    retired += 1;
-                    let DecodedOp::Load { offset } = a.op else {
-                        unreachable!("LoadAlu first half is a load");
-                    };
-                    rstep_load(&mut regs, &mem, a, offset);
-                    if retired >= max_instructions {
-                        return Err(RunError::FuseBlown {
-                            limit: max_instructions,
-                        });
-                    }
-                    retired += 1;
-                    rstep_compute(&mut regs, b);
-                }
-                Some(Fusion::AluiStore) => {
-                    let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                    retired += 1;
-                    rstep_compute(&mut regs, a);
-                    if retired >= max_instructions {
-                        return Err(RunError::FuseBlown {
-                            limit: max_instructions,
-                        });
-                    }
-                    retired += 1;
-                    let DecodedOp::Store { offset } = b.op else {
-                        unreachable!("AluiStore second half is a store");
-                    };
-                    rstep_store(&regs, &mut mem, b, offset);
-                }
-                Some(Fusion::LiAlu) => {
-                    let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                    retired += 1;
-                    rstep_compute(&mut regs, a);
-                    if retired >= max_instructions {
-                        return Err(RunError::FuseBlown {
-                            limit: max_instructions,
-                        });
-                    }
-                    retired += 1;
-                    rstep_compute(&mut regs, b);
-                }
-            }
-        }
-        pc = next;
+/// Functional replay: no caches, no energy, an unbounded `Hist`, and every
+/// `RCMP` fires its slice and keeps the loaded value.
+struct ReplayHooks<'a> {
+    program: &'a Program,
+    decoded: &'a [DecodedInst],
+    hist: FastMap<u16, [u64; 3]>,
+    per_slice: Vec<SliceReplayStats>,
+    /// Slice value stack, reused across traversals so the per-`RCMP` hot
+    /// path does not allocate.
+    scratch: Vec<u64>,
+}
+
+impl Hooks for ReplayHooks<'_> {
+    type Error = RunError;
+
+    #[inline(always)]
+    fn fetch(&mut self, _pc: usize) {}
+
+    #[inline(always)]
+    fn charge(&mut self, _category: Category) {}
+
+    #[inline(always)]
+    fn load(&mut self, _addr: u64) -> Option<ServiceLevel> {
+        None
     }
 
-    let mut output = BTreeMap::new();
-    for range in &program.output {
-        for addr in range.iter() {
-            output.insert(addr, mem.get(addr));
-        }
+    #[inline(always)]
+    fn store(&mut self, _addr: u64) -> Option<ServiceLevel> {
+        None
     }
-    Ok(ReplayOutcome { per_slice, output })
-}
 
-/// Reads source operand values from the register file, in position order.
-#[inline(always)]
-fn rgather(regs: &[u64; NUM_REGS], d: &DecodedInst) -> [u64; 3] {
-    let mut vals = [0u64; 3];
-    for (j, s) in d.srcs.iter().enumerate() {
-        if let Some(r) = s {
-            vals[j] = regs[r.index()];
-        }
+    fn rec(&mut self, _pc: usize, key: u16, values: [u64; 3]) -> Result<(), RunError> {
+        self.hist.insert(key, values);
+        Ok(())
     }
-    vals
-}
 
-/// Functionally retires one compute instruction.
-#[inline(always)]
-fn rstep_compute(regs: &mut [u64; NUM_REGS], d: &DecodedInst) {
-    let vals = rgather(regs, d);
-    regs[d.dst.expect("compute has dst").index()] = d.eval_compute(vals);
-}
-
-/// Functionally retires one load.
-#[inline(always)]
-fn rstep_load(regs: &mut [u64; NUM_REGS], mem: &PagedMem, d: &DecodedInst, offset: i64) {
-    let vals = rgather(regs, d);
-    let addr = vals[0].wrapping_add(offset as u64);
-    regs[d.dst.expect("loads have a dst").index()] = mem.get(addr);
-}
-
-/// Functionally retires one store.
-#[inline(always)]
-fn rstep_store(regs: &[u64; NUM_REGS], mem: &mut PagedMem, d: &DecodedInst, offset: i64) {
-    let vals = rgather(regs, d);
-    let addr = vals[1].wrapping_add(offset as u64);
-    mem.set(addr, vals[0]);
+    fn rcmp(
+        &mut self,
+        state: &ArchState,
+        _pc: usize,
+        slice: SliceId,
+        addr: u64,
+    ) -> Result<RcmpOutcome, RunError> {
+        let actual = state.mem.get(addr);
+        let stats = &mut self.per_slice[slice.index()];
+        stats.fired += 1;
+        match traverse(
+            self.program,
+            self.decoded,
+            slice.0,
+            &state.regs,
+            &self.hist,
+            &mut self.scratch,
+        ) {
+            Some(recomputed) if recomputed == actual => stats.matches += 1,
+            Some(_) => stats.mismatches += 1,
+            None => stats.missing_hist += 1,
+        }
+        // validation always keeps the architecturally correct value
+        Ok(RcmpOutcome {
+            value: Some(actual),
+            extra_retired: 0,
+        })
+    }
 }
 
 /// Functionally traverses a slice; returns the recomputed value, or `None`

@@ -3,11 +3,13 @@
 
 use std::collections::HashSet;
 
-use amnesiac_cfg::{BlockTable, Dispatch, Fusion};
 use amnesiac_energy::UarchEvent;
-use amnesiac_isa::{predecode, Category, DecodedInst, DecodedOp, OperandSource, Program, SliceId};
+use amnesiac_isa::{predecode, Category, DecodedInst, OperandSource, Program, SliceId, NUM_REGS};
 use amnesiac_mem::ServiceLevel;
-use amnesiac_sim::{decoded_exception, CoreConfig, Machine, RunError, RunResult};
+use amnesiac_sim::{
+    decoded_exception, execute, ArchState, CoreConfig, Hooks, Machine, RcmpOutcome, RunError,
+    RunResult,
+};
 use amnesiac_telemetry::{Json, ToJson};
 
 use crate::policy::Policy;
@@ -151,434 +153,180 @@ impl AmnesicCore {
 
     /// Runs an annotated (or classic) program to `Halt`.
     ///
-    /// Dispatches per [`CoreConfig::dispatch`]: block-level superinstruction
-    /// execution (default) or the instruction-level differential oracle.
-    ///
     /// # Errors
     ///
     /// * [`AmnesicError::Run`] on fuse/pc errors;
     /// * [`AmnesicError::ValueMismatch`] if a recomputation diverges from
     ///   memory while `check_values` is set.
     pub fn run(&self, program: &Program) -> Result<AmnesicRunResult, AmnesicError> {
-        match self.config.core.dispatch {
-            Dispatch::Inst => self.run_inst(program),
-            Dispatch::Block => self.run_block(program),
-        }
-    }
-
-    /// The instruction-level path, kept verbatim as the differential oracle
-    /// for the block engine.
-    fn run_inst(&self, program: &Program) -> Result<AmnesicRunResult, AmnesicError> {
-        let mut machine = Machine::new(&self.config.core, program);
-        let mut sfile = SFile::new(self.config.sfile_capacity);
-        let mut renamer = Renamer::new();
-        let mut hist = Hist::new(self.config.hist_capacity);
-        let mut ibuff = IBuff::new(self.config.ibuff_capacity);
-        let mut stats = AmnesicStats {
-            per_slice: vec![SliceRuntimeStats::default(); program.slices.len()],
-            ..AmnesicStats::default()
-        };
-        // leaf-address keys whose REC overflowed, and the hist keys each
-        // slice depends on (§3.5: failed RECs force the owning RCMPs to
-        // perform the load)
-        let mut failed_keys: HashSet<u16> = HashSet::new();
-        let slice_keys: Vec<Vec<u16>> = program.slices.iter().map(|m| m.hist_keys()).collect();
-        let mut predictor = MissPredictor::new();
-        // Hoist the per-retirement enum re-matching out of the loop; covers
-        // slice bodies too, so `traverse` shares the same table.
+        // covers slice bodies too, so `traverse` walks the same table
         let decoded = predecode(program);
-
-        let mut pc = program.entry;
-        let mut retired: u64 = 0;
-        let mut loads: u64 = 0;
-        let mut stores: u64 = 0;
-
-        loop {
-            if retired >= self.config.core.max_instructions {
-                return Err(RunError::FuseBlown {
-                    limit: self.config.core.max_instructions,
-                }
-                .into());
-            }
-            if pc >= program.code_len {
-                return Err(RunError::PcOutOfRange { pc }.into());
-            }
-            machine.fetch(pc);
-            let d = &decoded[pc];
-            retired += 1;
-
-            let mut vals = [0u64; 3];
-            for (j, s) in d.srcs.iter().enumerate() {
-                if let Some(r) = s {
-                    vals[j] = machine.reg(*r);
-                }
-            }
-            let mut next_pc = pc + 1;
-
-            match d.op {
-                DecodedOp::Halt => {
-                    machine.charge_op(Category::Jump);
-                    break;
-                }
-                DecodedOp::Load { offset } => {
-                    let addr = vals[0].wrapping_add(offset as u64);
-                    let (value, _) = machine.load_word(addr);
-                    machine.set_reg(d.dst.expect("loads have a dst"), value);
-                    loads += 1;
-                }
-                DecodedOp::Store { offset } => {
-                    let addr = vals[1].wrapping_add(offset as u64);
-                    machine.store_word(addr, vals[0]);
-                    stores += 1;
-                }
-                DecodedOp::Branch { cond, target } => {
-                    machine.charge_op(Category::Branch);
-                    if cond.eval(vals[0], vals[1]) {
-                        next_pc = target;
-                    }
-                }
-                DecodedOp::Jump { target } => {
-                    machine.charge_op(Category::Jump);
-                    next_pc = target;
-                }
-                DecodedOp::Rec { key } => {
-                    // checkpoint the origin's source operand values (§3.1.2)
-                    machine.charge_op(Category::Rec);
-                    machine.account.record_event(UarchEvent::HistWrite, 0.0);
-                    if !hist.write(key, vals) {
-                        failed_keys.insert(key);
-                    }
-                }
-                DecodedOp::Rcmp { offset, slice } => {
-                    machine.charge_op(Category::Rcmp);
-                    let dst = d.dst.expect("RCMP has a dst");
-                    let addr = vals[0].wrapping_add(offset as u64);
-                    let level = machine.hierarchy.peek_data(addr * 8);
-                    let meta = program.slice(slice);
-                    retired += 1; // the RCMP decision itself retires work
-
-                    let forced = meta.compute_len() > sfile.capacity()
-                        || slice_keys[slice.index()]
-                            .iter()
-                            .any(|k| failed_keys.contains(k));
-                    let fire = !forced
-                        && self.decide(program, pc, slice, level, &mut machine, &mut predictor);
-
-                    if fire {
-                        match self.traverse(
-                            program,
-                            &decoded,
-                            slice,
-                            &mut machine,
-                            &mut sfile,
-                            &mut renamer,
-                            &mut hist,
-                            &mut ibuff,
-                            &mut stats,
-                        ) {
-                            Traversal::Done(value) => {
-                                retired += meta.len as u64;
-                                stats.record_decision(slice.index(), true, level);
-                                if self.config.check_values && value != machine.peek_mem(addr) {
-                                    return Err(AmnesicError::ValueMismatch {
-                                        pc,
-                                        slice: slice.0,
-                                        expected: machine.peek_mem(addr),
-                                        got: value,
-                                    });
-                                }
-                                machine.set_reg(dst, value);
-                            }
-                            Traversal::MissingHist | Traversal::SFileOverflow => {
-                                stats.per_slice[slice.index()].forced_loads += 1;
-                                stats.performed_levels.record(level);
-                                let (value, _) = machine.load_word(addr);
-                                machine.set_reg(dst, value);
-                                loads += 1;
-                            }
-                        }
-                    } else {
-                        if forced {
-                            stats.per_slice[slice.index()].forced_loads += 1;
-                            stats.performed_levels.record(level);
-                        } else {
-                            stats.record_decision(slice.index(), false, level);
-                        }
-                        let (value, _) = machine.load_word(addr);
-                        machine.set_reg(dst, value);
-                        loads += 1;
-                    }
-                }
-                DecodedOp::Rtn => {
-                    return Err(RunError::UnexpectedInstruction {
-                        pc,
-                        what: program.instructions[pc].to_string(),
-                    }
-                    .into());
-                }
-                _ => {
-                    let value = d.eval_compute(vals);
-                    machine.set_reg(d.dst.expect("compute has dst"), value);
-                    machine.charge_op(d.category);
-                }
-            }
-            pc = next_pc;
-        }
-
-        Ok(finish_run(
-            program, machine, &sfile, &hist, &ibuff, &renamer, &predictor, stats, retired, loads,
-            stores,
-        ))
-    }
-
-    /// The block-level engine: dispatches whole basic blocks between control
-    /// decisions, with fused pairs retiring both halves inside one handler.
-    /// Slice traversal rides the same [`BlockTable`] (its predecoded stream
-    /// covers slice bodies too). Per-instruction fetch/charge order is
-    /// identical to the oracle, so energy accounting is bit-exact
-    /// (DESIGN.md §4e).
-    #[allow(clippy::too_many_lines)]
-    fn run_block(&self, program: &Program) -> Result<AmnesicRunResult, AmnesicError> {
-        let mut machine = Machine::new(&self.config.core, program);
-        let mut sfile = SFile::new(self.config.sfile_capacity);
-        let mut renamer = Renamer::new();
-        let mut hist = Hist::new(self.config.hist_capacity);
-        let mut ibuff = IBuff::new(self.config.ibuff_capacity);
-        let mut stats = AmnesicStats {
-            per_slice: vec![SliceRuntimeStats::default(); program.slices.len()],
-            ..AmnesicStats::default()
+        let mut hooks = AmnesicHooks {
+            config: &self.config,
+            program,
+            decoded: &decoded,
+            machine: Machine::new(&self.config.core),
+            sfile: SFile::new(self.config.sfile_capacity),
+            renamer: Renamer::new(),
+            hist: Hist::new(self.config.hist_capacity),
+            ibuff: IBuff::new(self.config.ibuff_capacity),
+            predictor: MissPredictor::new(),
+            stats: AmnesicStats {
+                per_slice: vec![SliceRuntimeStats::default(); program.slices.len()],
+                ..AmnesicStats::default()
+            },
+            failed_keys: HashSet::new(),
+            slice_keys: program.slices.iter().map(|m| m.hist_keys()).collect(),
         };
-        let mut failed_keys: HashSet<u16> = HashSet::new();
-        let slice_keys: Vec<Vec<u16>> = program.slices.iter().map(|m| m.hist_keys()).collect();
-        let mut predictor = MissPredictor::new();
-        // One lowering covers main-code superblocks and slice bodies; the
-        // table's decoded stream is what `traverse` walks.
-        let table = BlockTable::build(program);
-        let decoded = table.decoded();
-        let max = self.config.core.max_instructions;
+        let halted = execute(
+            program,
+            &decoded,
+            self.config.core.max_instructions,
+            &mut hooks,
+        )?;
 
-        let mut pc = program.entry;
-        let mut retired: u64 = 0;
-        let mut loads: u64 = 0;
-        let mut stores: u64 = 0;
+        let AmnesicHooks {
+            machine,
+            sfile,
+            renamer,
+            hist,
+            ibuff,
+            predictor,
+            mut stats,
+            ..
+        } = hooks;
+        stats.sfile_high_water = sfile.high_water();
+        stats.hist_high_water = hist.high_water();
+        stats.ibuff_high_water = ibuff.high_water();
+        stats.ibuff_hits = ibuff.hits();
+        stats.ibuff_misses = ibuff.misses();
+        stats.hist_reads = hist.reads();
+        stats.hist_failed_writes = hist.failed_writes();
+        stats.rename_requests = renamer.requests();
+        stats.predictions = predictor.predictions();
+        stats.mispredictions = predictor.mispredictions();
+        Ok(AmnesicRunResult {
+            run: RunResult::new(program, machine, halted),
+            stats,
+        })
+    }
+}
 
-        'run: loop {
-            if retired >= max {
-                return Err(RunError::FuseBlown { limit: max }.into());
-            }
-            if pc >= program.code_len {
-                return Err(RunError::PcOutOfRange { pc }.into());
-            }
-            let block = table.main_block(pc);
-            let mut next_pc = block.end;
-            for bi in table.units(block) {
-                if retired >= max {
-                    return Err(RunError::FuseBlown { limit: max }.into());
-                }
-                let ipc = bi.pc as usize;
-                match bi.fused {
-                    None => {
-                        let d = &decoded[ipc];
-                        machine.fetch(ipc);
-                        retired += 1;
-                        match d.op {
-                            DecodedOp::Halt => {
-                                machine.charge_op(Category::Jump);
-                                break 'run;
-                            }
-                            DecodedOp::Load { offset } => {
-                                step_load(&mut machine, d, offset);
-                                loads += 1;
-                            }
-                            DecodedOp::Store { offset } => {
-                                step_store(&mut machine, d, offset);
-                                stores += 1;
-                            }
-                            DecodedOp::Branch { cond, target } => {
-                                let vals = gather(&machine, d);
-                                machine.charge_op(Category::Branch);
-                                if cond.eval(vals[0], vals[1]) {
-                                    next_pc = target;
-                                }
-                            }
-                            DecodedOp::Jump { target } => {
-                                machine.charge_op(Category::Jump);
-                                next_pc = target;
-                            }
-                            DecodedOp::Rec { key } => {
-                                let vals = gather(&machine, d);
-                                machine.charge_op(Category::Rec);
-                                machine.account.record_event(UarchEvent::HistWrite, 0.0);
-                                if !hist.write(key, vals) {
-                                    failed_keys.insert(key);
-                                }
-                            }
-                            DecodedOp::Rcmp { offset, slice } => {
-                                let vals = gather(&machine, d);
-                                machine.charge_op(Category::Rcmp);
-                                let dst = d.dst.expect("RCMP has a dst");
-                                let addr = vals[0].wrapping_add(offset as u64);
-                                let level = machine.hierarchy.peek_data(addr * 8);
-                                let meta = program.slice(slice);
-                                retired += 1; // the RCMP decision itself retires work
+/// Amnesic execution: classic costs plus the runtime scheduler (§3.3) at
+/// every `RCMP` and the §3.2 structures behind `REC` and slice traversal.
+struct AmnesicHooks<'a> {
+    config: &'a AmnesicConfig,
+    program: &'a Program,
+    decoded: &'a [DecodedInst],
+    machine: Machine,
+    sfile: SFile,
+    renamer: Renamer,
+    hist: Hist,
+    ibuff: IBuff,
+    predictor: MissPredictor,
+    stats: AmnesicStats,
+    /// Leaf-address keys whose `REC` overflowed (§3.5: failed `REC`s force
+    /// the owning `RCMP`s to perform the load) …
+    failed_keys: HashSet<u16>,
+    /// … and the `Hist` keys each slice depends on.
+    slice_keys: Vec<Vec<u16>>,
+}
 
-                                let forced = meta.compute_len() > sfile.capacity()
-                                    || slice_keys[slice.index()]
-                                        .iter()
-                                        .any(|k| failed_keys.contains(k));
-                                let fire = !forced
-                                    && self.decide(
-                                        program,
-                                        ipc,
-                                        slice,
-                                        level,
-                                        &mut machine,
-                                        &mut predictor,
-                                    );
+impl Hooks for AmnesicHooks<'_> {
+    type Error = AmnesicError;
 
-                                if fire {
-                                    match self.traverse(
-                                        program,
-                                        decoded,
-                                        slice,
-                                        &mut machine,
-                                        &mut sfile,
-                                        &mut renamer,
-                                        &mut hist,
-                                        &mut ibuff,
-                                        &mut stats,
-                                    ) {
-                                        Traversal::Done(value) => {
-                                            retired += meta.len as u64;
-                                            stats.record_decision(slice.index(), true, level);
-                                            if self.config.check_values
-                                                && value != machine.peek_mem(addr)
-                                            {
-                                                return Err(AmnesicError::ValueMismatch {
-                                                    pc: ipc,
-                                                    slice: slice.0,
-                                                    expected: machine.peek_mem(addr),
-                                                    got: value,
-                                                });
-                                            }
-                                            machine.set_reg(dst, value);
-                                        }
-                                        Traversal::MissingHist | Traversal::SFileOverflow => {
-                                            stats.per_slice[slice.index()].forced_loads += 1;
-                                            stats.performed_levels.record(level);
-                                            let (value, _) = machine.load_word(addr);
-                                            machine.set_reg(dst, value);
-                                            loads += 1;
-                                        }
-                                    }
-                                } else {
-                                    if forced {
-                                        stats.per_slice[slice.index()].forced_loads += 1;
-                                        stats.performed_levels.record(level);
-                                    } else {
-                                        stats.record_decision(slice.index(), false, level);
-                                    }
-                                    let (value, _) = machine.load_word(addr);
-                                    machine.set_reg(dst, value);
-                                    loads += 1;
-                                }
-                            }
-                            DecodedOp::Rtn => {
-                                return Err(RunError::UnexpectedInstruction {
-                                    pc: ipc,
-                                    what: program.instructions[ipc].to_string(),
-                                }
-                                .into());
-                            }
-                            _ => step_compute(&mut machine, d),
-                        }
-                    }
-                    Some(Fusion::CmpBranch) => {
-                        let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                        machine.fetch(ipc);
-                        retired += 1;
-                        step_compute(&mut machine, a);
-                        if retired >= max {
-                            return Err(RunError::FuseBlown { limit: max }.into());
-                        }
-                        machine.fetch(ipc + 1);
-                        retired += 1;
-                        let DecodedOp::Branch { cond, target } = b.op else {
-                            unreachable!("CmpBranch second half is a branch");
-                        };
-                        let vals = gather(&machine, b);
-                        machine.charge_op(Category::Branch);
-                        if cond.eval(vals[0], vals[1]) {
-                            next_pc = target;
-                        }
-                    }
-                    Some(Fusion::LoadAlu) => {
-                        let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                        machine.fetch(ipc);
-                        retired += 1;
-                        let DecodedOp::Load { offset } = a.op else {
-                            unreachable!("LoadAlu first half is a load");
-                        };
-                        step_load(&mut machine, a, offset);
-                        loads += 1;
-                        if retired >= max {
-                            return Err(RunError::FuseBlown { limit: max }.into());
-                        }
-                        machine.fetch(ipc + 1);
-                        retired += 1;
-                        step_compute(&mut machine, b);
-                    }
-                    Some(Fusion::AluiStore) => {
-                        let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                        machine.fetch(ipc);
-                        retired += 1;
-                        step_compute(&mut machine, a);
-                        if retired >= max {
-                            return Err(RunError::FuseBlown { limit: max }.into());
-                        }
-                        machine.fetch(ipc + 1);
-                        retired += 1;
-                        let DecodedOp::Store { offset } = b.op else {
-                            unreachable!("AluiStore second half is a store");
-                        };
-                        step_store(&mut machine, b, offset);
-                        stores += 1;
-                    }
-                    Some(Fusion::LiAlu) => {
-                        let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                        machine.fetch(ipc);
-                        retired += 1;
-                        step_compute(&mut machine, a);
-                        if retired >= max {
-                            return Err(RunError::FuseBlown { limit: max }.into());
-                        }
-                        machine.fetch(ipc + 1);
-                        retired += 1;
-                        step_compute(&mut machine, b);
-                    }
-                }
-            }
-            pc = next_pc;
-        }
-
-        Ok(finish_run(
-            program, machine, &sfile, &hist, &ibuff, &renamer, &predictor, stats, retired, loads,
-            stores,
-        ))
+    #[inline(always)]
+    fn fetch(&mut self, pc: usize) {
+        self.machine.fetch(pc);
     }
 
-    /// Resolves the `RCMP` branching condition (§3.3.1), charging any
-    /// probing overhead to the machine when recomputation fires.
-    #[allow(clippy::too_many_arguments)]
-    fn decide(
-        &self,
-        program: &Program,
+    #[inline(always)]
+    fn charge(&mut self, category: Category) {
+        self.machine.charge_op(category);
+    }
+
+    #[inline(always)]
+    fn load(&mut self, addr: u64) -> Option<ServiceLevel> {
+        Some(self.machine.load(addr))
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: u64) -> Option<ServiceLevel> {
+        Some(self.machine.store(addr))
+    }
+
+    /// Checkpoints the origin's source operand values (§3.1.2).
+    fn rec(&mut self, _pc: usize, key: u16, values: [u64; 3]) -> Result<(), AmnesicError> {
+        self.machine.charge_op(Category::Rec);
+        self.machine
+            .account
+            .record_event(UarchEvent::HistWrite, 0.0);
+        if !self.hist.write(key, values) {
+            self.failed_keys.insert(key);
+        }
+        Ok(())
+    }
+
+    fn rcmp(
+        &mut self,
+        state: &ArchState,
         pc: usize,
         slice: SliceId,
-        level: ServiceLevel,
-        machine: &mut Machine,
-        predictor: &mut MissPredictor,
-    ) -> bool {
+        addr: u64,
+    ) -> Result<RcmpOutcome, AmnesicError> {
+        self.machine.charge_op(Category::Rcmp);
+        let level = self.machine.probe(addr);
+        let meta = self.program.slice(slice);
+        // the RCMP decision itself retires work
+        let load = RcmpOutcome {
+            value: None,
+            extra_retired: 1,
+        };
+
+        let forced = meta.compute_len() > self.sfile.capacity()
+            || self.slice_keys[slice.index()]
+                .iter()
+                .any(|k| self.failed_keys.contains(k));
+        if forced {
+            self.stats.per_slice[slice.index()].forced_loads += 1;
+            self.stats.performed_levels.record(level);
+            return Ok(load);
+        }
+        if !self.decide(pc, slice, level) {
+            self.stats.record_decision(slice.index(), false, level);
+            return Ok(load);
+        }
+        match self.traverse(&state.regs, slice) {
+            Traversal::Done(value) => {
+                self.stats.record_decision(slice.index(), true, level);
+                let expected = state.mem.get(addr);
+                if self.config.check_values && value != expected {
+                    return Err(AmnesicError::ValueMismatch {
+                        pc,
+                        slice: slice.0,
+                        expected,
+                        got: value,
+                    });
+                }
+                Ok(RcmpOutcome {
+                    value: Some(value),
+                    extra_retired: 1 + meta.len as u64,
+                })
+            }
+            Traversal::MissingHist | Traversal::SFileOverflow => {
+                self.stats.per_slice[slice.index()].forced_loads += 1;
+                self.stats.performed_levels.record(level);
+                Ok(load)
+            }
+        }
+    }
+}
+
+impl AmnesicHooks<'_> {
+    /// Resolves the `RCMP` branching condition (§3.3.1), charging any
+    /// probing overhead to the machine when recomputation fires.
+    fn decide(&mut self, pc: usize, slice: SliceId, level: ServiceLevel) -> bool {
+        let machine = &mut self.machine;
         let energy = &machine.energy;
         match self.config.policy {
             Policy::Compiler => true,
@@ -606,15 +354,15 @@ impl AmnesicCore {
                 }
             }
             Policy::Oracle => {
-                let meta = program.slice(slice);
+                let meta = self.program.slice(slice);
                 meta.est_recompute_nj < energy.load_energy(level)
             }
             Policy::Predictor => {
                 // no probe: the prediction is free; training uses the true
                 // outcome (available to the model, as a real predictor
                 // would learn it from the eventual fill/hit signal)
-                let fire = predictor.predict_miss(pc);
-                predictor.train(pc, level != ServiceLevel::L1);
+                let fire = self.predictor.predict_miss(pc);
+                self.predictor.train(pc, level != ServiceLevel::L1);
                 fire
             }
         }
@@ -623,31 +371,19 @@ impl AmnesicCore {
     /// Traverses a slice: instruction supply via `IBuff`/L1-I, operands via
     /// `SFile`/register file/`Hist`, results into `SFile`; exceptions are
     /// deferred (§2.3). Returns the recomputed root value.
-    #[allow(clippy::too_many_arguments)]
-    fn traverse(
-        &self,
-        program: &Program,
-        decoded: &[DecodedInst],
-        slice: SliceId,
-        machine: &mut Machine,
-        sfile: &mut SFile,
-        renamer: &mut Renamer,
-        hist: &mut Hist,
-        ibuff: &mut IBuff,
-        stats: &mut AmnesicStats,
-    ) -> Traversal {
-        let meta = program.slice(slice);
+    fn traverse(&mut self, regs: &[u64; NUM_REGS], slice: SliceId) -> Traversal {
+        let meta = self.program.slice(slice);
         let body_len = meta.compute_len();
-        let energy = machine.energy.clone();
+        let machine = &mut self.machine;
         let cycles_before = machine.account.cycles();
 
         // instruction supply: IBuff hit avoids all L1-I traffic
-        let resident = ibuff.access(slice, body_len);
+        let resident = self.ibuff.access(slice, body_len);
         if resident {
             for _ in 0..body_len {
                 machine
                     .account
-                    .record_event(UarchEvent::IBuffRead, energy.ibuff_read_nj);
+                    .record_event(UarchEvent::IBuffRead, machine.energy.ibuff_read_nj);
             }
         } else {
             for k in 0..body_len {
@@ -655,15 +391,14 @@ impl AmnesicCore {
             }
             machine
                 .account
-                .record_event(UarchEvent::IBuffFill, energy.ibuff_fill_nj);
+                .record_event(UarchEvent::IBuffFill, machine.energy.ibuff_fill_nj);
         }
 
         let mut outcome = None;
         let mut last_value = 0u64;
         for k in 0..body_len {
-            let d = &decoded[meta.entry + k];
+            let d = &self.decoded[meta.entry + k];
             let plan = &meta.plans[k];
-            let regs_of = &d.srcs;
             let mut vals = [0u64; 3];
             let mut hist_entry: Option<(u16, [u64; 3])> = None;
             let mut ok = true;
@@ -673,24 +408,24 @@ impl AmnesicCore {
                 };
                 vals[j] = match source {
                     OperandSource::SFile { producer } => {
-                        let slot = renamer.resolve(producer as usize);
+                        let slot = self.renamer.resolve(producer as usize);
                         machine
                             .account
-                            .record_event(UarchEvent::SFileAccess, energy.sfile_nj);
-                        sfile.read(slot)
+                            .record_event(UarchEvent::SFileAccess, machine.energy.sfile_nj);
+                        self.sfile.read(slot)
                     }
                     OperandSource::LiveReg => {
-                        machine.reg(regs_of[j].expect("planned operand exists"))
+                        regs[d.srcs[j].expect("planned operand exists").index()]
                     }
                     OperandSource::Hist { key } => {
                         machine
                             .account
-                            .record_event(UarchEvent::HistRead, energy.hist_read_nj);
+                            .record_event(UarchEvent::HistRead, machine.energy.hist_read_nj);
                         let entry = match hist_entry {
                             Some((k, e)) if k == key => Some(e),
                             _ => {
-                                machine.account.add_cycles(energy.hist_cycles);
-                                hist.read(key)
+                                machine.account.add_cycles(machine.energy.hist_cycles);
+                                self.hist.read(key)
                             }
                         };
                         match entry {
@@ -711,7 +446,7 @@ impl AmnesicCore {
                 break;
             }
             if let Some(kind) = decoded_exception(d, vals) {
-                stats.deferred_exceptions.push(DeferredException {
+                self.stats.deferred_exceptions.push(DeferredException {
                     slice: slice.0,
                     slice_inst: k as u16,
                     kind,
@@ -719,15 +454,15 @@ impl AmnesicCore {
             }
             let value = d.eval_compute(vals);
             machine.charge_op(d.category);
-            stats.recompute_insts += 1;
-            let Some(slot) = sfile.alloc_write(value) else {
+            self.stats.recompute_insts += 1;
+            let Some(slot) = self.sfile.alloc_write(value) else {
                 outcome = Some(Traversal::SFileOverflow);
                 break;
             };
             machine
                 .account
-                .record_event(UarchEvent::SFileAccess, energy.sfile_nj);
-            renamer.bind(k, slot);
+                .record_event(UarchEvent::SFileAccess, machine.energy.sfile_nj);
+            self.renamer.bind(k, slot);
             last_value = value;
         }
 
@@ -738,89 +473,9 @@ impl AmnesicCore {
             let spent = machine.account.cycles() - cycles_before;
             machine.account.add_cycles_saved(spent);
         }
-        sfile.release_all();
-        renamer.clear();
+        self.sfile.release_all();
+        self.renamer.clear();
         outcome.unwrap_or(Traversal::Done(last_value))
-    }
-}
-
-/// Reads a decoded instruction's source operand values from the register
-/// file, in source-position order (unused positions are 0).
-#[inline(always)]
-fn gather(machine: &Machine, d: &DecodedInst) -> [u64; 3] {
-    let mut vals = [0u64; 3];
-    for (j, s) in d.srcs.iter().enumerate() {
-        if let Some(r) = s {
-            vals[j] = machine.reg(*r);
-        }
-    }
-    vals
-}
-
-/// Retires one compute instruction (gather → evaluate → write-back →
-/// charge), the oracle's exact order.
-#[inline(always)]
-fn step_compute(machine: &mut Machine, d: &DecodedInst) {
-    let vals = gather(machine, d);
-    let value = d.eval_compute(vals);
-    machine.set_reg(d.dst.expect("compute has dst"), value);
-    machine.charge_op(d.category);
-}
-
-/// Retires one load.
-#[inline(always)]
-fn step_load(machine: &mut Machine, d: &DecodedInst, offset: i64) {
-    let vals = gather(machine, d);
-    let addr = vals[0].wrapping_add(offset as u64);
-    let (value, _) = machine.load_word(addr);
-    machine.set_reg(d.dst.expect("loads have a dst"), value);
-}
-
-/// Retires one store.
-#[inline(always)]
-fn step_store(machine: &mut Machine, d: &DecodedInst, offset: i64) {
-    let vals = gather(machine, d);
-    let addr = vals[1].wrapping_add(offset as u64);
-    machine.store_word(addr, vals[0]);
-}
-
-/// Assembles the run result and drains structure counters into the stats —
-/// shared by both dispatch paths so they report identically.
-#[allow(clippy::too_many_arguments)]
-fn finish_run(
-    program: &Program,
-    machine: Machine,
-    sfile: &SFile,
-    hist: &Hist,
-    ibuff: &IBuff,
-    renamer: &Renamer,
-    predictor: &MissPredictor,
-    mut stats: AmnesicStats,
-    retired: u64,
-    loads: u64,
-    stores: u64,
-) -> AmnesicRunResult {
-    stats.sfile_high_water = sfile.high_water();
-    stats.hist_high_water = hist.high_water();
-    stats.ibuff_high_water = ibuff.high_water();
-    stats.ibuff_hits = ibuff.hits();
-    stats.ibuff_misses = ibuff.misses();
-    stats.hist_reads = hist.reads();
-    stats.hist_failed_writes = hist.failed_writes();
-    stats.rename_requests = renamer.requests();
-    stats.predictions = predictor.predictions();
-    stats.mispredictions = predictor.mispredictions();
-
-    AmnesicRunResult {
-        run: RunResult {
-            final_memory: machine.extract_output(program),
-            hierarchy: machine.hierarchy.stats().clone(),
-            account: machine.account,
-            instructions: retired,
-            loads,
-            stores,
-        },
-        stats,
     }
 }
 

@@ -3,7 +3,7 @@
 
 use crate::cache::{AccessKind, Cache, CacheConfig};
 use crate::stats::HierarchyStats;
-use crate::ServiceLevel;
+use crate::{wrapping_addr, ServiceLevel};
 
 /// Geometry of the full hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -143,7 +143,7 @@ impl MemoryHierarchy {
         }
         let mut access = self.data_access(byte_addr, AccessKind::Read);
         if self.next_line_prefetch && access.level != ServiceLevel::L1 {
-            let next_line = byte_addr + self.l1d.config().line_bytes as u64;
+            let next_line = wrapping_addr(byte_addr, 1, self.l1d.config().line_bytes as u64);
             if !self.l1d.peek(next_line) {
                 let fill = self.data_access(next_line, AccessKind::Read);
                 access.l1_writebacks += fill.l1_writebacks;

@@ -44,6 +44,22 @@ pub use hierarchy::{Access, HierarchyConfig, MemoryHierarchy};
 pub use paged::{PagedMem, PAGE_SHIFT, PAGE_WORDS};
 pub use stats::{HierarchyStats, LevelStats};
 
+/// Bytes per data word and per instruction slot.
+pub const WORD_BYTES: u64 = 8;
+
+/// Byte address `count` strides of `stride` bytes past `base`.
+///
+/// Every address the simulator hands to the hierarchy is formed here: word
+/// and instruction-slot indices scale to bytes (`stride` = [`WORD_BYTES`]),
+/// and the next-line prefetcher steps one line on (`count` = 1). Word
+/// addresses are raw 64-bit register values, so the arithmetic wraps —
+/// what a release build already did, made explicit so a debug build
+/// computes the same address instead of panicking.
+#[inline]
+pub fn wrapping_addr(base: u64, count: u64, stride: u64) -> u64 {
+    base.wrapping_add(count.wrapping_mul(stride))
+}
+
 /// The level of the memory hierarchy that serviced an access.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub enum ServiceLevel {

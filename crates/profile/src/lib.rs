@@ -32,6 +32,6 @@ mod provenance;
 mod tree;
 
 pub use profiler::{
-    profile_program, LoadSiteProfile, ProgramProfile, StoreSiteProfile, Unswappable,
+    profile_program, LoadSiteProfile, Profiler, ProgramProfile, StoreSiteProfile, Unswappable,
 };
 pub use tree::{ProvNode, ProvOperand};

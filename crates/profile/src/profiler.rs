@@ -140,7 +140,11 @@ struct MemCell {
     read: bool,
 }
 
-struct Tracker<'p> {
+/// The profiling observer: follows a classic run's retirement stream and
+/// builds its [`ProgramProfile`]. [`profile_program`] drives it with the
+/// classic core; any other source of the same [`RetireEvent`] stream yields
+/// the same profile.
+pub struct Profiler<'p> {
     program: &'p Program,
     regs: [u64; NUM_REGS],
     reg_prov: Vec<Option<Rc<ValueNode>>>,
@@ -149,7 +153,7 @@ struct Tracker<'p> {
     mem_prov: FastMap<u64, MemCell>,
     /// Per-site profiles, dense by pc (every observed pc is main code, so
     /// `pc < code_len`): the per-dynamic-load site lookup is an index, not
-    /// a map probe. [`Tracker::finish`] converts to the profile's BTreeMaps.
+    /// a map probe. [`Profiler::finish`] converts to the profile's BTreeMaps.
     loads: Vec<Option<LoadSiteProfile>>,
     stores: Vec<Option<StoreSiteProfile>>,
     all_loads: LevelStats,
@@ -160,9 +164,10 @@ struct Tracker<'p> {
     last_exec: Vec<Option<[u64; 3]>>,
 }
 
-impl<'p> Tracker<'p> {
-    fn new(program: &'p Program) -> Self {
-        Tracker {
+impl<'p> Profiler<'p> {
+    /// A profiler for runs of `program`.
+    pub fn new(program: &'p Program) -> Self {
+        Profiler {
             program,
             regs: [0; NUM_REGS],
             reg_prov: vec![None; NUM_REGS],
@@ -286,15 +291,9 @@ impl<'p> Tracker<'p> {
         self.last_exec[event.pc] = Some(event.src_values);
     }
 
-    #[allow(clippy::type_complexity)]
-    fn finish(
-        mut self,
-    ) -> (
-        BTreeMap<usize, LoadSiteProfile>,
-        BTreeMap<usize, StoreSiteProfile>,
-        LevelStats,
-        Vec<u64>,
-    ) {
+    /// The profile of the observed run, which retired `instructions`
+    /// dynamic instructions.
+    pub fn finish(mut self, instructions: u64) -> ProgramProfile {
         // words never read before halt count as unread for their last store
         for cell in self.mem_prov.values() {
             if !cell.read {
@@ -315,11 +314,17 @@ impl<'p> Tracker<'p> {
             .enumerate()
             .filter_map(|(pc, s)| s.map(|s| (pc, s)))
             .collect();
-        (loads, stores, self.all_loads, self.pc_counts)
+        ProgramProfile {
+            loads,
+            stores,
+            all_loads: self.all_loads,
+            instructions,
+            pc_counts: self.pc_counts,
+        }
     }
 }
 
-impl Observer for Tracker<'_> {
+impl Observer for Profiler<'_> {
     fn on_retire(&mut self, event: &RetireEvent<'_>) {
         self.pc_counts[event.pc] += 1;
         match event.inst {
@@ -344,19 +349,9 @@ pub fn profile_program(
     program: &Program,
     config: &CoreConfig,
 ) -> Result<(ProgramProfile, RunResult), RunError> {
-    let mut tracker = Tracker::new(program);
-    let result = ClassicCore::new(config.clone()).run_observed(program, &mut tracker)?;
-    let (loads, stores, all_loads, pc_counts) = tracker.finish();
-    Ok((
-        ProgramProfile {
-            loads,
-            stores,
-            all_loads,
-            instructions: result.instructions,
-            pc_counts,
-        },
-        result,
-    ))
+    let mut profiler = Profiler::new(program);
+    let result = ClassicCore::new(config.clone()).run_observed(program, &mut profiler)?;
+    Ok((profiler.finish(result.instructions), result))
 }
 
 #[cfg(test)]

@@ -1,32 +1,15 @@
-//! The classic (baseline) in-order execution engine.
+//! The classic (baseline) in-order core: the engine with cost hooks that
+//! drive an [`Observer`] and reject amnesic instructions.
 
 use std::collections::BTreeMap;
 
-use amnesiac_cfg::{BlockTable, Dispatch, Fusion};
 use amnesiac_energy::EnergyAccount;
-use amnesiac_isa::{predecode, BranchCond, Category, DecodedInst, DecodedOp, Instruction, Program};
+use amnesiac_isa::{predecode, Category, Program, SliceId};
 use amnesiac_mem::{HierarchyStats, ServiceLevel};
 use amnesiac_telemetry::{Json, ToJson};
 
+use crate::engine::{execute, ArchState, Halted, Hooks, RcmpOutcome, RetireEvent};
 use crate::machine::{CoreConfig, Machine, RunError};
-
-/// Everything a dynamic-instruction observer can see at retirement.
-#[derive(Debug, Clone)]
-pub struct RetireEvent<'a> {
-    /// Static program counter of the retired instruction.
-    pub pc: usize,
-    /// The instruction itself.
-    pub inst: &'a Instruction,
-    /// Source operand values, in [`Instruction::srcs`] order (unused
-    /// positions are 0).
-    pub src_values: [u64; 3],
-    /// Value written to the destination register, if any.
-    pub result: Option<u64>,
-    /// Effective word address, for loads and stores.
-    pub addr: Option<u64>,
-    /// Hierarchy level that serviced a load/store.
-    pub level: Option<ServiceLevel>,
-}
 
 /// Hook invoked at each dynamic instruction retirement; implemented by the
 /// profiler in `amnesiac-profile`.
@@ -125,6 +108,18 @@ pub struct RunResult {
 }
 
 impl RunResult {
+    /// Assembles the result of a halted run from its cost model.
+    pub fn new(program: &Program, machine: Machine, halted: Halted) -> Self {
+        RunResult {
+            final_memory: halted.state.output(program),
+            hierarchy: machine.hierarchy.stats().clone(),
+            account: machine.account,
+            instructions: halted.instructions,
+            loads: halted.loads,
+            stores: halted.stores,
+        }
+    }
+
     /// Energy-delay product of the run, the paper's efficiency metric.
     pub fn edp(&self) -> f64 {
         self.account.edp()
@@ -183,12 +178,6 @@ impl ClassicCore {
     /// [`RetireEvent`] construction feeding them — compile away entirely,
     /// so unobserved runs pay nothing for the observation hook.
     ///
-    /// Dispatches per [`CoreConfig::dispatch`]: the block-level
-    /// superinstruction engine (default) or the instruction-level oracle.
-    /// Both paths are byte-identical on architectural state, memory image,
-    /// observer events, and energy accounting — the block-mode differential
-    /// suite enforces it.
-    ///
     /// # Errors
     ///
     /// * [`RunError::FuseBlown`] if the dynamic instruction limit is hit;
@@ -199,410 +188,66 @@ impl ClassicCore {
         program: &Program,
         observer: &mut O,
     ) -> Result<RunResult, RunError> {
-        match self.config.dispatch {
-            Dispatch::Inst => self.run_inst(program, observer),
-            Dispatch::Block => self.run_block(program, observer),
-        }
-    }
-
-    /// The instruction-level path: one fetch/decode/retire per dispatch.
-    /// Kept verbatim as the differential oracle for the block engine.
-    fn run_inst<O: Observer + ?Sized>(
-        &self,
-        program: &Program,
-        observer: &mut O,
-    ) -> Result<RunResult, RunError> {
-        let mut machine = Machine::new(&self.config, program);
-        // Hoist the per-retirement enum re-matching out of the loop: operand
-        // registers, category, and payloads are static per pc.
+        let mut hooks = ClassicHooks {
+            program,
+            machine: Machine::new(&self.config),
+            observer,
+        };
         let decoded = predecode(program);
-        let mut pc = program.entry;
-        let mut retired: u64 = 0;
-        let mut loads: u64 = 0;
-        let mut stores: u64 = 0;
-
-        loop {
-            if retired >= self.config.max_instructions {
-                return Err(RunError::FuseBlown {
-                    limit: self.config.max_instructions,
-                });
-            }
-            if pc >= program.code_len {
-                return Err(RunError::PcOutOfRange { pc });
-            }
-            machine.fetch(pc);
-            let d = &decoded[pc];
-            retired += 1;
-
-            let mut src_values = [0u64; 3];
-            for (i, s) in d.srcs.iter().enumerate() {
-                if let Some(r) = s {
-                    src_values[i] = machine.reg(*r);
-                }
-            }
-
-            let mut event = RetireEvent {
-                pc,
-                inst: &program.instructions[pc],
-                src_values,
-                result: None,
-                addr: None,
-                level: None,
-            };
-            let mut next_pc = pc + 1;
-
-            match d.op {
-                DecodedOp::Halt => {
-                    machine.charge_op(Category::Jump);
-                    observer.on_retire(&event);
-                    break;
-                }
-                DecodedOp::Load { offset } => {
-                    let addr = src_values[0].wrapping_add(offset as u64);
-                    let (value, level) = machine.load_word(addr);
-                    machine.set_reg(d.dst.expect("loads have a dst"), value);
-                    loads += 1;
-                    event.result = Some(value);
-                    event.addr = Some(addr);
-                    event.level = Some(level);
-                }
-                DecodedOp::Store { offset } => {
-                    let addr = src_values[1].wrapping_add(offset as u64);
-                    let level = machine.store_word(addr, src_values[0]);
-                    stores += 1;
-                    event.addr = Some(addr);
-                    event.level = Some(level);
-                }
-                DecodedOp::Branch { cond, target } => {
-                    machine.charge_op(Category::Branch);
-                    if cond.eval(src_values[0], src_values[1]) {
-                        next_pc = target;
-                    }
-                }
-                DecodedOp::Jump { target } => {
-                    machine.charge_op(Category::Jump);
-                    next_pc = target;
-                }
-                DecodedOp::Rcmp { .. } | DecodedOp::Rtn | DecodedOp::Rec { .. } => {
-                    return Err(RunError::UnexpectedInstruction {
-                        pc,
-                        what: program.instructions[pc].to_string(),
-                    });
-                }
-                _ => {
-                    let value = d.eval_compute(src_values);
-                    machine.set_reg(d.dst.expect("compute instructions have a dst"), value);
-                    machine.charge_op(d.category);
-                    event.result = Some(value);
-                }
-            }
-
-            observer.on_retire(&event);
-            pc = next_pc;
-        }
-
-        Ok(RunResult {
-            final_memory: machine.extract_output(program),
-            hierarchy: machine.hierarchy.stats().clone(),
-            account: machine.account,
-            instructions: retired,
-            loads,
-            stores,
-        })
-    }
-
-    /// The block-level engine: the outer loop dispatches whole basic blocks
-    /// and only returns to the pc checks at block exits (branch, jump, halt,
-    /// fallthrough past `code_len`). Fused pairs retire both halves inside
-    /// one handler; every half still fetches, charges, and reports to the
-    /// observer individually, so the energy tape and event stream are
-    /// bit-identical to the instruction-level oracle (DESIGN.md §4e).
-    fn run_block<O: Observer + ?Sized>(
-        &self,
-        program: &Program,
-        observer: &mut O,
-    ) -> Result<RunResult, RunError> {
-        let mut machine = Machine::new(&self.config, program);
-        let table = BlockTable::build(program);
-        let decoded = table.decoded();
-        let max = self.config.max_instructions;
-        let mut pc = program.entry;
-        let mut retired: u64 = 0;
-        let mut loads: u64 = 0;
-        let mut stores: u64 = 0;
-
-        'run: loop {
-            // Block entry mirrors the oracle's per-instruction checks: the
-            // fuse first (so a limit hit and an out-of-range pc report the
-            // same error the oracle would), then the range.
-            if retired >= max {
-                return Err(RunError::FuseBlown { limit: max });
-            }
-            if pc >= program.code_len {
-                return Err(RunError::PcOutOfRange { pc });
-            }
-            let block = table.main_block(pc);
-            let mut next_pc = block.end;
-            for bi in table.units(block) {
-                if retired >= max {
-                    return Err(RunError::FuseBlown { limit: max });
-                }
-                let ipc = bi.pc as usize;
-                match bi.fused {
-                    None => {
-                        let d = &decoded[ipc];
-                        machine.fetch(ipc);
-                        retired += 1;
-                        match d.op {
-                            DecodedOp::Halt => {
-                                let src_values = gather(&machine, d);
-                                machine.charge_op(Category::Jump);
-                                observer.on_retire(&RetireEvent {
-                                    pc: ipc,
-                                    inst: &program.instructions[ipc],
-                                    src_values,
-                                    result: None,
-                                    addr: None,
-                                    level: None,
-                                });
-                                break 'run;
-                            }
-                            DecodedOp::Load { offset } => {
-                                retire_load(&mut machine, observer, program, d, offset, ipc);
-                                loads += 1;
-                            }
-                            DecodedOp::Store { offset } => {
-                                retire_store(&mut machine, observer, program, d, offset, ipc);
-                                stores += 1;
-                            }
-                            DecodedOp::Branch { cond, target } => {
-                                retire_branch(
-                                    &mut machine,
-                                    observer,
-                                    program,
-                                    d,
-                                    cond,
-                                    target,
-                                    ipc,
-                                    &mut next_pc,
-                                );
-                            }
-                            DecodedOp::Jump { target } => {
-                                let src_values = gather(&machine, d);
-                                machine.charge_op(Category::Jump);
-                                observer.on_retire(&RetireEvent {
-                                    pc: ipc,
-                                    inst: &program.instructions[ipc],
-                                    src_values,
-                                    result: None,
-                                    addr: None,
-                                    level: None,
-                                });
-                                next_pc = target;
-                            }
-                            DecodedOp::Rcmp { .. } | DecodedOp::Rtn | DecodedOp::Rec { .. } => {
-                                return Err(RunError::UnexpectedInstruction {
-                                    pc: ipc,
-                                    what: program.instructions[ipc].to_string(),
-                                });
-                            }
-                            _ => retire_compute(&mut machine, observer, program, d, ipc),
-                        }
-                    }
-                    Some(Fusion::CmpBranch) => {
-                        let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                        machine.fetch(ipc);
-                        retired += 1;
-                        retire_compute(&mut machine, observer, program, a, ipc);
-                        if retired >= max {
-                            return Err(RunError::FuseBlown { limit: max });
-                        }
-                        machine.fetch(ipc + 1);
-                        retired += 1;
-                        let DecodedOp::Branch { cond, target } = b.op else {
-                            unreachable!("CmpBranch second half is a branch");
-                        };
-                        retire_branch(
-                            &mut machine,
-                            observer,
-                            program,
-                            b,
-                            cond,
-                            target,
-                            ipc + 1,
-                            &mut next_pc,
-                        );
-                    }
-                    Some(Fusion::LoadAlu) => {
-                        let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                        machine.fetch(ipc);
-                        retired += 1;
-                        let DecodedOp::Load { offset } = a.op else {
-                            unreachable!("LoadAlu first half is a load");
-                        };
-                        retire_load(&mut machine, observer, program, a, offset, ipc);
-                        loads += 1;
-                        if retired >= max {
-                            return Err(RunError::FuseBlown { limit: max });
-                        }
-                        machine.fetch(ipc + 1);
-                        retired += 1;
-                        retire_compute(&mut machine, observer, program, b, ipc + 1);
-                    }
-                    Some(Fusion::AluiStore) => {
-                        let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                        machine.fetch(ipc);
-                        retired += 1;
-                        retire_compute(&mut machine, observer, program, a, ipc);
-                        if retired >= max {
-                            return Err(RunError::FuseBlown { limit: max });
-                        }
-                        machine.fetch(ipc + 1);
-                        retired += 1;
-                        let DecodedOp::Store { offset } = b.op else {
-                            unreachable!("AluiStore second half is a store");
-                        };
-                        retire_store(&mut machine, observer, program, b, offset, ipc + 1);
-                        stores += 1;
-                    }
-                    Some(Fusion::LiAlu) => {
-                        let (a, b) = (&decoded[ipc], &decoded[ipc + 1]);
-                        machine.fetch(ipc);
-                        retired += 1;
-                        retire_compute(&mut machine, observer, program, a, ipc);
-                        if retired >= max {
-                            return Err(RunError::FuseBlown { limit: max });
-                        }
-                        machine.fetch(ipc + 1);
-                        retired += 1;
-                        retire_compute(&mut machine, observer, program, b, ipc + 1);
-                    }
-                }
-            }
-            pc = next_pc;
-        }
-
-        Ok(RunResult {
-            final_memory: machine.extract_output(program),
-            hierarchy: machine.hierarchy.stats().clone(),
-            account: machine.account,
-            instructions: retired,
-            loads,
-            stores,
-        })
+        let halted = execute(program, &decoded, self.config.max_instructions, &mut hooks)?;
+        Ok(RunResult::new(program, hooks.machine, halted))
     }
 }
 
-/// Reads a decoded instruction's source operand values from the register
-/// file, in [`Instruction::srcs`] position order (unused positions are 0).
-#[inline(always)]
-fn gather(machine: &Machine, d: &DecodedInst) -> [u64; 3] {
-    let mut vals = [0u64; 3];
-    for (j, s) in d.srcs.iter().enumerate() {
-        if let Some(r) = s {
-            vals[j] = machine.reg(*r);
-        }
+/// Classic execution: every cost goes to the [`Machine`] and every
+/// retirement to the observer; amnesic instructions are errors.
+struct ClassicHooks<'a, O: ?Sized> {
+    program: &'a Program,
+    machine: Machine,
+    observer: &'a mut O,
+}
+
+impl<O: Observer + ?Sized> Hooks for ClassicHooks<'_, O> {
+    type Error = RunError;
+
+    #[inline(always)]
+    fn fetch(&mut self, pc: usize) {
+        self.machine.fetch(pc);
     }
-    vals
-}
 
-/// Retires one compute instruction: gather → evaluate → write-back →
-/// charge → observe, exactly the oracle's order.
-#[inline(always)]
-fn retire_compute<O: Observer + ?Sized>(
-    machine: &mut Machine,
-    observer: &mut O,
-    program: &Program,
-    d: &DecodedInst,
-    pc: usize,
-) {
-    let src_values = gather(machine, d);
-    let value = d.eval_compute(src_values);
-    machine.set_reg(d.dst.expect("compute instructions have a dst"), value);
-    machine.charge_op(d.category);
-    observer.on_retire(&RetireEvent {
-        pc,
-        inst: &program.instructions[pc],
-        src_values,
-        result: Some(value),
-        addr: None,
-        level: None,
-    });
-}
-
-/// Retires one load.
-#[inline(always)]
-fn retire_load<O: Observer + ?Sized>(
-    machine: &mut Machine,
-    observer: &mut O,
-    program: &Program,
-    d: &DecodedInst,
-    offset: i64,
-    pc: usize,
-) {
-    let src_values = gather(machine, d);
-    let addr = src_values[0].wrapping_add(offset as u64);
-    let (value, level) = machine.load_word(addr);
-    machine.set_reg(d.dst.expect("loads have a dst"), value);
-    observer.on_retire(&RetireEvent {
-        pc,
-        inst: &program.instructions[pc],
-        src_values,
-        result: Some(value),
-        addr: Some(addr),
-        level: Some(level),
-    });
-}
-
-/// Retires one store.
-#[inline(always)]
-fn retire_store<O: Observer + ?Sized>(
-    machine: &mut Machine,
-    observer: &mut O,
-    program: &Program,
-    d: &DecodedInst,
-    offset: i64,
-    pc: usize,
-) {
-    let src_values = gather(machine, d);
-    let addr = src_values[1].wrapping_add(offset as u64);
-    let level = machine.store_word(addr, src_values[0]);
-    observer.on_retire(&RetireEvent {
-        pc,
-        inst: &program.instructions[pc],
-        src_values,
-        result: None,
-        addr: Some(addr),
-        level: Some(level),
-    });
-}
-
-/// Retires one conditional branch, steering `next_pc` on a taken edge.
-#[inline(always)]
-#[allow(clippy::too_many_arguments)]
-fn retire_branch<O: Observer + ?Sized>(
-    machine: &mut Machine,
-    observer: &mut O,
-    program: &Program,
-    d: &DecodedInst,
-    cond: BranchCond,
-    target: usize,
-    pc: usize,
-    next_pc: &mut usize,
-) {
-    let src_values = gather(machine, d);
-    machine.charge_op(Category::Branch);
-    if cond.eval(src_values[0], src_values[1]) {
-        *next_pc = target;
+    #[inline(always)]
+    fn charge(&mut self, category: Category) {
+        self.machine.charge_op(category);
     }
-    observer.on_retire(&RetireEvent {
-        pc,
-        inst: &program.instructions[pc],
-        src_values,
-        result: None,
-        addr: None,
-        level: None,
-    });
+
+    #[inline(always)]
+    fn load(&mut self, addr: u64) -> Option<ServiceLevel> {
+        Some(self.machine.load(addr))
+    }
+
+    #[inline(always)]
+    fn store(&mut self, addr: u64) -> Option<ServiceLevel> {
+        Some(self.machine.store(addr))
+    }
+
+    fn rec(&mut self, pc: usize, _key: u16, _values: [u64; 3]) -> Result<(), RunError> {
+        Err(RunError::unexpected(self.program, pc))
+    }
+
+    fn rcmp(
+        &mut self,
+        _state: &ArchState,
+        pc: usize,
+        _slice: SliceId,
+        _addr: u64,
+    ) -> Result<RcmpOutcome, RunError> {
+        Err(RunError::unexpected(self.program, pc))
+    }
+
+    #[inline(always)]
+    fn retire(&mut self, event: &RetireEvent<'_>) {
+        self.observer.on_retire(event);
+    }
 }
 
 #[cfg(test)]

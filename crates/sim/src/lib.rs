@@ -3,10 +3,18 @@
 
 //! # amnesiac-sim
 //!
-//! The in-order core simulator: functional execution plus timing and energy
-//! accounting for *classic* (non-amnesic) execution, and the shared machine
-//! state ([`Machine`]) and pure instruction semantics ([`eval_compute`])
-//! reused by the amnesic executor in `amnesiac-core`.
+//! The in-order core simulator. Three pieces are shared by every interpreter
+//! in the workspace:
+//!
+//! * the execution engine ([`execute`]): the one instruction loop, over the
+//!   predecoded stream, generic over a [`Hooks`] implementation that supplies
+//!   costs and the amnesic `REC`/`RCMP` behaviour;
+//! * the cost model ([`Machine`]): cache hierarchy plus energy/time account;
+//! * the pure instruction semantics ([`eval_compute`]).
+//!
+//! The crate's own hooks implementation is the *classic* (non-amnesic) core,
+//! [`ClassicCore`]; `amnesiac-core` plugs in the amnesic core and
+//! `amnesiac-compiler` the validation replay.
 //!
 //! The model matches the paper's Table 3 machine: a single in-order core at
 //! 1.09 GHz with L1-I/L1-D/L2/DRAM. Non-memory instructions take one cycle;
@@ -37,10 +45,11 @@
 //! ```
 
 mod classic;
+mod engine;
 mod eval;
 mod machine;
 
-pub use amnesiac_cfg::Dispatch;
-pub use classic::{ClassicCore, NullObserver, Observer, RetireEvent, RunResult, TraceWriter};
+pub use classic::{ClassicCore, NullObserver, Observer, RunResult, TraceWriter};
+pub use engine::{execute, ArchState, Halted, Hooks, RcmpOutcome, RetireEvent};
 pub use eval::{compute_exception, decoded_exception, eval_compute, ExceptionKind};
 pub use machine::{CoreConfig, Machine, RunError};

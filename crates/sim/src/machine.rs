@@ -1,19 +1,15 @@
-//! Shared architectural machine state: register file, flat data memory,
-//! memory hierarchy, and the energy/time account.
+//! The cost model — memory hierarchy plus the energy/time account — and the
+//! simulator's configuration and error types.
 
-use std::collections::BTreeMap;
-
-use amnesiac_cfg::Dispatch;
 use amnesiac_energy::{EnergyAccount, EnergyModel, UarchEvent};
-use amnesiac_isa::{Category, Program, Reg, NUM_REGS};
-use amnesiac_mem::{Access, HierarchyConfig, MemoryHierarchy, PagedMem, ServiceLevel};
-
-/// Bytes per data word and per instruction slot (for cache addressing).
-pub(crate) const WORD_BYTES: u64 = 8;
+use amnesiac_isa::{Category, Program};
+use amnesiac_mem::{
+    wrapping_addr, Access, HierarchyConfig, MemoryHierarchy, ServiceLevel, WORD_BYTES,
+};
 
 /// Base byte address of the instruction region (kept disjoint from data;
 /// data word addresses start at `amnesiac_isa::DATA_BASE`).
-pub(crate) const TEXT_BASE: u64 = 0x4000_0000;
+const TEXT_BASE: u64 = 0x4000_0000;
 
 /// Simulator configuration.
 #[derive(Debug, Clone)]
@@ -24,12 +20,6 @@ pub struct CoreConfig {
     pub energy: EnergyModel,
     /// Safety fuse: abort after this many dynamic instructions.
     pub max_instructions: u64,
-    /// Model instruction supply through L1-I (fill energy + stall cycles on
-    /// misses). Disable for pure-functional runs (e.g. profiling replays).
-    pub model_fetch: bool,
-    /// Dispatch granularity: block-level superinstruction execution
-    /// (default) or the instruction-level differential oracle.
-    pub dispatch: Dispatch,
 }
 
 impl CoreConfig {
@@ -39,8 +29,6 @@ impl CoreConfig {
             hierarchy: HierarchyConfig::paper(),
             energy: EnergyModel::paper(),
             max_instructions: 200_000_000,
-            model_fetch: true,
-            dispatch: Dispatch::Block,
         }
     }
 
@@ -72,6 +60,16 @@ pub enum RunError {
     UnexpectedInstruction { pc: usize, what: String },
 }
 
+impl RunError {
+    /// [`RunError::UnexpectedInstruction`] for the instruction at `pc`.
+    pub fn unexpected(program: &Program, pc: usize) -> Self {
+        RunError::UnexpectedInstruction {
+            pc,
+            what: program.instructions[pc].to_string(),
+        }
+    }
+}
+
 impl std::fmt::Display for RunError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
@@ -88,71 +86,53 @@ impl std::fmt::Display for RunError {
 
 impl std::error::Error for RunError {}
 
-/// Architectural + microarchitectural machine state.
+/// The cost model of the Table 3 core: the cache hierarchy (tags only) and
+/// the energy/time account it charges.
 ///
-/// Data memory is a flat word-addressed image holding *values*; the cache
-/// hierarchy tracks *tags* for the same addresses, so functional and timing
-/// state stay decoupled but consistent.
+/// Values live in the engine's [`crate::ArchState`]; the machine only sees
+/// addresses, so functional and timing state stay decoupled but consistent.
 #[derive(Debug, Clone)]
 pub struct Machine {
-    /// Register file.
-    pub regs: [u64; NUM_REGS],
-    /// Flat data memory (word-addressed, paged; untouched words read 0).
-    pub mem: PagedMem,
     /// Cache hierarchy.
     pub hierarchy: MemoryHierarchy,
     /// Energy and time account.
     pub account: EnergyAccount,
     /// Energy/timing model.
     pub energy: EnergyModel,
-    /// Whether instruction supply is modelled.
-    pub model_fetch: bool,
 }
 
 impl Machine {
-    /// Creates a machine initialised with a program's data image.
-    pub fn new(config: &CoreConfig, program: &Program) -> Self {
-        let mem: PagedMem = program.data.iter().collect();
+    /// A cold machine.
+    pub fn new(config: &CoreConfig) -> Self {
         Machine {
-            regs: [0; NUM_REGS],
-            mem,
             hierarchy: MemoryHierarchy::new(config.hierarchy),
             account: EnergyAccount::new(),
             energy: config.energy.clone(),
-            model_fetch: config.model_fetch,
         }
     }
 
-    /// Reads a register.
-    pub fn reg(&self, r: Reg) -> u64 {
-        self.regs[r.index()]
-    }
-
-    /// Writes a register.
-    pub fn set_reg(&mut self, r: Reg, value: u64) {
-        self.regs[r.index()] = value;
-    }
-
-    /// Functional read of a data word (no cache/energy effects).
-    pub fn peek_mem(&self, addr: u64) -> u64 {
-        self.mem.get(addr)
-    }
-
-    /// Performs an architectural load: returns the value and the hierarchy
-    /// level that serviced it, charging energy (per level + write-back
-    /// traffic) and stall cycles.
-    pub fn load_word(&mut self, addr: u64) -> (u64, ServiceLevel) {
-        let access = self.hierarchy.read_data(addr * WORD_BYTES);
+    /// Charges a load of data word `addr` — energy per level plus
+    /// write-back traffic, and stall cycles — and returns the level that
+    /// serviced it.
+    pub fn load(&mut self, addr: u64) -> ServiceLevel {
+        let access = self.hierarchy.read_data(wrapping_addr(0, addr, WORD_BYTES));
         self.charge_mem(Category::Load, access);
-        (self.peek_mem(addr), access.level)
+        access.level
     }
 
-    /// Performs an architectural store, charging energy and stall cycles.
-    pub fn store_word(&mut self, addr: u64, value: u64) -> ServiceLevel {
-        self.mem.set(addr, value);
-        let access = self.hierarchy.write_data(addr * WORD_BYTES);
+    /// Charges a store to data word `addr` and returns the servicing level.
+    pub fn store(&mut self, addr: u64) -> ServiceLevel {
+        let access = self
+            .hierarchy
+            .write_data(wrapping_addr(0, addr, WORD_BYTES));
         self.charge_mem(Category::Store, access);
         access.level
+    }
+
+    /// Where a load of data word `addr` would be serviced right now, without
+    /// touching cache state or the account (the `RCMP` residency probe).
+    pub fn probe(&self, addr: u64) -> ServiceLevel {
+        self.hierarchy.peek_data(wrapping_addr(0, addr, WORD_BYTES))
     }
 
     /// Charges a memory instruction and its write-back side effects.
@@ -190,10 +170,7 @@ impl Machine {
     /// Models instruction supply for the instruction at index `pc`: the
     /// fetch goes through L1-I; misses charge fill energy and stall cycles.
     pub fn fetch(&mut self, pc: usize) {
-        if !self.model_fetch {
-            return;
-        }
-        let byte_addr = TEXT_BASE + pc as u64 * WORD_BYTES;
+        let byte_addr = wrapping_addr(TEXT_BASE, pc as u64, WORD_BYTES);
         let access = self.hierarchy.fetch_inst(byte_addr);
         match access.level {
             ServiceLevel::L1 => {}
@@ -213,70 +190,52 @@ impl Machine {
                 .record_event(UarchEvent::WritebackL2, self.energy.writeback_nj[1]);
         }
     }
-
-    /// Extracts the values of the program's declared output ranges from the
-    /// flat memory (for classic/amnesic equivalence checks), in address
-    /// order.
-    pub fn extract_output(&self, program: &Program) -> BTreeMap<u64, u64> {
-        let mut out = BTreeMap::new();
-        for range in &program.output {
-            for addr in range.iter() {
-                out.insert(addr, self.peek_mem(addr));
-            }
-        }
-        out
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amnesiac_isa::ProgramBuilder;
 
-    fn machine() -> (Machine, u64) {
-        let mut b = ProgramBuilder::new("t");
-        let base = b.alloc_data(&[5, 6, 7]);
-        b.halt();
-        let p = b.finish().unwrap();
-        (Machine::new(&CoreConfig::paper(), &p), base)
-    }
-
-    #[test]
-    fn data_image_is_loaded() {
-        let (m, base) = machine();
-        assert_eq!(m.peek_mem(base), 5);
-        assert_eq!(m.peek_mem(base + 2), 7);
-        assert_eq!(m.peek_mem(base + 99), 0);
+    fn machine() -> Machine {
+        Machine::new(&CoreConfig::paper())
     }
 
     #[test]
     fn load_charges_level_energy_and_latency() {
-        let (mut m, base) = machine();
-        let (v, level) = m.load_word(base);
-        assert_eq!(v, 5);
-        assert_eq!(level, ServiceLevel::Mem);
+        let mut m = machine();
+        let base = amnesiac_isa::DATA_BASE;
+        assert_eq!(m.load(base), ServiceLevel::Mem);
         assert_eq!(m.account.count(Category::Load), 1);
         assert!((m.account.energy(Category::Load) - 52.14).abs() < 1e-9);
         assert_eq!(m.account.cycles(), 109);
         // second load hits L1
-        let (_, level) = m.load_word(base);
-        assert_eq!(level, ServiceLevel::L1);
+        assert_eq!(m.load(base), ServiceLevel::L1);
         assert!((m.account.energy(Category::Load) - 53.02).abs() < 1e-9);
         assert_eq!(m.account.cycles(), 113);
     }
 
     #[test]
-    fn store_updates_memory_and_account() {
-        let (mut m, base) = machine();
-        m.store_word(base + 1, 99);
-        assert_eq!(m.peek_mem(base + 1), 99);
+    fn store_charges_the_account() {
+        let mut m = machine();
+        m.store(amnesiac_isa::DATA_BASE + 1);
         assert_eq!(m.account.count(Category::Store), 1);
         assert!((m.account.energy(Category::Store) - 62.14).abs() < 1e-9);
     }
 
     #[test]
+    fn probe_sees_residency_without_charging() {
+        let mut m = machine();
+        let base = amnesiac_isa::DATA_BASE;
+        assert_eq!(m.probe(base), ServiceLevel::Mem);
+        m.load(base);
+        let before = m.account.clone();
+        assert_eq!(m.probe(base), ServiceLevel::L1);
+        assert_eq!(m.account, before, "a probe is free");
+    }
+
+    #[test]
     fn charge_op_uses_epi_table() {
-        let (mut m, _) = machine();
+        let mut m = machine();
         m.charge_op(Category::Fma);
         assert_eq!(m.account.count(Category::Fma), 1);
         assert_eq!(m.account.cycles(), 1);
@@ -284,33 +243,12 @@ mod tests {
 
     #[test]
     fn fetch_models_l1i_misses_then_hits() {
-        let (mut m, _) = machine();
+        let mut m = machine();
         m.fetch(0); // cold: line fill from memory
         let cold_cycles = m.account.cycles();
         assert!(cold_cycles >= 109);
         assert_eq!(m.account.event_count(UarchEvent::IFetchMem), 1);
         m.fetch(1); // same 64B line: 8 slots per line
         assert_eq!(m.account.cycles(), cold_cycles, "line hit adds no stall");
-    }
-
-    #[test]
-    fn fetch_disabled_is_free() {
-        let mut b = ProgramBuilder::new("t");
-        b.halt();
-        let p = b.finish().unwrap();
-        let mut config = CoreConfig::paper();
-        config.model_fetch = false;
-        let mut m = Machine::new(&config, &p);
-        m.fetch(0);
-        assert_eq!(m.account.cycles(), 0);
-        assert_eq!(m.account.total_nj(), 0.0);
-    }
-
-    #[test]
-    fn register_file_roundtrip() {
-        let (mut m, _) = machine();
-        m.set_reg(Reg(7), 1234);
-        assert_eq!(m.reg(Reg(7)), 1234);
-        assert_eq!(m.reg(Reg(8)), 0);
     }
 }
