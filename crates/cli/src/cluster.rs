@@ -5,16 +5,7 @@
 //! `amnesiac serve` worker processes on ephemeral ports, seeds an
 //! in-process [`Router`] with their addresses, and hosts the router until
 //! a `shutdown` request drains the fleet. Workers are found by reading
-//! the `listening on <addr>` line each one prints; the `AMNESIAC_BIN`
-//! environment variable overrides the worker binary (the e2e tests point
-//! it at the built CLI, since `current_exe` is the test harness there).
-//!
-//! [`run_cluster_smoke`] is the self-test behind the headline claim: it
-//! boots a three-worker cluster, proves v1 parity and the v2 routing
-//! envelope, then kills one worker while a pipelined batch is queued on
-//! it and checks that every request still gets exactly one response —
-//! none lost, none duplicated — with the reroutes surfaced both per
-//! response (`meta.rerouted`) and in the router's counters.
+//! the `listening on <addr>` line each one prints.
 //!
 //! [`drive_loadgen_cluster`] backs `loadgen --cluster <n>`: the open-loop
 //! schedule is driven at the router instead of a single in-process
@@ -22,14 +13,14 @@
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::SocketAddr;
-use std::path::PathBuf;
+use std::path::Path;
 use std::process::{Child, Command as WorkerCommand, Stdio};
 use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
 use amnesiac_loadgen::{run_against, LoadgenConfig};
-use amnesiac_serve::{Client, ClientConfig, Request, Router, RouterConfig};
+use amnesiac_serve::{Router, RouterConfig};
 use amnesiac_telemetry::Json;
 
 use crate::{CliError, Command, Response};
@@ -40,15 +31,6 @@ const WORKER_BOOT_BUDGET: Duration = Duration::from_secs(10);
 /// How long a worker gets to exit on its own after the fleet drains
 /// before it is killed outright.
 const WORKER_DRAIN_BUDGET: Duration = Duration::from_secs(5);
-
-/// The worker binary: `AMNESIAC_BIN` when set (tests point it at the
-/// built CLI), our own executable otherwise.
-fn worker_binary() -> Result<PathBuf, CliError> {
-    if let Some(path) = std::env::var_os("AMNESIAC_BIN") {
-        return Ok(PathBuf::from(path));
-    }
-    std::env::current_exe().map_err(|e| CliError::Tool(format!("cannot locate own binary: {e}")))
-}
 
 /// One spawned `amnesiac serve` worker process. Dropping it kills and
 /// reaps the child, so a failed boot never leaks processes. Fleet index
@@ -92,21 +74,12 @@ fn parse_listen_addr(line: &str) -> Option<SocketAddr> {
 }
 
 /// Spawns worker `index` on an ephemeral port and waits for its listen
-/// line. `threads` overrides the worker's own `--workers` pool size
-/// (`None` keeps the serve default); `--timeout-ms` is passed through,
-/// and `--cache-dir <dir>` becomes a per-worker `<dir>/w<index>` so the
-/// processes never share a store.
-fn spawn_worker(
-    binary: &std::path::Path,
-    index: usize,
-    threads: Option<usize>,
-    command: &Command,
-) -> Result<WorkerProc, CliError> {
+/// line. `--timeout-ms` is passed through, and `--cache-dir <dir>`
+/// becomes a per-worker `<dir>/w<index>` so the processes never share a
+/// store.
+fn spawn_worker(binary: &Path, index: usize, command: &Command) -> Result<WorkerProc, CliError> {
     let mut worker = WorkerCommand::new(binary);
     worker.arg("serve").arg("--port").arg("0");
-    if let Some(threads) = threads {
-        worker.arg("--workers").arg(threads.to_string());
-    }
     if let Some(timeout_ms) = command.timeout_ms {
         worker.arg("--timeout-ms").arg(timeout_ms.to_string());
     }
@@ -167,19 +140,16 @@ fn spawn_worker(
     Ok(WorkerProc { child, addr })
 }
 
-/// Spawns the worker fleet and starts the router over it. Worker ids in
-/// the membership view equal spawn order ([`amnesiac_serve::Membership`]
-/// numbers the seed addresses 0..n-1), so hop label `w<i>` names
-/// `fleet[i]`.
-fn boot_cluster(
-    command: &Command,
-    workers: usize,
-    threads: Option<usize>,
-) -> Result<(Vec<WorkerProc>, Router), CliError> {
-    let binary = worker_binary()?;
+/// Spawns the worker fleet — copies of this very binary — and starts the
+/// router over it. Worker ids in the membership view equal spawn order
+/// ([`amnesiac_serve::Membership`] numbers the seed addresses 0..n-1), so
+/// hop label `w<i>` names `fleet[i]`.
+fn boot_cluster(command: &Command, workers: usize) -> Result<(Vec<WorkerProc>, Router), CliError> {
+    let binary = std::env::current_exe()
+        .map_err(|e| CliError::Tool(format!("cannot locate own binary: {e}")))?;
     let mut fleet = Vec::with_capacity(workers);
     for index in 0..workers {
-        fleet.push(spawn_worker(&binary, index, threads, command)?);
+        fleet.push(spawn_worker(&binary, index, command)?);
     }
     let addrs: Vec<SocketAddr> = fleet.iter().map(|w| w.addr).collect();
     let mut config = RouterConfig {
@@ -198,7 +168,7 @@ fn boot_cluster(
 /// spawned worker processes until a `shutdown` request drains the fleet.
 pub(crate) fn run_cluster(command: &Command) -> Result<Response, CliError> {
     let workers = command.workers.unwrap_or(3);
-    let (mut fleet, mut router) = boot_cluster(command, workers, None)?;
+    let (mut fleet, mut router) = boot_cluster(command, workers)?;
     let addr = router.addr();
     println!(
         "amnesiac-cluster router listening on {addr} ({workers} workers) — \
@@ -217,440 +187,6 @@ pub(crate) fn run_cluster(command: &Command) -> Result<Response, CliError> {
     })
 }
 
-/// The `cluster-smoke` verb: boots a 3-worker cluster (single-threaded
-/// workers, so pipelined requests queue), proves v1 parity and the v2
-/// envelope, kills a worker mid-batch, and checks the exactly-once
-/// accounting plus the membership reaction. See [`smoke_checks`] for the
-/// full list.
-pub(crate) fn run_cluster_smoke(command: &Command) -> Result<Response, CliError> {
-    let workers = command.workers.unwrap_or(3);
-    if workers < 3 {
-        return Err(CliError::Usage(
-            "cluster-smoke needs at least 3 workers (it kills one and drains another)".into(),
-        ));
-    }
-    let mut smoke = command.clone();
-    smoke.timeout_ms.get_or_insert(120_000);
-    let (mut fleet, mut router) = boot_cluster(&smoke, workers, Some(1))?;
-    let outcome = smoke_checks(&mut fleet, &router, workers);
-    router.shutdown();
-    router.join();
-    for worker in &mut fleet {
-        worker.wait_or_kill(WORKER_DRAIN_BUDGET);
-    }
-    let (checks, failures, stats) = outcome?;
-    Ok(Response::ClusterSmoke {
-        checks,
-        failures,
-        stats,
-    })
-}
-
-/// Sends one routed v2 request and returns the worker hop label (`w<i>`)
-/// the router placed it on.
-fn placed_worker(client: &mut Client, key: &str, id: &str) -> Option<String> {
-    let request = Request::new("disasm")
-        .with_target("bench:cg")
-        .with_id(id)
-        .with_proto(2)
-        .with_routing_key(key);
-    let response = client.call(&request).ok()?;
-    response.meta.as_ref().and_then(|meta| {
-        meta.hops
-            .iter()
-            .find(|(node, _)| node.starts_with('w'))
-            .map(|(node, _)| node.clone())
-    })
-}
-
-/// Fetches the router's fresh `stats` payload over the wire.
-fn wire_stats(client: &mut Client, id: &str) -> Option<Json> {
-    let response = client.call(&Request::new("stats").with_id(id)).ok()?;
-    response.result.ok()
-}
-
-/// The smoke-test body. Returns `(checks, failures, final_stats)`; only
-/// a router that cannot even be reached is a hard error.
-fn smoke_checks(
-    fleet: &mut [WorkerProc],
-    router: &Router,
-    workers: usize,
-) -> Result<(usize, Vec<String>, Json), CliError> {
-    let addr = router.addr();
-    let connector = ClientConfig::new()
-        .attempts(5)
-        .backoff(Duration::from_millis(10), Duration::from_millis(100))
-        .read_timeout(Some(Duration::from_secs(300)));
-    let mut client = connector
-        .connect(addr)
-        .map_err(|e| CliError::Tool(format!("cannot connect to router: {e}")))?;
-
-    let mut checks = 0usize;
-    let mut failures: Vec<String> = Vec::new();
-    let mut check = |ok: bool, what: String| {
-        checks += 1;
-        if !ok {
-            failures.push(what);
-        }
-    };
-
-    // v1 parity: the serve-smoke batch, unchanged, through the router.
-    // Payloads must equal the typed core's and the envelope must not
-    // grow a meta block — a v1 client cannot tell the router from a
-    // single server.
-    let cases = crate::service::smoke_cases()?;
-    let requests: Vec<Request> = cases
-        .iter()
-        .enumerate()
-        .map(|(i, case)| case.request.clone().with_id(format!("v1-{i}")))
-        .collect();
-    match client.batch(&requests) {
-        Ok(responses) => {
-            check(
-                responses.len() == requests.len(),
-                format!(
-                    "v1 parity: {} of {} responses",
-                    responses.len(),
-                    requests.len()
-                ),
-            );
-            for ((request, response), case) in requests.iter().zip(&responses).zip(&cases) {
-                let label = format!("v1 `{}`", request.verb);
-                check(response.id == request.id, format!("{label}: id mismatch"));
-                check(
-                    response.meta.is_none(),
-                    format!("{label}: v1 response grew a meta block"),
-                );
-                check(
-                    response.payload() == Some(&case.expected),
-                    format!("{label}: payload differs from the typed core"),
-                );
-            }
-        }
-        Err(e) => check(false, format!("v1 parity batch failed: {e}")),
-    }
-
-    // v2 envelope: proto echo, routing key echo, per-hop timing.
-    let request = Request::new("disasm")
-        .with_target("bench:cg")
-        .with_id("v2-env")
-        .with_proto(2)
-        .with_routing_key("k-envelope");
-    match client.call(&request) {
-        Ok(response) => {
-            check(response.is_ok(), "v2 disasm answered an error".into());
-            match &response.meta {
-                Some(meta) => {
-                    check(meta.proto == 2, format!("v2 meta.proto is {}", meta.proto));
-                    check(
-                        meta.routing_key == "k-envelope",
-                        format!("v2 routing key echoed as `{}`", meta.routing_key),
-                    );
-                    check(
-                        meta.rerouted == 0,
-                        format!("fresh request claims {} reroutes", meta.rerouted),
-                    );
-                    check(
-                        meta.hops.first().map(|(node, _)| node.as_str()) == Some("router"),
-                        format!("first hop is not the router: {:?}", meta.hops),
-                    );
-                    check(
-                        meta.hops.iter().any(|(node, _)| node.starts_with('w')),
-                        format!("no worker hop recorded: {:?}", meta.hops),
-                    );
-                    check(
-                        meta.hops.iter().all(|(_, ms)| *ms >= 0.0),
-                        format!("negative hop timing: {:?}", meta.hops),
-                    );
-                }
-                None => check(false, "v2 response carried no meta block".into()),
-            }
-        }
-        Err(e) => check(false, format!("v2 envelope call failed: {e}")),
-    }
-
-    // Deterministic placement: the same key lands on the same worker
-    // every time.
-    let placements: Vec<Option<String>> = (0..3)
-        .map(|i| placed_worker(&mut client, "pin-me", &format!("det-{i}")))
-        .collect();
-    check(
-        placements[0].is_some() && placements.iter().all(|p| p == &placements[0]),
-        format!("same key moved between workers: {placements:?}"),
-    );
-
-    // Aggregated stats: the router sweeps the fleet and folds the
-    // per-verb counters together.
-    match wire_stats(&mut client, "stats-0") {
-        Some(stats) => {
-            check(
-                stats.get("role").and_then(Json::as_str) == Some("router"),
-                "stats payload does not identify as the router".into(),
-            );
-            check(
-                stats.get("workers_total").and_then(Json::as_f64) == Some(workers as f64),
-                format!("workers_total: {:?}", stats.get("workers_total")),
-            );
-            check(
-                stats.get("workers_up").and_then(Json::as_f64) == Some(workers as f64),
-                format!("workers_up before the kill: {:?}", stats.get("workers_up")),
-            );
-            check(
-                stats
-                    .get("generation")
-                    .and_then(Json::as_f64)
-                    .unwrap_or(0.0)
-                    >= 1.0,
-                "stats payload carries no generation".into(),
-            );
-            check(
-                stats
-                    .get("workers")
-                    .and_then(Json::as_arr)
-                    .map(|list| list.len())
-                    == Some(workers),
-                "per-worker stats array is incomplete".into(),
-            );
-            let disasm_requests = stats
-                .get_path("verbs.disasm.requests")
-                .and_then(Json::as_f64)
-                .unwrap_or(0.0);
-            check(
-                disasm_requests >= 4.0,
-                format!("aggregated disasm count is {disasm_requests}"),
-            );
-        }
-        None => check(false, "stats verb failed against the router".into()),
-    }
-
-    // Membership view via the `cluster` verb: everyone up, generation 1.
-    match client.call(&Request::new("cluster").with_id("cluster-0")) {
-        Ok(response) => {
-            let view = response.result.ok().unwrap_or(Json::Null);
-            check(
-                view.get("up").and_then(Json::as_f64) == Some(workers as f64),
-                format!("cluster view up-count: {:?}", view.get("up")),
-            );
-            let all_up = view
-                .get("workers")
-                .and_then(Json::as_arr)
-                .is_some_and(|list| {
-                    list.len() == workers
-                        && list
-                            .iter()
-                            .all(|w| w.get("state").and_then(Json::as_str) == Some("up"))
-                });
-            check(all_up, "cluster view does not show every worker up".into());
-        }
-        Err(e) => check(false, format!("cluster verb failed: {e}")),
-    }
-
-    // The headline: kill a worker while a pipelined batch is queued on
-    // it. Eight distinct paper-scale compiles are pinned to the victim
-    // (it runs one server thread, so they execute serially); four more
-    // are spread across the fleet. We take the first response — the
-    // victim is now mid-batch — and kill it. Every request must still
-    // get exactly one response, with the reroutes counted.
-    let victim = placed_worker(&mut client, "victim-pin", "victim-probe")
-        .and_then(|label| label.strip_prefix('w')?.parse::<usize>().ok());
-    check(
-        victim.is_some(),
-        "could not discover the victim worker for the kill test".into(),
-    );
-    let mut victim_label = String::new();
-    if let Some(victim) = victim {
-        victim_label = format!("w{victim}");
-        let generation_before = router.generation();
-        let pinned = [
-            "bench:mcf",
-            "bench:sx",
-            "bench:cg",
-            "bench:ca",
-            "bench:fs",
-            "bench:fe",
-            "bench:rt",
-            "bench:bp",
-        ];
-        let mut requests: Vec<Request> = pinned
-            .iter()
-            .enumerate()
-            .map(|(i, target)| {
-                Request::new("compile")
-                    .with_target(*target)
-                    .with_scale("paper")
-                    .with_id(format!("kill-p{i}"))
-                    .with_proto(2)
-                    .with_routing_key("victim-pin")
-            })
-            .collect();
-        for i in 0..4 {
-            requests.push(
-                Request::new("disasm")
-                    .with_target("bench:cg")
-                    .with_id(format!("kill-m{i}"))
-                    .with_proto(2)
-                    .with_routing_key(format!("spread-{i}")),
-            );
-        }
-        let mut kill_client = connector
-            .connect(addr)
-            .map_err(|e| CliError::Tool(format!("cannot connect kill client: {e}")))?;
-        let mut send_failure = None;
-        for request in &requests {
-            if let Err(e) = kill_client.send(request) {
-                send_failure = Some(e);
-                break;
-            }
-        }
-        check(
-            send_failure.is_none(),
-            format!("pipelined send failed: {send_failure:?}"),
-        );
-        let mut responses = Vec::new();
-        match kill_client.recv() {
-            Ok(response) => responses.push(response),
-            Err(e) => check(false, format!("first pinned response failed: {e}")),
-        }
-        // the victim still owes seven pinned responses — kill it now
-        fleet[victim].kill();
-        let mut recv_failure = None;
-        while responses.len() < requests.len() {
-            match kill_client.recv() {
-                Ok(response) => responses.push(response),
-                Err(e) => {
-                    recv_failure = Some(e);
-                    break;
-                }
-            }
-        }
-        check(
-            responses.len() == requests.len(),
-            format!(
-                "lost {} of {} responses after the kill ({recv_failure:?})",
-                requests.len() - responses.len(),
-                requests.len()
-            ),
-        );
-        let in_order = requests
-            .iter()
-            .zip(&responses)
-            .all(|(request, response)| response.id == request.id);
-        check(
-            in_order,
-            "responses arrived out of order or with foreign ids".into(),
-        );
-        check(
-            responses.iter().all(amnesiac_serve::Response::is_ok),
-            "a request in the kill batch answered an error".into(),
-        );
-        let rerouted: u64 = responses
-            .iter()
-            .filter_map(|r| r.meta.as_ref())
-            .map(|meta| meta.rerouted)
-            .sum();
-        check(
-            rerouted >= 1,
-            "no response reported a reroute after the worker died".into(),
-        );
-        // no duplicates: the wire must now be silent
-        kill_client
-            .set_read_timeout(Some(Duration::from_millis(300)))
-            .ok();
-        check(
-            kill_client.recv().is_err(),
-            "a duplicate response arrived after the batch completed".into(),
-        );
-        // membership reacted: generation bumped, victim marked down
-        check(
-            router.generation() > generation_before,
-            "membership generation did not advance on the kill".into(),
-        );
-        let membership = router.membership_json();
-        let victim_state = membership
-            .get("workers")
-            .and_then(Json::as_arr)
-            .and_then(|list| {
-                list.iter()
-                    .find(|w| w.get("id").and_then(Json::as_f64) == Some(victim as f64))
-            })
-            .and_then(|w| w.get("state"))
-            .and_then(Json::as_str)
-            .map(str::to_string);
-        check(
-            victim_state.as_deref() == Some("down"),
-            format!("victim state after the kill: {victim_state:?}"),
-        );
-        // the pinned key now lands on a live worker
-        let new_home = placed_worker(&mut client, "victim-pin", "post-kill");
-        check(
-            new_home.is_some() && new_home.as_deref() != Some(victim_label.as_str()),
-            format!("pinned key still routes to the dead worker: {new_home:?}"),
-        );
-    }
-
-    // Drain a survivor: it leaves the ring at a bumped generation and
-    // takes no new placements.
-    let survivor = router
-        .membership_json()
-        .get("workers")
-        .and_then(Json::as_arr)
-        .and_then(|list| {
-            list.iter()
-                .find(|w| w.get("state").and_then(Json::as_str) == Some("up"))
-                .and_then(|w| w.get("id"))
-                .and_then(Json::as_f64)
-        })
-        .map(|id| id as u64);
-    check(survivor.is_some(), "no up worker left to drain".into());
-    if let Some(survivor) = survivor {
-        let drain = Request::new("drain")
-            .with_target(format!("w{survivor}"))
-            .with_id("drain-0");
-        match client.call(&drain) {
-            Ok(response) => {
-                let payload = response.result.ok().unwrap_or(Json::Null);
-                check(
-                    payload.get("draining_worker").and_then(Json::as_f64) == Some(survivor as f64),
-                    format!("drain answered {}", payload.compact()),
-                );
-                check(
-                    payload.get("changed") == Some(&Json::Bool(true)),
-                    "drain did not change the worker's state".into(),
-                );
-            }
-            Err(e) => check(false, format!("drain verb failed: {e}")),
-        }
-        let post_drain = placed_worker(&mut client, "after-the-drain", "post-drain");
-        check(
-            post_drain.is_some()
-                && post_drain.as_deref() != Some(&format!("w{survivor}"))
-                && post_drain.as_deref() != Some(victim_label.as_str()),
-            format!("placement after the drain: {post_drain:?}"),
-        );
-    }
-
-    // Final sweep for the report, then a wire-level shutdown: the router
-    // acknowledges the drain and refuses further work.
-    let final_stats = wire_stats(&mut client, "stats-final").unwrap_or(Json::Null);
-    check(
-        final_stats
-            .get("rerouted")
-            .and_then(Json::as_f64)
-            .unwrap_or(0.0)
-            >= 1.0,
-        "router counters recorded no reroute".into(),
-    );
-    match client.call(&Request::new("shutdown").with_id("bye")) {
-        Ok(response) => check(
-            response.payload().and_then(|p| p.get("draining")) == Some(&Json::Bool(true)),
-            "shutdown did not acknowledge the drain".into(),
-        ),
-        Err(e) => check(false, format!("shutdown verb failed: {e}")),
-    }
-
-    Ok((checks, failures, final_stats))
-}
-
 /// `loadgen --cluster <n>`: boots the worker fleet behind a router and
 /// drives the open-loop schedule at the router. The snapshot gains a
 /// `results.cluster` block (fleet size, membership generation, and the
@@ -661,7 +197,7 @@ pub(crate) fn drive_loadgen_cluster(
     config: &LoadgenConfig,
     workers: usize,
 ) -> Result<Json, CliError> {
-    let (mut fleet, router) = boot_cluster(command, workers, None)?;
+    let (mut fleet, router) = boot_cluster(command, workers)?;
     let outcome = run_against(router.addr(), config)
         .map_err(|e| CliError::Tool(format!("cluster loadgen failed: {e}")));
     let stats = router.stats_json();

@@ -21,11 +21,8 @@
 //! amnesiac bench-snapshot <out.json>                   # perf baseline
 //! amnesiac bench-compare <baseline.json> [--tolerance <pp>]
 //! amnesiac serve [--port <p>] [--workers <n>]          # line-protocol service
-//! amnesiac serve-smoke                                 # service self-test
 //! amnesiac loadgen [--rate <r>] [--duration-ms <ms>] [--seed <n>] [--mix <m>]
-//! amnesiac loadgen-smoke                               # load-generator soak test
 //! amnesiac cluster [--workers <n>] [--port <p>]        # router + worker fleet
-//! amnesiac cluster-smoke                               # kill-a-worker self-test
 //! ```
 //!
 //! Every verb flows through the typed core: [`parse_args`] produces a
@@ -51,9 +48,7 @@
 //! `serve` starts the [`amnesiac_serve`] line-protocol service with this
 //! crate's [`serve_handler`] plugged in (verbs `compile`, `simulate`,
 //! `verify`, `bench`, `experiments`, plus the read-only `disasm` /
-//! `profile` / `trace`); `serve-smoke` boots a private server on an
-//! ephemeral port, fires a mixed concurrent batch at it, and exits
-//! non-zero on any dropped or mismatched response.
+//! `profile` / `trace`).
 //!
 //! `loadgen` boots the same service in-process and drives it with an
 //! open-loop Poisson schedule ([`amnesiac_loadgen`]): deterministic per
@@ -62,15 +57,14 @@
 //! `--json` payload is the serve benchmark snapshot `BENCH_serve.json`
 //! pins; `bench-compare` detects a `kind: "serve"` baseline, replays its
 //! embedded config, and gates the error rate (latency is
-//! informational). `loadgen-smoke` is the fast in-process soak test.
+//! informational).
 //!
 //! `cluster` scales the same service across processes: a router
 //! consistent-hashes each request's routing key over `--workers <n>`
 //! spawned `amnesiac serve` worker processes, with health probes, a
 //! generation-numbered membership view, and re-route on worker loss;
-//! `cluster-smoke` is the self-test that kills a worker mid-batch and
-//! proves exactly-once response accounting, and `loadgen --cluster <n>`
-//! drives the open-loop schedule through the router (DESIGN.md §4g).
+//! `loadgen --cluster <n>` drives the open-loop schedule through the
+//! router (DESIGN.md §4g).
 //!
 //! Programs are referenced either as a path to an `.asm` file or as
 //! `bench:<name>` for any of the 33 built-in kernels (at test scale by
@@ -161,11 +155,8 @@ pub enum Verb {
     BenchSnapshot,
     BenchCompare,
     Serve,
-    ServeSmoke,
     Loadgen,
-    LoadgenSmoke,
     Cluster,
-    ClusterSmoke,
 }
 
 /// CLI errors (also carry the usage text).
@@ -227,12 +218,9 @@ pub const USAGE: &str = "usage: amnesiac <run|disasm|profile|compile|compare> \
        amnesiac bench-snapshot <out.json> [--scale <test|paper>] [--reps <n>]
        amnesiac bench-compare <baseline.json> [--tolerance <pp>] [--scale <test|paper>] [--reps <n>] [--json <dir>]
        amnesiac serve [--port <p>] [--workers <n>] [--backlog <n>] [--timeout-ms <ms>] [--cache-dir <dir>]
-       amnesiac serve-smoke [--workers <n>] [--backlog <n>] [--timeout-ms <ms>]
        amnesiac cluster [--workers <n>] [--port <p>] [--timeout-ms <ms>] [--cache-dir <dir>]
-       amnesiac cluster-smoke [--workers <n>] [--timeout-ms <ms>]
        amnesiac loadgen [--rate <req/s>] [--duration-ms <ms>] [--seed <n>] [--mix <verb=w,...>]
                         [--workers <n>] [--backlog <n>] [--timeout-ms <ms>] [--cluster <n>] [--json <dir>]
-       amnesiac loadgen-smoke [loadgen flags]
   every verb accepts --json <dir> to export its payload as <verb>.json
   compile, disasm, and verify accept --cache-dir <dir>: a persistent
   content-addressed compile cache, reused across process restarts
@@ -295,7 +283,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         match arg {
             "run" | "disasm" | "profile" | "compile" | "compare" | "encode" | "trace"
             | "verify" | "lint" | "experiments" | "bench-snapshot" | "bench-compare" | "serve"
-            | "serve-smoke" | "loadgen" | "loadgen-smoke" | "cluster" | "cluster-smoke"
+            | "loadgen" | "cluster"
                 if verb.is_none() =>
             {
                 verb = Some(match arg {
@@ -311,11 +299,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "bench-snapshot" => Verb::BenchSnapshot,
                     "bench-compare" => Verb::BenchCompare,
                     "serve" => Verb::Serve,
-                    "serve-smoke" => Verb::ServeSmoke,
                     "loadgen" => Verb::Loadgen,
-                    "loadgen-smoke" => Verb::LoadgenSmoke,
                     "cluster" => Verb::Cluster,
-                    "cluster-smoke" => Verb::ClusterSmoke,
                     _ => Verb::Encode,
                 });
             }
@@ -457,9 +442,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "--scale conflicts with --paper-scale; pass one or the other".into(),
         ));
     }
-    let loadgen_verb = matches!(verb, Verb::Loadgen | Verb::LoadgenSmoke);
-    let cluster_verb = matches!(verb, Verb::Cluster | Verb::ClusterSmoke);
-    let serve_verb = matches!(verb, Verb::Serve | Verb::ServeSmoke) || loadgen_verb || cluster_verb;
+    let loadgen_verb = verb == Verb::Loadgen;
+    let serve_verb = matches!(verb, Verb::Serve | Verb::Loadgen | Verb::Cluster);
     if cluster.is_some() && !loadgen_verb {
         return Err(CliError::Usage(
             "--cluster only applies to the loadgen verbs (the cluster verbs size \
@@ -520,14 +504,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 "bench-compare needs a baseline path".into(),
             ));
         }
-        Verb::Serve
-        | Verb::ServeSmoke
-        | Verb::Loadgen
-        | Verb::LoadgenSmoke
-        | Verb::Cluster
-        | Verb::ClusterSmoke
-            if target.is_some() =>
-        {
+        Verb::Serve | Verb::Loadgen | Verb::Cluster if target.is_some() => {
             return Err(CliError::Usage(
                 "the serve verbs take flags only — no positional argument".into(),
             ));
@@ -538,11 +515,8 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         | Verb::BenchSnapshot
         | Verb::BenchCompare
         | Verb::Serve
-        | Verb::ServeSmoke
         | Verb::Loadgen
-        | Verb::LoadgenSmoke
-        | Verb::Cluster
-        | Verb::ClusterSmoke => {}
+        | Verb::Cluster => {}
         _ if target.is_none() => {
             return Err(CliError::Usage("missing program".into()));
         }
@@ -630,7 +604,7 @@ pub fn load_program(target: &str, paper_scale: bool) -> Result<Program, CliError
 /// ([`serve_handler`]).
 ///
 /// Verb-inherent side effects happen here (`encode` writes its image,
-/// `bench-snapshot` its baseline, `serve`/`serve-smoke` run their
+/// `bench-snapshot` its baseline, `serve`/`cluster` run their
 /// servers), but the `--json <dir>` exports do not — those belong to
 /// [`execute`]. Failure-shaped outcomes (a dirty `verify`, a regressed
 /// `bench-compare`) come back as `Ok` responses with
@@ -664,11 +638,8 @@ pub(crate) fn run_with_cache(
         Verb::Verify => run_verify(command, cache),
         Verb::Lint => run_lint(command),
         Verb::Serve => service::run_serve(command),
-        Verb::ServeSmoke => service::run_serve_smoke(command),
         Verb::Loadgen => service::run_loadgen(command),
-        Verb::LoadgenSmoke => service::run_loadgen_smoke(command),
         Verb::Cluster => cluster::run_cluster(command),
-        Verb::ClusterSmoke => cluster::run_cluster_smoke(command),
         _ => run_program_verb(command, cache),
     }
 }
@@ -1080,8 +1051,8 @@ mod tests {
     fn parses_and_validates_the_cache_dir_flag() {
         let c = parse_args(&args(&["compile", "bench:is", "--cache-dir", "/tmp/c"])).unwrap();
         assert_eq!(c.cache_dir.as_deref(), Some("/tmp/c"));
-        for verb in ["disasm", "verify", "serve", "serve-smoke", "loadgen"] {
-            let argv: Vec<&str> = if verb.starts_with("serve") || verb == "loadgen" {
+        for verb in ["disasm", "verify", "serve", "loadgen", "cluster"] {
+            let argv: Vec<&str> = if matches!(verb, "serve" | "loadgen" | "cluster") {
                 vec![verb, "--cache-dir", "/tmp/c"]
             } else {
                 vec![verb, "bench:is", "--cache-dir", "/tmp/c"]
@@ -1132,8 +1103,6 @@ mod tests {
         assert_eq!(c.workers, Some(3));
         assert_eq!(c.backlog, Some(32));
         assert_eq!(c.timeout_ms, Some(1500));
-        let c = parse_args(&args(&["serve-smoke"])).unwrap();
-        assert_eq!(c.verb, Verb::ServeSmoke);
         for bad in [
             &["serve", "--port", "70000"][..],
             &["serve", "--workers", "0"],
@@ -1454,8 +1423,8 @@ mod tests {
         assert_eq!(c.timeout_ms, Some(5000));
 
         // bare verbs parse with every flag defaulted
-        let c = parse_args(&args(&["loadgen-smoke"])).unwrap();
-        assert_eq!(c.verb, Verb::LoadgenSmoke);
+        let c = parse_args(&args(&["loadgen"])).unwrap();
+        assert_eq!(c.verb, Verb::Loadgen);
         assert_eq!(c.rate, None);
 
         // malformed values are usage errors
@@ -1478,11 +1447,11 @@ mod tests {
     fn loadgen_flags_are_rejected_elsewhere_and_positionals_on_loadgen() {
         for bad in [
             &["run", "bench:is", "--rate", "100"][..],
-            &["serve-smoke", "--duration-ms", "100"],
+            &["serve", "--duration-ms", "100"],
             &["bench-compare", "base.json", "--seed", "1"],
             &["verify", "--mix", "stats=1"],
             &["loadgen", "bench:is"],
-            &["loadgen-smoke", "stray"],
+            &["cluster", "stray"],
         ] {
             assert!(
                 matches!(parse_args(&args(bad)), Err(CliError::Usage(_))),
@@ -1539,30 +1508,6 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(0.0)
         );
-    }
-
-    #[test]
-    fn loadgen_smoke_passes_with_quick_overrides() {
-        let cmd = parse_args(&args(&[
-            "loadgen-smoke",
-            "--rate",
-            "2500",
-            "--duration-ms",
-            "500",
-        ]))
-        .unwrap();
-        let response = super::run(&cmd).unwrap();
-        match &response {
-            Response::LoadgenSmoke {
-                checks, failures, ..
-            } => {
-                assert!(*checks >= 8, "only {checks} checks ran");
-                assert!(failures.is_empty(), "{failures:?}");
-            }
-            other => panic!("expected a loadgen-smoke response, got {other:?}"),
-        }
-        assert!(!response.is_failure());
-        assert!(execute(&cmd).unwrap().contains("0 failure(s)"));
     }
 
     #[test]

@@ -22,8 +22,7 @@ use amnesiac_verify::VerifyReport;
 /// The structured outcome of one verb.
 ///
 /// Failure-shaped outcomes (a dirty `verify`, a regressed
-/// `bench-compare`, a `serve-smoke` with mismatches) are still `Ok`
-/// responses from [`crate::run`] — [`Response::is_failure`] tells the
+/// `bench-compare`) are still `Ok` responses from [`crate::run`] — [`Response::is_failure`] tells the
 /// caller whether to exit non-zero, so the service layer can transport
 /// the full structured payload instead of a flattened error string.
 #[derive(Debug)]
@@ -150,29 +149,11 @@ pub enum Response {
         /// Final statistics snapshot.
         stats: Json,
     },
-    /// `serve-smoke`: the in-process service self-test.
-    ServeSmoke {
-        /// Number of checks performed.
-        checks: usize,
-        /// Human-readable description of every failed check.
-        failures: Vec<String>,
-        /// Server statistics at the end of the smoke batch.
-        stats: Json,
-    },
     /// `loadgen`: one open-loop load run against an in-process server.
     Loadgen {
         /// The full snapshot document (`{schema_version, kind,
         /// config, results}`) — the exact bytes `--json` writes, so a
         /// run can be committed verbatim as `BENCH_serve.json`.
-        snapshot: Json,
-    },
-    /// `loadgen-smoke`: the in-process load-generator soak test.
-    LoadgenSmoke {
-        /// Number of checks performed.
-        checks: usize,
-        /// Human-readable description of every failed check.
-        failures: Vec<String>,
-        /// Snapshot of the soak run.
         snapshot: Json,
     },
     /// `cluster`: the router drained and stopped, workers reaped.
@@ -183,16 +164,6 @@ pub enum Response {
         workers: usize,
         /// Final router statistics (aggregated worker counters,
         /// membership view, reroute counts).
-        stats: Json,
-    },
-    /// `cluster-smoke`: the end-to-end cluster self-test (spawned
-    /// workers, kill-one-mid-flight, exactly-once response accounting).
-    ClusterSmoke {
-        /// Number of checks performed.
-        checks: usize,
-        /// Human-readable description of every failed check.
-        failures: Vec<String>,
-        /// Router statistics at the end of the smoke run.
         stats: Json,
     },
     /// `bench-compare` against a `kind: "serve"` baseline: a fresh
@@ -225,11 +196,8 @@ impl Response {
             Response::BenchSnapshot { .. } => "bench-snapshot",
             Response::BenchCompare { .. } => "bench-compare",
             Response::Serve { .. } => "serve",
-            Response::ServeSmoke { .. } => "serve-smoke",
             Response::Loadgen { .. } => "loadgen",
-            Response::LoadgenSmoke { .. } => "loadgen-smoke",
             Response::Cluster { .. } => "cluster",
-            Response::ClusterSmoke { .. } => "cluster-smoke",
             Response::BenchCompareServe { .. } => "bench-compare",
         }
     }
@@ -245,9 +213,6 @@ impl Response {
             }
             Response::LintSweep { sweep } => !sweep.is_clean(),
             Response::BenchCompare { regressions, .. } => !regressions.is_empty(),
-            Response::ServeSmoke { failures, .. } => !failures.is_empty(),
-            Response::LoadgenSmoke { failures, .. } => !failures.is_empty(),
-            Response::ClusterSmoke { failures, .. } => !failures.is_empty(),
             Response::BenchCompareServe { comparison, .. } => !comparison.ok(),
             _ => false,
         }
@@ -490,18 +455,6 @@ impl Response {
                     .unwrap_or(0);
                 format!("amnesiac-serve on {addr} drained and stopped after {served} request(s)\n")
             }
-            Response::ServeSmoke {
-                checks, failures, ..
-            } => {
-                let mut out = format!(
-                    "serve-smoke: {checks} checks, {} failure(s)\n",
-                    failures.len()
-                );
-                for f in failures {
-                    let _ = writeln!(out, "  FAIL: {f}");
-                }
-                out
-            }
             Response::Loadgen { snapshot } => {
                 let num = |path: &str| {
                     snapshot
@@ -556,18 +509,6 @@ impl Response {
                 }
                 out
             }
-            Response::LoadgenSmoke {
-                checks, failures, ..
-            } => {
-                let mut out = format!(
-                    "loadgen-smoke: {checks} checks, {} failure(s)\n",
-                    failures.len()
-                );
-                for f in failures {
-                    let _ = writeln!(out, "  FAIL: {f}");
-                }
-                out
-            }
             Response::Cluster {
                 addr,
                 workers,
@@ -579,18 +520,6 @@ impl Response {
                     "amnesiac-cluster on {addr} drained and stopped: {workers} worker(s), \
                      {forwarded} forwarded, {rerouted} rerouted\n"
                 )
-            }
-            Response::ClusterSmoke {
-                checks, failures, ..
-            } => {
-                let mut out = format!(
-                    "cluster-smoke: {checks} checks, {} failure(s)\n",
-                    failures.len()
-                );
-                for f in failures {
-                    let _ = writeln!(out, "  FAIL: {f}");
-                }
-                out
             }
             Response::BenchCompareServe {
                 tolerance_pp,
@@ -717,26 +646,10 @@ impl Response {
             Response::Serve { addr, stats } => Json::obj()
                 .with("addr", addr.as_str())
                 .with("stats", stats.clone()),
-            Response::ServeSmoke {
-                checks,
-                failures,
-                stats,
-            } => Json::obj()
-                .with("checks", *checks as u64)
-                .with("failures", failures.to_vec())
-                .with("stats", stats.clone()),
             // The loadgen payload IS the snapshot — `--json` writes it
             // verbatim, so a pinned run commits as `BENCH_serve.json`
             // without post-processing.
             Response::Loadgen { snapshot } => snapshot.clone(),
-            Response::LoadgenSmoke {
-                checks,
-                failures,
-                snapshot,
-            } => Json::obj()
-                .with("checks", *checks as u64)
-                .with("failures", failures.to_vec())
-                .with("snapshot", snapshot.clone()),
             Response::Cluster {
                 addr,
                 workers,
@@ -744,14 +657,6 @@ impl Response {
             } => Json::obj()
                 .with("addr", addr.as_str())
                 .with("workers", *workers as u64)
-                .with("stats", stats.clone()),
-            Response::ClusterSmoke {
-                checks,
-                failures,
-                stats,
-            } => Json::obj()
-                .with("checks", *checks as u64)
-                .with("failures", failures.to_vec())
                 .with("stats", stats.clone()),
             Response::BenchCompareServe {
                 tolerance_pp,

@@ -1,13 +1,23 @@
 //! End-to-end socket tests for `amnesiac serve` with the real handler:
 //! the wire payloads must mirror the typed `run()` core (and therefore
 //! the CLI's `--json` artifacts), and the service semantics — deadlines,
-//! backpressure, drain-on-shutdown — must hold under the real workload
-//! costs, not just the toy handler `amnesiac-serve` tests with.
+//! backpressure, drain-on-shutdown, the shared compile cache, counters
+//! under load — must hold under the real workload costs, not just the
+//! toy handler `amnesiac-serve` tests with. The tests that read the
+//! cache counters from `stats` run the built `amnesiac serve` process,
+//! which is what attaches them.
 
+mod common;
+
+use std::io::{BufRead as _, BufReader, Write as _};
+use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
-use amnesiac_cli::{execute, parse_args, run, serve_handler, Response};
+use amnesiac_cli::{execute, parse_args, serve_handler};
+use amnesiac_loadgen::{run_against, LoadgenConfig, Mix};
 use amnesiac_serve::{code, Client, ClientPool, Request, Server, ServerConfig};
+use amnesiac_telemetry::Json;
+use common::{mixed_batch, spawn_listening};
 
 fn args(list: &[&str]) -> Vec<String> {
     list.iter().map(|s| s.to_string()).collect()
@@ -74,23 +84,191 @@ fn socket_payload_equals_the_cli_json_artifact() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Sends the same request line twice on one raw connection and returns
+/// both compact `payload` strings: the envelope's `elapsed_ms` is the one
+/// field allowed to differ between two answers to one request.
+fn twice_on_the_wire(addr: SocketAddr, request: &Request) -> (String, String) {
+    let stream = TcpStream::connect(addr).unwrap();
+    stream
+        .set_read_timeout(Some(Duration::from_secs(300)))
+        .unwrap();
+    let mut writer = stream.try_clone().unwrap();
+    let mut reader = BufReader::new(stream);
+    let line = request.to_json().compact();
+    let mut payload = || {
+        writeln!(writer, "{line}").unwrap();
+        let mut answer = String::new();
+        reader.read_line(&mut answer).unwrap();
+        amnesiac_telemetry::parse(answer.trim_end())
+            .unwrap()
+            .get("payload")
+            .expect("compile answered a payload")
+            .compact()
+    };
+    (payload(), payload())
+}
+
+fn stat(stats: &Json, path: &str) -> f64 {
+    stats
+        .get_path(path)
+        .and_then(Json::as_f64)
+        .unwrap_or_else(|| panic!("stats lack `{path}`: {}", stats.compact()))
+}
+
 #[test]
 fn eight_concurrent_clients_complete_a_mixed_batch_without_mismatches() {
-    // serve-smoke IS the acceptance harness: 8 concurrent clients, a
-    // mixed pipelined batch each, every payload checked against the
-    // typed core, plus stats and unknown-verb probes.
-    let cmd = parse_args(&args(&["serve-smoke", "--workers", "4"])).unwrap();
-    match run(&cmd).unwrap() {
-        Response::ServeSmoke {
-            checks, failures, ..
-        } => {
-            assert!(failures.is_empty(), "smoke failures: {failures:#?}");
-            // 8 clients x 5 cases + stats + unknown-verb probe
-            // + 3 cache probes (byte-identity, hit count, mutation miss)
-            assert_eq!(checks, 8 * 5 + 2 + 3);
+    // The acceptance harness for the service: the built `serve` process,
+    // 8 concurrent clients, a pipelined mixed batch each, every payload
+    // checked against the typed core; then the compile cache's rules on
+    // the wire.
+    let server = spawn_listening(&["serve", "--port", "0", "--workers", "4"]);
+    let cases = mixed_batch();
+    std::thread::scope(|scope| {
+        for client_id in 0..8 {
+            let cases = &cases;
+            scope.spawn(move || {
+                let mut client = Client::connect(server.addr).unwrap();
+                client
+                    .set_read_timeout(Some(Duration::from_secs(300)))
+                    .unwrap();
+                let requests: Vec<Request> = cases
+                    .iter()
+                    .enumerate()
+                    .map(|(i, (request, _))| request.clone().with_id(format!("c{client_id}-{i}")))
+                    .collect();
+                let responses = client.batch(&requests).unwrap();
+                for ((request, response), (_, expected)) in
+                    requests.iter().zip(&responses).zip(cases)
+                {
+                    assert_eq!(response.id, request.id, "client {client_id}");
+                    assert_eq!(
+                        response.payload(),
+                        Some(expected),
+                        "client {client_id} `{}`: {:?}",
+                        request.verb,
+                        response.error()
+                    );
+                }
+            });
         }
-        other => panic!("expected ServeSmoke, got {other:?}"),
+    });
+
+    // The per-verb counters account for every compile sent.
+    let mut admin = Client::connect(server.addr).unwrap();
+    admin
+        .set_read_timeout(Some(Duration::from_secs(300)))
+        .unwrap();
+    let stats = admin.call(&Request::new("stats")).unwrap().result.unwrap();
+    assert_eq!(stat(&stats, "verbs.compile.requests"), 8.0);
+
+    // A repeated compile is a cache hit that is byte-identical on the
+    // wire, and the shared cache counts it.
+    let twin = Request::new("compile")
+        .with_target("bench:is")
+        .with_id("twin");
+    let (first, second) = twice_on_the_wire(server.addr, &twin);
+    assert_eq!(first, second, "a cache hit changed the wire payload");
+    let stats = admin.call(&Request::new("stats")).unwrap().result.unwrap();
+    assert!(stat(&stats, "cache.hits") >= 1.0, "{}", stats.compact());
+
+    // A one-word program mutation misses instead of sharing the
+    // original's artifact.
+    let dir = std::env::temp_dir().join(format!("amnesiac-serve-mutate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let path = dir.join("probe.asm");
+    let source = include_str!("../../../assets/dotprod.asm");
+    let mutated = source.replace("li r4, 40960", "li r4, 40704");
+    assert_ne!(mutated, source, "the probe source did not change");
+    let mut compile = |source: &str| {
+        std::fs::write(&path, source).unwrap();
+        let request = Request::new("compile").with_target(path.to_string_lossy().as_ref());
+        admin.call(&request).unwrap().result.unwrap()
+    };
+    let original = compile(source);
+    assert_ne!(
+        compile(&mutated),
+        original,
+        "a mutated program shared the cache entry"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+#[test]
+fn a_two_burst_soak_keeps_the_server_counters_exact() {
+    // An open-loop soak of cheap verbs at high rate, then a second burst
+    // against the same `serve` process: nothing is lost, the per-verb
+    // counters only grow and account for every request exactly (a `stats`
+    // snapshot excludes itself; it is counted once answered), and the
+    // repeated targets hit the shared cache.
+    let server = spawn_listening(&[
+        "serve",
+        "--port",
+        "0",
+        "--workers",
+        "2",
+        "--backlog",
+        "8192",
+    ]);
+    let soak = LoadgenConfig {
+        rate: 2_500.0,
+        duration_ms: 500,
+        seed: 42,
+        mix: Mix::parse("stats=4,disasm=2,trace=1").unwrap(),
+        timeout_ms: 60_000,
+        ..LoadgenConfig::default()
+    };
+    let burst = LoadgenConfig {
+        rate: 500.0,
+        duration_ms: 300,
+        seed: 43,
+        ..soak.clone()
+    };
+    let mut admin = Client::connect(server.addr).unwrap();
+    let mut stats = || admin.call(&Request::new("stats")).unwrap().result.unwrap();
+
+    let soaked = run_against(server.addr, &soak).unwrap();
+    let after_soak = stats();
+    let burst_report = run_against(server.addr, &burst).unwrap();
+    let after_burst = stats();
+
+    assert!(
+        soaked.scheduled >= 1_000,
+        "soak too small: {}",
+        soaked.scheduled
+    );
+    for report in [&soaked, &burst_report] {
+        assert_eq!(report.protocol_errors, 0);
+        assert_eq!(report.ok, report.scheduled, "{:?}", report.errors_by_code);
     }
+    let requests = |stats: &Json| -> Vec<(String, f64)> {
+        stats
+            .get("verbs")
+            .and_then(Json::as_obj)
+            .expect("per-verb counters")
+            .iter()
+            .map(|(verb, counters)| (verb.clone(), stat(counters, "requests")))
+            .collect()
+    };
+    let (first, second) = (requests(&after_soak), requests(&after_burst));
+    for (verb, before) in &first {
+        let after = second.iter().find(|(v, _)| v == verb).map(|(_, n)| *n);
+        assert!(
+            after >= Some(*before),
+            "`{verb}` went backwards: {first:?} then {second:?}"
+        );
+    }
+    let total = |counts: &[(String, f64)]| counts.iter().map(|(_, n)| n).sum::<f64>();
+    assert_eq!(total(&first), soaked.scheduled as f64);
+    assert_eq!(
+        total(&second),
+        (soaked.scheduled + 1 + burst_report.scheduled) as f64
+    );
+    assert_eq!(stat(&after_burst, "accept_errors"), 0.0);
+    assert!(
+        stat(&after_burst, "cache.hits") > 0.0,
+        "{}",
+        after_burst.compact()
+    );
 }
 
 #[test]
@@ -165,6 +343,11 @@ fn malformed_requests_get_structured_errors_not_drops() {
         )
         .unwrap();
     assert_eq!(response.error().unwrap().code, code::TOOL);
+    // an unknown verb is a usage error, not a dropped connection
+    let response = client
+        .call(&Request::new("frobnicate").with_id(4u64))
+        .unwrap();
+    assert_eq!(response.error().unwrap().code, code::USAGE);
     server.stop();
 }
 
@@ -179,6 +362,14 @@ fn shutdown_drains_the_in_flight_request_then_refuses_new_work() {
     worker
         .send(&Request::new("experiments").with_id("draining"))
         .unwrap();
+    // `send` returns once the bytes are written, not once the server has
+    // admitted them: wait for the admission counter, or a busy host can
+    // deliver the shutdown first and the request is refused, not drained.
+    let deadline = std::time::Instant::now() + Duration::from_secs(60);
+    while server.stats_json().get("inflight").and_then(Json::as_f64) != Some(1.0) {
+        assert!(std::time::Instant::now() < deadline, "never admitted");
+        std::thread::sleep(Duration::from_millis(2));
+    }
 
     let mut admin = Client::connect(addr).unwrap();
     let response = admin.call(&Request::new("shutdown")).unwrap();

@@ -1,7 +1,6 @@
 //! Line-protocol clients: a configurable connector ([`ClientConfig`]),
-//! a multi-lane [`ClientPool`] used by the load generator, the smoke
-//! harnesses, and the e2e tests, and the single-socket [`Client`] they
-//! all hand out.
+//! a multi-lane [`ClientPool`] used by the load generator and the e2e
+//! tests, and the single-socket [`Client`] they all hand out.
 //!
 //! [`Client::connect`] is the legacy one-socket constructor, kept as a
 //! thin wrapper over the default [`ClientConfig`]; new code that cares

@@ -459,6 +459,11 @@ fn lane_receiver(
     let mut reader = BufReader::new(stream);
     let mut buf: Vec<u8> = Vec::new();
     let mut dead = false;
+    // On every failure arm the loss is published (lane flagged broken,
+    // worker marked down) *before* the waiter wakes: the woken writer
+    // re-forwards at once, and must not find the dead worker still up
+    // behind a lane that looks healthy — a write onto a cleanly closed
+    // socket succeeds, so that request would be lost a second time.
     while let Ok(entry) = entries.recv() {
         if dead {
             entry.job.complete(LaneOutcome::LaneLost);
@@ -475,6 +480,8 @@ fn lane_receiver(
                 // Protocol corruption from the worker: answer a typed
                 // internal error and poison the lane (a fresh lane will
                 // be opened on the next request for this worker).
+                dead = true;
+                broken.store(true, Ordering::Release);
                 entry.job.complete(LaneOutcome::Answered {
                     result: Err(ServeError::new(
                         code::INTERNAL,
@@ -482,20 +489,18 @@ fn lane_receiver(
                     )),
                     worker_ms: 0.0,
                 });
-                dead = true;
-                broken.store(true, Ordering::Release);
             }
             LaneRead::TimedOut => {
-                entry.job.complete(LaneOutcome::TimedOut);
                 dead = true;
                 broken.store(true, Ordering::Release);
                 shared.mark_worker_down(worker);
+                entry.job.complete(LaneOutcome::TimedOut);
             }
             LaneRead::Closed => {
-                entry.job.complete(LaneOutcome::LaneLost);
                 dead = true;
                 broken.store(true, Ordering::Release);
                 shared.mark_worker_down(worker);
+                entry.job.complete(LaneOutcome::LaneLost);
             }
         }
     }
