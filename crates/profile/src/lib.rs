@@ -9,13 +9,15 @@
 //! A profiling run executes the classic binary once while tracking:
 //!
 //! * **dynamic def-use provenance** — for every register and memory word,
-//!   which instruction produced its current value and from which operands
-//!   (a depth-capped DAG, see [`ProvNode`]);
-//! * **per-load-site producer trees** — at every dynamic load the profiler
-//!   extracts the backward slice of the loaded value (seeing *through*
+//!   which instruction produced its current value and from which operands:
+//!   a depth-capped DAG of small fixed-size nodes in one slab arena, each
+//!   node freed as soon as no register, memory word or other node holds it;
+//! * **per-load-site producer trees** — the first dynamic instance of a
+//!   load extracts the backward slice of the loaded value (seeing *through*
 //!   intermediate loads, since slices may not contain memory instructions,
-//!   §3.1.1) and merges it into a canonical per-site tree, pruning any
-//!   subtree whose shape varies across instances;
+//!   §3.1.1) as a canonical per-site tree, [`ProvNode`]; every later
+//!   instance is merged into it straight from the DAG, pruning any subtree
+//!   whose shape varies across instances;
 //! * **liveness** — whether a producer's source register still holds the
 //!   operand value at the load (the paper's live-register leaves, §2.2);
 //! * **PrLi** — per-site and global service-level distributions (§3.1.1);

@@ -2,14 +2,13 @@
 //! [`ProgramProfile`].
 
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use amnesiac_isa::{Instruction, Program, NUM_REGS};
 use amnesiac_mem::{FastMap, LevelStats};
 use amnesiac_sim::{ClassicCore, CoreConfig, Observer, RetireEvent, RunError, RunResult};
 
-use crate::provenance::ValueNode;
-use crate::tree::ProvNode;
+use crate::provenance::{Arena, NodeId, NIL};
+use crate::tree::{Instance, ProvNode};
 
 /// Why a load site cannot be swapped for recomputation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -26,7 +25,7 @@ pub enum Unswappable {
 }
 
 /// Profile of one static load site.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct LoadSiteProfile {
     /// Static pc of the load.
     pub pc: usize,
@@ -65,6 +64,29 @@ impl LoadSiteProfile {
         }
     }
 
+    /// Assembles a site profile from every field, for differential tests
+    /// that build profiles without this profiler.
+    #[doc(hidden)]
+    pub fn from_parts(
+        pc: usize,
+        count: u64,
+        levels: LevelStats,
+        tree: Option<ProvNode>,
+        unswappable: Option<Unswappable>,
+        value_matches: u64,
+        last_value: Option<u64>,
+    ) -> Self {
+        LoadSiteProfile {
+            pc,
+            count,
+            levels,
+            tree,
+            unswappable,
+            value_matches,
+            last_value,
+        }
+    }
+
     /// Value locality in `[0, 1]`: the fraction of dynamic instances whose
     /// value matched the immediately preceding instance (history depth 1,
     /// after Lipasti et al.; the paper's Fig. 8 metric).
@@ -91,7 +113,7 @@ impl LoadSiteProfile {
 }
 
 /// Profile of one static store site (for the dead-store elision analysis).
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct StoreSiteProfile {
     /// Dynamic execution count.
     pub count: u64,
@@ -103,7 +125,7 @@ pub struct StoreSiteProfile {
 
 /// Everything the amnesic compiler needs to know about one program's
 /// dynamic behaviour.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ProgramProfile {
     /// Per static load site.
     pub loads: BTreeMap<usize, LoadSiteProfile>,
@@ -133,9 +155,11 @@ impl ProgramProfile {
     }
 }
 
-#[derive(Debug, Clone)]
+#[derive(Debug)]
 struct MemCell {
-    node: Option<Rc<ValueNode>>,
+    /// Provenance of the stored value ([`NIL`] when untracked); the cell
+    /// holds one reference.
+    node: NodeId,
     store_pc: usize,
     read: bool,
 }
@@ -147,7 +171,11 @@ struct MemCell {
 pub struct Profiler<'p> {
     program: &'p Program,
     regs: [u64; NUM_REGS],
-    reg_prov: Vec<Option<Rc<ValueNode>>>,
+    /// The provenance DAG; every live value's node is in here.
+    arena: Arena,
+    /// Provenance of each register's value ([`NIL`] while never written);
+    /// each holds one reference.
+    reg_prov: [NodeId; NUM_REGS],
     /// Probed on every dynamic load and store; fixed-key hashing (the keys
     /// are simulated addresses) keeps the per-retirement cost down.
     mem_prov: FastMap<u64, MemCell>,
@@ -170,7 +198,8 @@ impl<'p> Profiler<'p> {
         Profiler {
             program,
             regs: [0; NUM_REGS],
-            reg_prov: vec![None; NUM_REGS],
+            arena: Arena::default(),
+            reg_prov: [NIL; NUM_REGS],
             mem_prov: FastMap::default(),
             loads: vec![None; program.code_len],
             stores: vec![None; program.code_len],
@@ -187,7 +216,6 @@ impl<'p> Profiler<'p> {
         let pc = event.pc;
 
         self.all_loads.record(level);
-        let regs = &self.regs;
         let site = self.loads[pc].get_or_insert_with(|| LoadSiteProfile::new(pc));
         site.count += 1;
         site.levels.record(level);
@@ -200,20 +228,15 @@ impl<'p> Profiler<'p> {
         let cell_node = match self.mem_prov.get_mut(&addr) {
             Some(cell) => {
                 cell.read = true;
-                let store_pc = cell.store_pc;
-                let node = cell.node.clone();
-                *self.stores[store_pc]
+                *self.stores[cell.store_pc]
                     .get_or_insert_with(Default::default)
                     .consumers
                     .entry(pc)
                     .or_insert(0) += 1;
-                match node {
-                    Some(n) => Some(n),
-                    None => {
-                        site.mark_unswappable(Unswappable::NoProducer);
-                        None
-                    }
+                if cell.node == NIL {
+                    site.mark_unswappable(Unswappable::NoProducer);
                 }
+                cell.node
             }
             None => {
                 let why = if self.program.is_read_only(addr) {
@@ -222,36 +245,42 @@ impl<'p> Profiler<'p> {
                     Unswappable::NoProducer
                 };
                 site.mark_unswappable(why);
-                None
+                NIL
             }
         };
 
-        if site.unswappable.is_none() {
-            if let Some(node) = &cell_node {
-                match ProvNode::extract(node, regs, &self.last_exec) {
-                    Some(instance) => match &mut site.tree {
-                        None => site.tree = Some(instance),
-                        Some(canon) => {
-                            if !canon.merge(&instance) {
-                                site.mark_unswappable(Unswappable::UnstableRoot);
-                            }
+        if site.unswappable.is_none() && cell_node != NIL {
+            let instance = Instance {
+                program: self.program,
+                arena: &self.arena,
+                regs: &self.regs,
+                last_exec: &self.last_exec,
+            };
+            match self.arena.resolve_compute(cell_node) {
+                None => site.mark_unswappable(Unswappable::NoProducer),
+                Some(root) => match &mut site.tree {
+                    None => site.tree = Some(ProvNode::extract(&instance, root, 0)),
+                    Some(canon) => {
+                        if !canon.merge_instance(&instance, root, 0) {
+                            site.mark_unswappable(Unswappable::UnstableRoot);
                         }
-                    },
-                    None => site.mark_unswappable(Unswappable::NoProducer),
-                }
+                    }
+                },
             }
         }
 
         // register provenance of the destination
         let dst = event.inst.dst().expect("loads have a destination");
-        self.reg_prov[dst.index()] = Some(ValueNode::load(
-            pc,
-            event.inst.clone(),
-            value,
-            addr,
-            cell_node,
-        ));
-        self.regs[dst.index()] = value;
+        let node = self.arena.load(pc, cell_node);
+        self.set_reg(dst.index(), value, node);
+    }
+
+    /// Gives register `reg` the value `value` produced by `node`, whose
+    /// reference the register takes over.
+    fn set_reg(&mut self, reg: usize, value: u64, node: NodeId) {
+        let old = std::mem::replace(&mut self.reg_prov[reg], node);
+        self.arena.release(old);
+        self.regs[reg] = value;
     }
 
     fn on_store(&mut self, event: &RetireEvent<'_>) {
@@ -259,15 +288,18 @@ impl<'p> Profiler<'p> {
         let src_reg = event.inst.srcs()[0].expect("stores read a source register");
         let store = self.stores[event.pc].get_or_insert_with(Default::default);
         store.count += 1;
+        let node = self.reg_prov[src_reg.index()];
+        self.arena.retain(node);
         let previous = self.mem_prov.insert(
             addr,
             MemCell {
-                node: self.reg_prov[src_reg.index()].clone(),
+                node,
                 store_pc: event.pc,
                 read: false,
             },
         );
         if let Some(prev) = previous {
+            self.arena.release(prev.node);
             if !prev.read {
                 self.stores[prev.store_pc]
                     .get_or_insert_with(Default::default)
@@ -279,15 +311,12 @@ impl<'p> Profiler<'p> {
     fn on_compute(&mut self, event: &RetireEvent<'_>) {
         let value = event.result.expect("compute instructions produce a value");
         let dst = event.inst.dst().expect("compute instructions have a dst");
-        let mut srcs: [Option<Rc<ValueNode>>; 3] = [None, None, None];
-        for (j, reg) in event.inst.srcs().iter().enumerate() {
-            if let Some(r) = reg {
-                srcs[j] = self.reg_prov[r.index()].clone();
-            }
-        }
-        let node = ValueNode::compute(event.pc, event.inst.clone(), value, srcs, event.src_values);
-        self.reg_prov[dst.index()] = Some(node);
-        self.regs[dst.index()] = value;
+        let srcs = event
+            .inst
+            .srcs()
+            .map(|reg| reg.map_or(NIL, |r| self.reg_prov[r.index()]));
+        let node = self.arena.compute(event.pc, srcs, event.src_values);
+        self.set_reg(dst.index(), value, node);
         self.last_exec[event.pc] = Some(event.src_values);
     }
 
@@ -572,6 +601,54 @@ mod tests {
         assert_eq!(prof.stores[&st_read].unread, 0);
         assert_eq!(prof.stores[&st_dead].count, 1);
         assert_eq!(prof.stores[&st_dead].unread, 1, "never read before halt");
+    }
+
+    /// The arena has no `Drop` to catch a missed release. A loop that keeps
+    /// overwriting a few registers and memory words with computed and
+    /// loaded values must keep reusing a few slots, and leave every slot
+    /// that no register or memory cell reaches on the free list.
+    #[test]
+    fn arena_slots_are_recycled() {
+        let mut b = ProgramBuilder::new("churn");
+        let cells = b.alloc_zeroed(4);
+        b.li(Reg(1), cells);
+        b.li(Reg(5), 0);
+        b.li(Reg(6), 100_000);
+        let top = b.label();
+        let done = b.label();
+        b.bind(top).unwrap();
+        b.branch(BranchCond::Geu, Reg(5), Reg(6), done);
+        b.alui(AluOp::Mul, Reg(2), Reg(5), 3);
+        b.store(Reg(2), Reg(1), 0);
+        b.load(Reg(3), Reg(1), 0);
+        b.alu(AluOp::Add, Reg(4), Reg(3), Reg(2));
+        b.store(Reg(4), Reg(1), 1);
+        b.load(Reg(2), Reg(1), 1);
+        // alternate between two more words
+        b.alui(AluOp::And, Reg(7), Reg(5), 1);
+        b.alu(AluOp::Add, Reg(8), Reg(1), Reg(7));
+        b.store(Reg(2), Reg(8), 2);
+        b.load(Reg(3), Reg(8), 2);
+        b.alui(AluOp::Add, Reg(5), Reg(5), 1);
+        b.jump(top);
+        b.bind(done).unwrap();
+        b.halt();
+        let p = b.finish().unwrap();
+
+        let mut profiler = Profiler::new(&p);
+        let run = ClassicCore::new(CoreConfig::paper())
+            .run_observed(&p, &mut profiler)
+            .expect("run succeeds");
+        assert!(run.instructions > 1_000_000);
+        assert!(
+            profiler.arena.high_water() < 64,
+            "{} slots for a handful of live values",
+            profiler.arena.high_water()
+        );
+        let roots = profiler.reg_prov.iter().copied();
+        profiler
+            .arena
+            .check_accounting(roots.chain(profiler.mem_prov.values().map(|c| c.node)));
     }
 
     #[test]

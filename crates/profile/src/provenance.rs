@@ -1,159 +1,287 @@
 //! The dynamic provenance DAG: which instruction produced each live value,
 //! and from which operand values.
 //!
-//! Nodes are reference-counted and depth-capped: when a new node would
-//! exceed [`TRACK_DEPTH_CAP`], its deep operands are cut (the reference is
-//! dropped), bounding both memory and later extraction work. The amnesic
+//! Nodes live in one slab, the [`Arena`], and link to their operand
+//! producers by index. A node records only what extraction reads: the
+//! producer's pc (the instruction itself is `program.instructions[pc]`),
+//! its operand values, up to three child links, its depth and two flag
+//! bits. Each register, memory cell and parent link that holds a node
+//! counts one reference; [`Arena::release`] returns a node whose count
+//! drops to zero to the free list and releases its children, iteratively,
+//! so the slab's size tracks the live DAG rather than the run length.
+//!
+//! The DAG is depth-capped: when a new node would exceed
+//! [`TRACK_DEPTH_CAP`], its deep operands are replaced by childless
+//! copies, bounding both memory and later extraction work. The amnesic
 //! compiler caps slice height far below this anyway (§3.4: tall slices
 //! cannot be energy-efficient).
-
-use std::rc::Rc;
-
-use amnesiac_isa::Instruction;
 
 /// Maximum provenance depth retained while tracking.
 pub const TRACK_DEPTH_CAP: u32 = 64;
 
-/// How a tracked value came to be.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum NodeKind {
-    /// Produced by a register-to-register compute instruction.
-    Compute,
-    /// Produced by a load; `srcs[0]` (if kept) is the provenance of the
-    /// stored value the load observed — slices see *through* loads.
-    Load {
-        /// Word address the load read.
-        addr: u64,
-    },
-}
+/// Index of a node in the [`Arena`].
+pub(crate) type NodeId = u32;
+
+/// The absent link: a never-written register, an untracked operand, or a
+/// child dropped by the depth cap.
+pub(crate) const NIL: NodeId = NodeId::MAX;
+
+/// The node is a load's pass-through to the value it read.
+const LOAD: u8 = 1;
+/// The node's children were dropped by the depth cap.
+const TRUNCATED: u8 = 2;
 
 /// One node of the provenance DAG.
-#[derive(Debug)]
-pub struct ValueNode {
-    /// Static pc of the producing instruction.
-    pub pc: usize,
-    /// Snapshot of the producing instruction.
-    pub inst: Instruction,
-    /// The produced value.
-    pub value: u64,
-    /// Provenance of each source operand ([`Instruction::srcs`] order);
-    /// `None` when untracked (never-written register) or depth-cut.
-    pub srcs: [Option<Rc<ValueNode>>; 3],
-    /// Operand values at production time.
-    pub src_values: [u64; 3],
-    /// What kind of producer this is.
-    pub kind: NodeKind,
-    /// Longest path to a leaf below this node.
-    pub depth: u32,
-    /// `true` if this node's children were dropped by the depth cap — its
-    /// operand producers are *unknown* (a tracking artifact), not absent.
-    pub truncated: bool,
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct Node {
+    /// Operand values at production time ([`Instruction::srcs`] order;
+    /// zero for loads).
+    ///
+    /// [`Instruction::srcs`]: amnesiac_isa::Instruction::srcs
+    pub(crate) src_values: [u64; 3],
+    /// Provenance of each source operand, or [`NIL`]. A load keeps the
+    /// provenance of the stored value it observed in `srcs[0]`: slices
+    /// see *through* loads.
+    pub(crate) srcs: [NodeId; 3],
+    pc: u32,
+    refs: u32,
+    /// Longest path to a leaf below this node (loads add none).
+    pub(crate) depth: u8,
+    flags: u8,
 }
 
-impl ValueNode {
-    /// Builds a compute node. Children that would push the node past the
-    /// depth cap are replaced by *shallow clones* (the child node without
-    /// its own children): the immediate producer structure survives —
+impl Node {
+    /// Static pc of the producing instruction.
+    pub(crate) fn pc(&self) -> usize {
+        self.pc as usize
+    }
+
+    /// `true` for a load's pass-through node, `false` for a compute.
+    pub(crate) fn is_load(&self) -> bool {
+        self.flags & LOAD != 0
+    }
+
+    /// `true` if this node's children were dropped by the depth cap — its
+    /// operand producers are *unknown* (a tracking artifact), not absent.
+    pub(crate) fn truncated(&self) -> bool {
+        self.flags & TRUNCATED != 0
+    }
+
+    fn is_leaf(&self) -> bool {
+        self.srcs == [NIL; 3]
+    }
+}
+
+fn narrow_pc(pc: usize) -> u32 {
+    u32::try_from(pc).expect("pcs fit in 32 bits")
+}
+
+/// The slab holding every live node, with its free list.
+#[derive(Debug, Default)]
+pub(crate) struct Arena {
+    nodes: Vec<Node>,
+    free: Vec<NodeId>,
+    /// Scratch work list of [`Arena::release`].
+    pending: Vec<NodeId>,
+}
+
+impl Arena {
+    /// The node at `id` (not [`NIL`]).
+    pub(crate) fn node(&self, id: NodeId) -> &Node {
+        &self.nodes[id as usize]
+    }
+
+    fn alloc(&mut self, node: Node) -> NodeId {
+        debug_assert_eq!(node.refs, 1, "a new node has its creator's reference");
+        match self.free.pop() {
+            Some(id) => {
+                self.nodes[id as usize] = node;
+                id
+            }
+            None => {
+                let id = NodeId::try_from(self.nodes.len())
+                    .ok()
+                    .filter(|&id| id != NIL)
+                    .expect("fewer than 2^32 - 1 live provenance nodes");
+                self.nodes.push(node);
+                id
+            }
+        }
+    }
+
+    /// Takes one more reference to `id` ([`NIL`] is a no-op).
+    pub(crate) fn retain(&mut self, id: NodeId) {
+        if id != NIL {
+            self.nodes[id as usize].refs += 1;
+        }
+    }
+
+    /// Drops one reference to `id` ([`NIL`] is a no-op). A node left
+    /// unreferenced goes to the free list and drops its children's
+    /// references in turn.
+    pub(crate) fn release(&mut self, id: NodeId) {
+        if id == NIL {
+            return;
+        }
+        self.pending.push(id);
+        while let Some(id) = self.pending.pop() {
+            let node = &mut self.nodes[id as usize];
+            node.refs -= 1;
+            if node.refs == 0 {
+                let children = node.srcs;
+                self.free.push(id);
+                self.pending
+                    .extend(children.into_iter().filter(|&c| c != NIL));
+            }
+        }
+    }
+
+    /// A childless, truncated copy of `id` at depth 0, holding one
+    /// reference: the immediate producer survives the cut, its operand
+    /// producers become unknown.
+    fn shallow_clone(&mut self, id: NodeId) -> NodeId {
+        let node = *self.node(id);
+        self.alloc(Node {
+            srcs: [NIL; 3],
+            refs: 1,
+            depth: 0,
+            flags: node.flags | TRUNCATED,
+            ..node
+        })
+    }
+
+    /// A link from a new parent to `child`: `child` itself (retained), or
+    /// its shallow clone when the parent must cut it.
+    fn link(&mut self, child: NodeId, cut: bool) -> NodeId {
+        if cut {
+            self.shallow_clone(child)
+        } else {
+            self.retain(child);
+            child
+        }
+    }
+
+    /// A compute node for `pc` whose operands (in [`Instruction::srcs`]
+    /// order) were produced by `srcs`, holding one reference. `srcs` stay
+    /// owned by the caller; the node takes its own references.
+    ///
+    /// Children that would push the node past the depth cap are replaced
+    /// by shallow clones: the immediate producer structure survives —
     /// essential for stable tree shapes across loop iterations whose
     /// induction-variable chains grow without bound — while memory stays
     /// bounded.
-    pub fn compute(
-        pc: usize,
-        inst: Instruction,
-        value: u64,
-        mut srcs: [Option<Rc<ValueNode>>; 3],
-        src_values: [u64; 3],
-    ) -> Rc<Self> {
+    ///
+    /// [`Instruction::srcs`]: amnesiac_isa::Instruction::srcs
+    pub(crate) fn compute(&mut self, pc: usize, srcs: [NodeId; 3], src_values: [u64; 3]) -> NodeId {
+        let pc = narrow_pc(pc);
+        let mut links = [NIL; 3];
         let mut depth = 0;
-        for slot in srcs.iter_mut() {
-            if let Some(child) = slot {
+        for (link, child) in links.iter_mut().zip(srcs) {
+            if child == NIL {
+                continue;
+            }
+            let node = *self.node(child);
+            if node.pc == pc {
                 // self-recurrences (loop counters `i ← i+1`, accumulators)
                 // grow without bound and are never recomputable as chains —
                 // the merge prunes them anyway. Cut them at one level so
                 // they cannot blow the depth cap and truncate unrelated
                 // structure around them.
-                if child.pc == pc && child.inst == inst {
-                    if !child.srcs.iter().all(Option::is_none) {
-                        *slot = Some(child.shallow_clone());
-                    }
-                    depth = depth.max(1);
-                } else if child.depth + 1 >= TRACK_DEPTH_CAP {
-                    *slot = Some(child.shallow_clone());
-                    depth = depth.max(1);
-                } else {
-                    depth = depth.max(child.depth + 1);
-                }
+                *link = self.link(child, !node.is_leaf());
+                depth = depth.max(1);
+            } else if u32::from(node.depth) + 1 >= TRACK_DEPTH_CAP {
+                *link = self.link(child, true);
+                depth = depth.max(1);
+            } else {
+                *link = self.link(child, false);
+                depth = depth.max(node.depth + 1);
             }
         }
-        Rc::new(ValueNode {
-            pc,
-            inst,
-            value,
-            srcs,
+        self.alloc(Node {
             src_values,
-            kind: NodeKind::Compute,
-            depth,
-            truncated: false,
-        })
-    }
-
-    /// A copy of this node with its children dropped (depth 0).
-    pub fn shallow_clone(&self) -> Rc<Self> {
-        Rc::new(ValueNode {
-            pc: self.pc,
-            inst: self.inst.clone(),
-            value: self.value,
-            srcs: [None, None, None],
-            src_values: self.src_values,
-            kind: self.kind,
-            depth: 0,
-            truncated: true,
-        })
-    }
-
-    /// Builds a load node wrapping the provenance of the value it read.
-    pub fn load(
-        pc: usize,
-        inst: Instruction,
-        value: u64,
-        addr: u64,
-        source: Option<Rc<ValueNode>>,
-    ) -> Rc<Self> {
-        let (srcs, depth) = match source {
-            Some(node) => {
-                let node = if node.depth + 1 >= TRACK_DEPTH_CAP {
-                    node.shallow_clone()
-                } else {
-                    node
-                };
-                let d = node.depth; // see-through: loads add no slice depth
-                ([Some(node), None, None], d)
-            }
-            None => ([None, None, None], 0),
-        };
-        Rc::new(ValueNode {
+            srcs: links,
             pc,
-            inst,
-            value,
-            srcs,
-            src_values: [0; 3],
-            kind: NodeKind::Load { addr },
+            refs: 1,
             depth,
-            truncated: false,
+            flags: 0,
         })
     }
 
-    /// Follows `Load` pass-through links to the nearest compute producer,
-    /// if any survives the depth cap.
-    pub fn resolve_compute(self: &Rc<Self>) -> Option<Rc<ValueNode>> {
-        let mut current = Rc::clone(self);
-        loop {
-            match current.kind {
-                NodeKind::Compute => return Some(current),
-                NodeKind::Load { .. } => match &current.srcs[0] {
-                    Some(next) => current = Rc::clone(next),
-                    None => return None,
-                },
+    /// A load node for `pc` wrapping `source`, the provenance of the value
+    /// it read ([`NIL`] when untracked), holding one reference. `source`
+    /// stays owned by the caller.
+    pub(crate) fn load(&mut self, pc: usize, source: NodeId) -> NodeId {
+        let (srcs, depth) = if source == NIL {
+            ([NIL; 3], 0)
+        } else {
+            let cut = u32::from(self.node(source).depth) + 1 >= TRACK_DEPTH_CAP;
+            let link = self.link(source, cut);
+            // see-through: loads add no slice depth
+            ([link, NIL, NIL], self.node(link).depth)
+        };
+        self.alloc(Node {
+            src_values: [0; 3],
+            srcs,
+            pc: narrow_pc(pc),
+            refs: 1,
+            depth,
+            flags: LOAD,
+        })
+    }
+
+    /// Follows load pass-through links from `id` to the nearest compute
+    /// producer, if any survives the depth cap.
+    pub(crate) fn resolve_compute(&self, mut id: NodeId) -> Option<NodeId> {
+        while id != NIL {
+            let node = self.node(id);
+            if !node.is_load() {
+                return Some(id);
+            }
+            id = node.srcs[0];
+        }
+        None
+    }
+
+    /// Slots ever allocated: the slab's high-water mark.
+    #[cfg(test)]
+    pub(crate) fn high_water(&self) -> usize {
+        self.nodes.len()
+    }
+
+    /// Checks the reference accounting against the holders outside the
+    /// arena (`roots`, one entry per held reference): every node reachable
+    /// from them carries exactly its in-degree as its count, and every
+    /// other slot is on the free list, once.
+    #[cfg(test)]
+    pub(crate) fn check_accounting(&self, roots: impl IntoIterator<Item = NodeId>) {
+        let mut expected = vec![0u32; self.nodes.len()];
+        let mut reached = vec![false; self.nodes.len()];
+        let mut stack: Vec<NodeId> = roots.into_iter().filter(|&r| r != NIL).collect();
+        for &root in &stack {
+            expected[root as usize] += 1;
+        }
+        while let Some(id) = stack.pop() {
+            if std::mem::replace(&mut reached[id as usize], true) {
+                continue;
+            }
+            for child in self.node(id).srcs.into_iter().filter(|&c| c != NIL) {
+                expected[child as usize] += 1;
+                stack.push(child);
+            }
+        }
+        let mut on_free_list = vec![false; self.nodes.len()];
+        for &id in &self.free {
+            assert!(
+                !std::mem::replace(&mut on_free_list[id as usize], true),
+                "slot {id} is on the free list twice"
+            );
+        }
+        for (id, node) in self.nodes.iter().enumerate() {
+            if reached[id] {
+                assert!(!on_free_list[id], "reachable slot {id} is on the free list");
+                assert_eq!(node.refs, expected[id], "reference count of slot {id}");
+            } else {
+                assert!(on_free_list[id], "unreachable slot {id} is not free");
             }
         }
     }
@@ -162,123 +290,124 @@ impl ValueNode {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amnesiac_isa::{AluOp, Reg};
 
-    fn li(pc: usize, value: u64) -> Rc<ValueNode> {
-        ValueNode::compute(
-            pc,
-            Instruction::Li {
-                dst: Reg(1),
-                imm: value,
-            },
-            value,
-            [None, None, None],
-            [0; 3],
-        )
+    /// A leaf compute node (an `li`).
+    fn li(arena: &mut Arena, pc: usize) -> NodeId {
+        arena.compute(pc, [NIL; 3], [0; 3])
     }
 
-    fn add(pc: usize, a: &Rc<ValueNode>, b: &Rc<ValueNode>) -> Rc<ValueNode> {
-        ValueNode::compute(
-            pc,
-            Instruction::Alu {
-                op: AluOp::Add,
-                dst: Reg(3),
-                lhs: Reg(1),
-                rhs: Reg(2),
-            },
-            a.value.wrapping_add(b.value),
-            [Some(Rc::clone(a)), Some(Rc::clone(b)), None],
-            [a.value, b.value, 0],
-        )
+    /// A two-operand compute node; the caller keeps its references.
+    fn add(arena: &mut Arena, pc: usize, a: NodeId, b: NodeId) -> NodeId {
+        arena.compute(pc, [a, b, NIL], [0; 3])
+    }
+
+    #[test]
+    fn nodes_stay_compact() {
+        assert_eq!(std::mem::size_of::<Node>(), 48);
     }
 
     #[test]
     fn depth_grows_with_chains() {
-        let a = li(0, 1);
-        assert_eq!(a.depth, 0);
-        let b = add(1, &a, &a);
-        assert_eq!(b.depth, 1);
-        let c = add(2, &b, &a);
-        assert_eq!(c.depth, 2);
+        let mut arena = Arena::default();
+        let a = li(&mut arena, 0);
+        assert_eq!(arena.node(a).depth, 0);
+        let b = add(&mut arena, 1, a, a);
+        assert_eq!(arena.node(b).depth, 1);
+        let c = add(&mut arena, 2, b, a);
+        assert_eq!(arena.node(c).depth, 2);
+        arena.check_accounting([a, b, c]);
     }
 
     #[test]
     fn chains_are_cut_at_the_cap() {
-        let mut node = li(0, 0);
+        let mut arena = Arena::default();
+        let mut node = li(&mut arena, 0);
         for pc in 1..100 {
-            node = add(pc, &node, &node);
+            let next = add(&mut arena, pc, node, node);
+            arena.release(node);
+            node = next;
         }
-        assert!(node.depth < TRACK_DEPTH_CAP);
-        // the deep end was cut: walking down bottoms out
+        assert!(u32::from(arena.node(node).depth) < TRACK_DEPTH_CAP);
+        // the deep end was cut: walking down bottoms out at a truncated copy
         let mut depth_walked = 0;
-        let mut cur = Rc::clone(&node);
-        while let Some(next) = cur.srcs[0].clone() {
-            cur = next;
+        let mut cur = node;
+        while arena.node(cur).srcs[0] != NIL {
+            cur = arena.node(cur).srcs[0];
             depth_walked += 1;
             assert!(depth_walked <= TRACK_DEPTH_CAP, "walk must terminate");
         }
+        assert!(arena.node(cur).truncated());
+        // the cut-off chain was freed: only the live path is left
+        arena.check_accounting([node]);
+        assert!(arena.high_water() - arena.free.len() <= 2 * TRACK_DEPTH_CAP as usize);
+    }
+
+    #[test]
+    fn self_recurrences_are_cut_at_one_level() {
+        let mut arena = Arena::default();
+        let first = li(&mut arena, 0);
+        let mut i = arena.compute(1, [first, NIL, NIL], [0; 3]);
+        arena.release(first);
+        for _ in 0..10 {
+            let next = arena.compute(1, [i, NIL, NIL], [0; 3]);
+            arena.release(i);
+            i = next;
+        }
+        let node = *arena.node(i);
+        assert_eq!(node.depth, 1);
+        let child = arena.node(node.srcs[0]);
+        assert_eq!((child.pc(), child.truncated()), (1, true));
+        assert!(child.is_leaf(), "the previous iteration, cut");
+        arena.check_accounting([i]);
     }
 
     #[test]
     fn load_nodes_pass_through_to_compute() {
-        let producer = li(0, 42);
-        let ld1 = ValueNode::load(
-            1,
-            Instruction::Load {
-                dst: Reg(2),
-                base: Reg(1),
-                offset: 0,
-            },
-            42,
-            100,
-            Some(Rc::clone(&producer)),
-        );
-        let ld2 = ValueNode::load(
-            2,
-            Instruction::Load {
-                dst: Reg(3),
-                base: Reg(1),
-                offset: 0,
-            },
-            42,
-            101,
-            Some(Rc::clone(&ld1)),
-        );
-        let resolved = ld2.resolve_compute().expect("resolves through two loads");
-        assert_eq!(resolved.pc, 0);
-        assert_eq!(resolved.value, 42);
+        let mut arena = Arena::default();
+        let producer = li(&mut arena, 0);
+        let ld1 = arena.load(1, producer);
+        let ld2 = arena.load(2, ld1);
+        assert_eq!(arena.resolve_compute(ld2), Some(producer));
+        arena.release(ld1);
+        arena.release(producer);
+        assert_eq!(arena.resolve_compute(ld2), Some(producer), "ld2 holds it");
+        arena.check_accounting([ld2]);
+        arena.release(ld2);
+        arena.check_accounting([]);
     }
 
     #[test]
     fn untracked_load_resolves_to_none() {
-        let ld = ValueNode::load(
-            1,
-            Instruction::Load {
-                dst: Reg(2),
-                base: Reg(1),
-                offset: 0,
-            },
-            0,
-            100,
-            None,
-        );
-        assert!(ld.resolve_compute().is_none());
+        let mut arena = Arena::default();
+        let ld = arena.load(1, NIL);
+        assert_eq!(arena.resolve_compute(ld), None);
+        assert_eq!(arena.resolve_compute(NIL), None);
     }
 
     #[test]
     fn loads_do_not_add_slice_depth() {
-        let producer = li(0, 7);
-        let ld = ValueNode::load(
-            1,
-            Instruction::Load {
-                dst: Reg(2),
-                base: Reg(1),
-                offset: 0,
-            },
-            7,
-            100,
-            Some(Rc::clone(&producer)),
+        let mut arena = Arena::default();
+        let a = li(&mut arena, 0);
+        let producer = add(&mut arena, 1, a, a);
+        let ld = arena.load(2, producer);
+        assert_eq!(
+            arena.node(ld).depth,
+            arena.node(producer).depth,
+            "pass-through is free"
         );
-        assert_eq!(ld.depth, producer.depth, "pass-through is free");
+    }
+
+    #[test]
+    fn released_slots_are_reused() {
+        let mut arena = Arena::default();
+        let a = li(&mut arena, 0);
+        let b = add(&mut arena, 1, a, a);
+        arena.release(a);
+        arena.release(b);
+        arena.check_accounting([]);
+        let c = li(&mut arena, 2);
+        let d = add(&mut arena, 3, c, c);
+        assert_eq!(arena.high_water(), 2, "both slots came off the free list");
+        arena.check_accounting([c, d]);
     }
 }
