@@ -1,7 +1,5 @@
 //! Run-level energy, time, and EDP accounting.
 
-use std::collections::BTreeMap;
-
 use amnesiac_isa::Category;
 use amnesiac_telemetry::{Json, ToJson};
 
@@ -18,7 +16,9 @@ pub enum UarchEvent {
     SFileAccess,
     /// Recomputing-instruction fetch serviced by `IBuff`.
     IBuffRead,
-    /// Slice instruction filled into `IBuff` (first traversal).
+    /// A slice body filled into `IBuff` on an `IBuff` miss: one event per
+    /// fill, not per instruction (the body's instructions are fetched
+    /// through L1-I and charged there).
     IBuffFill,
     /// L1 tag probe (FLC/LLC policy overhead).
     ProbeL1,
@@ -37,6 +37,24 @@ pub enum UarchEvent {
     Prefetch,
 }
 
+impl UarchEvent {
+    /// All events, in declaration order (the account's slot order).
+    pub const ALL: [UarchEvent; 12] = [
+        UarchEvent::HistRead,
+        UarchEvent::HistWrite,
+        UarchEvent::SFileAccess,
+        UarchEvent::IBuffRead,
+        UarchEvent::IBuffFill,
+        UarchEvent::ProbeL1,
+        UarchEvent::ProbeL2,
+        UarchEvent::WritebackL1,
+        UarchEvent::WritebackL2,
+        UarchEvent::IFetchL2,
+        UarchEvent::IFetchMem,
+        UarchEvent::Prefetch,
+    ];
+}
+
 /// The paper's Table 4 energy breakdown: shares of total energy.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct EnergyBreakdown {
@@ -51,11 +69,19 @@ pub struct EnergyBreakdown {
     pub hist_read_pct: f64,
 }
 
+/// One account slot: dynamic count and energy (nJ).
+type Slot = (u64, f64);
+
 /// Accumulates energy (nJ) and time (cycles) over a run.
+///
+/// Slots are dense arrays indexed by the enum discriminant. A slot with a
+/// zero count was never recorded, and totals and the JSON skip it; each
+/// recorded slot sums its charges in call order. Every figure therefore has
+/// the bit pattern of a per-key map summed in call order.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct EnergyAccount {
-    by_category: BTreeMap<Category, (u64, f64)>,
-    by_event: BTreeMap<UarchEvent, (u64, f64)>,
+    by_category: [Slot; Category::ALL.len()],
+    by_event: [Slot; UarchEvent::ALL.len()],
     cycles: u64,
 }
 
@@ -66,20 +92,23 @@ impl EnergyAccount {
     }
 
     /// Records one dynamic instruction of `category` costing `nj`.
+    #[inline]
     pub fn record(&mut self, category: Category, nj: f64) {
-        let slot = self.by_category.entry(category).or_insert((0, 0.0));
+        let slot = &mut self.by_category[category as usize];
         slot.0 += 1;
         slot.1 += nj;
     }
 
     /// Records a microarchitectural event costing `nj`.
+    #[inline]
     pub fn record_event(&mut self, event: UarchEvent, nj: f64) {
-        let slot = self.by_event.entry(event).or_insert((0, 0.0));
+        let slot = &mut self.by_event[event as usize];
         slot.0 += 1;
         slot.1 += nj;
     }
 
     /// Advances simulated time by `cycles`.
+    #[inline]
     pub fn add_cycles(&mut self, cycles: u64) {
         self.cycles += cycles;
     }
@@ -87,57 +116,67 @@ impl EnergyAccount {
     /// Retracts `cycles` from the elapsed time — used when work previously
     /// charged turns out to overlap with other execution (e.g. offloaded
     /// recomputation on a helper core). Saturates at zero.
+    #[inline]
     pub fn add_cycles_saved(&mut self, cycles: u64) {
         self.cycles = self.cycles.saturating_sub(cycles);
     }
 
     /// Total simulated time in cycles.
+    #[inline]
     pub fn cycles(&self) -> u64 {
         self.cycles
     }
 
+    /// Recorded categories with their slots, in enum order.
+    fn categories(&self) -> impl Iterator<Item = (Category, Slot)> + '_ {
+        Category::ALL
+            .into_iter()
+            .zip(self.by_category)
+            .filter(|&(_, (n, _))| n > 0)
+    }
+
+    /// Recorded events with their slots, in enum order.
+    fn events(&self) -> impl Iterator<Item = (UarchEvent, Slot)> + '_ {
+        UarchEvent::ALL
+            .into_iter()
+            .zip(self.by_event)
+            .filter(|&(_, (n, _))| n > 0)
+    }
+
     /// Dynamic instruction count of one category.
     pub fn count(&self, category: Category) -> u64 {
-        self.by_category.get(&category).map_or(0, |s| s.0)
+        self.by_category[category as usize].0
     }
 
     /// Energy (nJ) attributed to one category.
     pub fn energy(&self, category: Category) -> f64 {
-        self.by_category.get(&category).map_or(0.0, |s| s.1)
+        self.by_category[category as usize].1
     }
 
     /// Event count.
     pub fn event_count(&self, event: UarchEvent) -> u64 {
-        self.by_event.get(&event).map_or(0, |s| s.0)
+        self.by_event[event as usize].0
     }
 
     /// Energy (nJ) attributed to one event class.
     pub fn event_energy(&self, event: UarchEvent) -> f64 {
-        self.by_event.get(&event).map_or(0.0, |s| s.1)
+        self.by_event[event as usize].1
     }
 
     /// Total dynamic instruction count (events excluded).
     pub fn total_instructions(&self) -> u64 {
-        self.by_category.values().map(|s| s.0).sum()
+        self.by_category.iter().map(|s| s.0).sum()
     }
 
     /// Total energy in nanojoules (instructions + events).
     pub fn total_nj(&self) -> f64 {
-        self.by_category.values().map(|s| s.1).sum::<f64>()
-            + self.by_event.values().map(|s| s.1).sum::<f64>()
+        self.categories().map(|(_, s)| s.1).sum::<f64>()
+            + self.events().map(|(_, s)| s.1).sum::<f64>()
     }
 
     /// Energy-delay product in nJ·cycles — the paper's efficiency proxy.
     pub fn edp(&self) -> f64 {
         self.total_nj() * self.cycles as f64
-    }
-
-    /// Dynamic instruction mix as `(category, count)` pairs.
-    pub fn mix(&self) -> Vec<(Category, u64)> {
-        self.by_category
-            .iter()
-            .map(|(&c, &(n, _))| (c, n))
-            .collect()
     }
 
     /// The Table 4 breakdown. Store energy includes write-back traffic;
@@ -166,21 +205,6 @@ impl EnergyAccount {
             hist_read_pct: 100.0 * hist / total,
         }
     }
-
-    /// Merges another account into this one (e.g. per-phase accounting).
-    pub fn merge(&mut self, other: &EnergyAccount) {
-        for (&c, &(n, e)) in &other.by_category {
-            let slot = self.by_category.entry(c).or_insert((0, 0.0));
-            slot.0 += n;
-            slot.1 += e;
-        }
-        for (&ev, &(n, e)) in &other.by_event {
-            let slot = self.by_event.entry(ev).or_insert((0, 0.0));
-            slot.0 += n;
-            slot.1 += e;
-        }
-        self.cycles += other.cycles;
-    }
 }
 
 impl ToJson for EnergyBreakdown {
@@ -198,14 +222,14 @@ impl ToJson for EnergyAccount {
     /// per-event `{count, nj}` maps (keys are the enum variant names).
     fn to_json(&self) -> Json {
         let mut by_category = Json::obj();
-        for (c, &(n, nj)) in &self.by_category {
+        for (c, (n, nj)) in self.categories() {
             by_category.set(
                 &format!("{c:?}"),
                 Json::obj().with("count", n).with("nj", nj),
             );
         }
         let mut by_event = Json::obj();
-        for (ev, &(n, nj)) in &self.by_event {
+        for (ev, (n, nj)) in self.events() {
             by_event.set(
                 &format!("{ev:?}"),
                 Json::obj().with("count", n).with("nj", nj),
@@ -270,31 +294,5 @@ mod tests {
         let b = EnergyAccount::new().breakdown();
         assert_eq!(b.load_pct, 0.0);
         assert_eq!(b.store_pct, 0.0);
-    }
-
-    #[test]
-    fn merge_is_additive() {
-        let mut a = EnergyAccount::new();
-        a.record(Category::Fma, 0.7);
-        a.add_cycles(5);
-        let mut b = EnergyAccount::new();
-        b.record(Category::Fma, 0.7);
-        b.record_event(UarchEvent::SFileAccess, 0.02);
-        b.add_cycles(7);
-        a.merge(&b);
-        assert_eq!(a.count(Category::Fma), 2);
-        assert_eq!(a.event_count(UarchEvent::SFileAccess), 1);
-        assert_eq!(a.cycles(), 12);
-    }
-
-    #[test]
-    fn mix_reports_counts() {
-        let mut a = EnergyAccount::new();
-        a.record(Category::IntAlu, 0.35);
-        a.record(Category::Branch, 0.3);
-        a.record(Category::Branch, 0.3);
-        let mix = a.mix();
-        assert!(mix.contains(&(Category::IntAlu, 1)));
-        assert!(mix.contains(&(Category::Branch, 2)));
     }
 }

@@ -61,8 +61,9 @@ pub struct EnergyModel {
     pub sfile_nj: f64,
     /// `IBuff` per-instruction fetch energy on replay hits.
     pub ibuff_read_nj: f64,
-    /// Per-instruction fill energy when a slice enters `IBuff` (an L1-I
-    /// style line access amortised over the line's instructions).
+    /// Fill energy charged once per `IBuff` miss, when a slice's body
+    /// enters `IBuff` (one L1-I style line access; the body's instruction
+    /// fetches are charged through L1-I separately).
     pub ibuff_fill_nj: f64,
     /// Multiplier applied to all non-memory EPIs (the §5.5 `R` knob),
     /// retained for reporting.
@@ -131,6 +132,7 @@ impl EnergyModel {
     /// Panics on `Load`/`Store`: those are serviced per level via
     /// [`EnergyModel::load_nj`]/[`EnergyModel::store_nj`]. `Rec` energy is
     /// [`EnergyModel::hist_write_nj`] (an L1-D store, §4).
+    #[inline]
     pub fn epi(&self, category: Category) -> f64 {
         match category {
             Category::IntAlu => self.int_alu,
@@ -152,16 +154,19 @@ impl EnergyModel {
     }
 
     /// Load energy (nJ) serviced at `level`.
+    #[inline]
     pub fn load_energy(&self, level: ServiceLevel) -> f64 {
         self.load_nj[level.index()]
     }
 
     /// Store energy (nJ) serviced at `level`.
+    #[inline]
     pub fn store_energy(&self, level: ServiceLevel) -> f64 {
         self.store_nj[level.index()]
     }
 
     /// Load/store latency (cycles) serviced at `level`.
+    #[inline]
     pub fn mem_latency(&self, level: ServiceLevel) -> u64 {
         self.mem_cycles[level.index()]
     }

@@ -1,11 +1,14 @@
-//! Randomized tests for the energy account: merging is additive, the
-//! Table 4 breakdown always partitions the total, and cycle arithmetic
-//! never underflows. Driven by the deterministic in-repo RNG (fixed seeds,
-//! reproducible corpus).
+//! Randomized tests for the energy account: it agrees with a per-key map
+//! model, the Table 4 breakdown always partitions the total, and cycle
+//! arithmetic never underflows. Driven by the deterministic in-repo RNG
+//! (fixed seeds, reproducible corpus).
+
+use std::collections::BTreeMap;
 
 use amnesiac_energy::{EnergyAccount, UarchEvent};
 use amnesiac_isa::Category;
 use amnesiac_rng::Rng;
+use amnesiac_telemetry::{Json, ToJson};
 
 const CASES: usize = 128;
 
@@ -21,34 +24,123 @@ fn records(r: &mut Rng, max_len: usize, min_nj: f64) -> Vec<(u8, f64)> {
         .collect()
 }
 
+/// One account charge, as the executors make them.
+#[derive(Debug, Clone, Copy)]
+enum Charge {
+    Inst(Category, f64),
+    Event(UarchEvent, f64),
+}
+
+/// A random charge stream over a random subset of categories and events.
+fn charges(r: &mut Rng) -> Vec<Charge> {
+    let cats: Vec<Category> = Category::ALL.into_iter().filter(|_| r.bool()).collect();
+    let events: Vec<UarchEvent> = UarchEvent::ALL.into_iter().filter(|_| r.bool()).collect();
+    (0..r.range_usize(0, 80))
+        .filter_map(|_| {
+            let nj = match r.below(4) {
+                0 => 0.0,
+                1 => r.range_f64(0.0, 1.0),
+                _ => r.range_f64(0.0, 100.0),
+            };
+            if r.bool() && !cats.is_empty() {
+                Some(Charge::Inst(*r.choose(&cats), nj))
+            } else if !events.is_empty() {
+                Some(Charge::Event(*r.choose(&events), nj))
+            } else {
+                None
+            }
+        })
+        .collect()
+}
+
+/// The account as two per-key maps, each slot summed in call order.
+#[derive(Debug, Default, PartialEq)]
+struct MapModel {
+    by_category: BTreeMap<Category, (u64, f64)>,
+    by_event: BTreeMap<UarchEvent, (u64, f64)>,
+}
+
+impl MapModel {
+    fn charge(&mut self, charge: Charge) {
+        let slot = match charge {
+            Charge::Inst(c, _) => self.by_category.entry(c).or_insert((0, 0.0)),
+            Charge::Event(e, _) => self.by_event.entry(e).or_insert((0, 0.0)),
+        };
+        let (Charge::Inst(_, nj) | Charge::Event(_, nj)) = charge;
+        slot.0 += 1;
+        slot.1 += nj;
+    }
+
+    fn total_nj(&self) -> f64 {
+        self.by_category.values().map(|s| s.1).sum::<f64>()
+            + self.by_event.values().map(|s| s.1).sum::<f64>()
+    }
+}
+
+fn build(stream: &[Charge]) -> (EnergyAccount, MapModel) {
+    let mut account = EnergyAccount::new();
+    let mut model = MapModel::default();
+    for &charge in stream {
+        match charge {
+            Charge::Inst(c, nj) => account.record(c, nj),
+            Charge::Event(e, nj) => account.record_event(e, nj),
+        }
+        model.charge(charge);
+    }
+    (account, model)
+}
+
+/// Keys of the JSON object at `key`.
+fn json_keys(json: &Json, key: &str) -> Vec<String> {
+    let fields = json.get(key).and_then(Json::as_obj).expect("object");
+    fields.iter().map(|(k, _)| k.clone()).collect()
+}
+
+/// Random `record`/`record_event` streams agree with a per-key map model:
+/// every count, every slot's energy and the total to the bit, equality,
+/// and JSON keys for exactly the recorded categories and events, in enum
+/// order.
 #[test]
-fn merge_is_additive_in_every_dimension() {
+fn record_streams_match_a_per_key_map_model() {
     let mut r = Rng::seed_from_u64(0xE1);
     for _ in 0..CASES {
-        let a = records(&mut r, 50, 0.0);
-        let b = records(&mut r, 50, 0.0);
-        let cyc_a = r.below(10_000);
-        let cyc_b = r.below(10_000);
+        let stream = charges(&mut r);
+        let (account, model) = build(&stream);
 
-        let mut left = EnergyAccount::new();
-        for &(c, nj) in &a {
-            left.record(category(c), nj);
+        for c in Category::ALL {
+            let (n, nj) = model.by_category.get(&c).copied().unwrap_or((0, 0.0));
+            assert_eq!(account.count(c), n, "{c:?}");
+            assert_eq!(account.energy(c).to_bits(), nj.to_bits(), "{c:?}");
         }
-        left.add_cycles(cyc_a);
-        let mut right = EnergyAccount::new();
-        for &(c, nj) in &b {
-            right.record(category(c), nj);
+        for e in UarchEvent::ALL {
+            let (n, nj) = model.by_event.get(&e).copied().unwrap_or((0, 0.0));
+            assert_eq!(account.event_count(e), n, "{e:?}");
+            assert_eq!(account.event_energy(e).to_bits(), nj.to_bits(), "{e:?}");
         }
-        right.record_event(UarchEvent::HistRead, 1.0);
-        right.add_cycles(cyc_b);
+        let insts: u64 = model.by_category.values().map(|s| s.0).sum();
+        assert_eq!(account.total_instructions(), insts);
+        assert_eq!(account.total_nj().to_bits(), model.total_nj().to_bits());
 
-        let total_before = left.total_nj() + right.total_nj();
-        let insts_before = left.total_instructions() + right.total_instructions();
-        left.merge(&right);
-        assert!((left.total_nj() - total_before).abs() < 1e-6);
-        assert_eq!(left.total_instructions(), insts_before);
-        assert_eq!(left.cycles(), cyc_a + cyc_b);
-        assert_eq!(left.event_count(UarchEvent::HistRead), 1);
+        let json = account.to_json();
+        let want: Vec<String> = model.by_category.keys().map(|c| format!("{c:?}")).collect();
+        assert_eq!(json_keys(&json, "by_category"), want);
+        let want: Vec<String> = model.by_event.keys().map(|e| format!("{e:?}")).collect();
+        assert_eq!(json_keys(&json, "by_event"), want);
+
+        // equality tracks the model's: the same stream, and the stream
+        // with one charge dropped or re-priced
+        let mut other = stream.clone();
+        if !other.is_empty() && r.bool() {
+            let i = r.range_usize(0, other.len());
+            if r.bool() {
+                other.remove(i);
+            } else {
+                let (Charge::Inst(_, nj) | Charge::Event(_, nj)) = &mut other[i];
+                *nj += 1.0;
+            }
+        }
+        let (other_account, other_model) = build(&other);
+        assert_eq!(account == other_account, model == other_model);
     }
 }
 

@@ -88,12 +88,19 @@ pub struct CacheAccess {
 ///
 /// The cache tracks tags only (data values live in the simulator's flat
 /// memory image); this is exactly the information needed for service-level
-/// and energy accounting.
+/// and energy accounting. Line size and set count are powers of two
+/// ([`CacheConfig::n_sets`] asserts it), so line, set and tag are shifts
+/// and a mask of the address.
 #[derive(Debug, Clone)]
 pub struct Cache {
     config: CacheConfig,
     sets: Vec<Line>,
-    n_sets: usize,
+    /// `log2(line_bytes)`: byte address → line number.
+    line_shift: u32,
+    /// `log2(n_sets)`: line number → tag.
+    set_shift: u32,
+    /// `n_sets - 1`: line number → set.
+    set_mask: u64,
     clock: u64,
 }
 
@@ -104,7 +111,9 @@ impl Cache {
         Cache {
             config,
             sets: vec![Line::default(); n_sets * config.ways],
-            n_sets,
+            line_shift: config.line_bytes.trailing_zeros(),
+            set_shift: n_sets.trailing_zeros(),
+            set_mask: n_sets as u64 - 1,
             clock: 0,
         }
     }
@@ -114,11 +123,15 @@ impl Cache {
         &self.config
     }
 
+    /// Line number of byte address `addr`.
+    #[inline]
+    pub(crate) fn line_of(&self, addr: u64) -> u64 {
+        addr >> self.line_shift
+    }
+
     fn line_addr(&self, addr: u64) -> (usize, u64) {
-        let line = addr / self.config.line_bytes as u64;
-        let set = (line % self.n_sets as u64) as usize;
-        let tag = line / self.n_sets as u64;
-        (set, tag)
+        let line = self.line_of(addr);
+        ((line & self.set_mask) as usize, line >> self.set_shift)
     }
 
     fn set_lines(&mut self, set: usize) -> &mut [Line] {
@@ -132,8 +145,7 @@ impl Cache {
         self.clock += 1;
         let clock = self.clock;
         let (set, tag) = self.line_addr(addr);
-        let line_bytes = self.config.line_bytes as u64;
-        let n_sets = self.n_sets as u64;
+        let (line_shift, set_shift) = (self.line_shift, self.set_shift);
         let lines = self.set_lines(set);
 
         if let Some(line) = lines.iter_mut().find(|l| l.valid && l.tag == tag) {
@@ -154,7 +166,7 @@ impl Cache {
             .expect("ways > 0");
         let writeback = if victim.valid && victim.dirty {
             // reconstruct the victim's byte address from tag and set
-            Some((victim.tag * n_sets + set as u64) * line_bytes)
+            Some(((victim.tag << set_shift) | set as u64) << line_shift)
         } else {
             None
         };

@@ -130,8 +130,9 @@ impl MemoryHierarchy {
     /// way back. With the next-line prefetcher enabled, an L1 miss also
     /// pulls the following line into L1 (its fill source is reported in
     /// [`Access::prefetch_from`] so the energy model can charge it).
+    #[inline]
     pub fn read_data(&mut self, byte_addr: u64) -> Access {
-        let line = byte_addr / self.l1d.config().line_bytes as u64;
+        let line = self.l1d.line_of(byte_addr);
         if line == self.data_memo {
             // Repeat access to the last-touched data line: it is resident
             // and already MRU in its set (only data accesses touch L1-D),
@@ -168,8 +169,9 @@ impl MemoryHierarchy {
     }
 
     /// Data write at `byte_addr` (write-back, write-allocate).
+    #[inline]
     pub fn write_data(&mut self, byte_addr: u64) -> Access {
-        let line = byte_addr / self.l1d.config().line_bytes as u64;
+        let line = self.l1d.line_of(byte_addr);
         if line == self.data_memo && self.data_memo_dirty {
             // Repeat store to the last-touched line with the dirty bit
             // already set: the full model would hit, re-dirty, and re-stamp
@@ -187,8 +189,9 @@ impl MemoryHierarchy {
     }
 
     /// Instruction fetch at `byte_addr`; walks L1-I → L2 → memory.
+    #[inline]
     pub fn fetch_inst(&mut self, byte_addr: u64) -> Access {
-        let line = byte_addr / self.l1i.config().line_bytes as u64;
+        let line = self.l1i.line_of(byte_addr);
         if line == self.fetch_memo {
             // Straight-line fetch within the last-touched I-line: resident
             // and MRU (only fetches touch L1-I) — a guaranteed L1 hit.
@@ -220,6 +223,7 @@ impl MemoryHierarchy {
 
     /// Side-effect-free residency query: where would a data access to
     /// `byte_addr` be serviced right now?
+    #[inline]
     pub fn peek_data(&self, byte_addr: u64) -> ServiceLevel {
         if self.l1d.peek(byte_addr) {
             ServiceLevel::L1

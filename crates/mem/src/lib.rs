@@ -76,6 +76,7 @@ impl ServiceLevel {
     pub const ALL: [ServiceLevel; 3] = [ServiceLevel::L1, ServiceLevel::L2, ServiceLevel::Mem];
 
     /// Stable index (0 = L1, 1 = L2, 2 = Mem) for array-indexed statistics.
+    #[inline]
     pub fn index(self) -> usize {
         match self {
             ServiceLevel::L1 => 0,

@@ -15,6 +15,7 @@ pub struct LevelStats {
 
 impl LevelStats {
     /// Records an access serviced at `level`.
+    #[inline]
     pub fn record(&mut self, level: ServiceLevel) {
         self.by_level[level.index()] += 1;
     }
@@ -79,21 +80,25 @@ pub struct HierarchyStats {
 }
 
 impl HierarchyStats {
+    #[inline]
     pub(crate) fn record_load(&mut self, access: Access) {
         self.loads.record(access.level);
         self.record_writebacks(access);
     }
 
+    #[inline]
     pub(crate) fn record_store(&mut self, access: Access) {
         self.stores.record(access.level);
         self.record_writebacks(access);
     }
 
+    #[inline]
     pub(crate) fn record_fetch(&mut self, access: Access) {
         self.fetches.record(access.level);
         self.record_writebacks(access);
     }
 
+    #[inline]
     fn record_writebacks(&mut self, access: Access) {
         self.l1_writebacks += access.l1_writebacks as u64;
         self.l2_writebacks += access.l2_writebacks as u64;

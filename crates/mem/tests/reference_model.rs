@@ -80,29 +80,82 @@ fn stream(r: &mut Rng, addr_bound: u64, min_len: usize, max_len: usize) -> Vec<(
         .collect()
 }
 
+fn cache(size_bytes: usize, ways: usize, line_bytes: usize) -> CacheConfig {
+    CacheConfig {
+        size_bytes,
+        ways,
+        line_bytes,
+    }
+}
+
+/// Cache geometries under test: 1, 2 and 8 ways; 8- and 64-byte lines;
+/// 1 to 1,024 sets, including the paper's L1-D and L2.
+fn geometries() -> [CacheConfig; 8] {
+    [
+        cache(8, 1, 8),
+        cache(16, 2, 8),
+        cache(512, 2, 64),
+        cache(1024, 8, 8),
+        cache(64 * 1024, 1, 64),
+        cache(8 * 1024, 8, 8),
+        CacheConfig::paper_l1d(),
+        CacheConfig::paper_l2(),
+    ]
+}
+
+/// An address for `config`: near the bottom or the top of the 64-bit space,
+/// a line that conflicts with others in one of a few sets, anywhere at all,
+/// or one already used.
+fn address(r: &mut Rng, config: CacheConfig, seen: &[u64]) -> u64 {
+    let size = config.size_bytes as u64;
+    let line = config.line_bytes as u64;
+    // bytes between two lines of the same set
+    let way_stride = size / config.ways as u64;
+    let conflict = r.below(4) * line + r.below(2 * config.ways as u64 + 1) * way_stride;
+    match r.below(6) {
+        0 if !seen.is_empty() => *r.choose(seen),
+        0 | 1 => r.below(4 * size),
+        2 => conflict,
+        3 => u64::MAX - r.below(4 * size),
+        4 => u64::MAX - conflict,
+        _ => r.next_u64(),
+    }
+}
+
+/// A read/write stream over addresses drawn for any of `configs`.
+fn geometry_stream(r: &mut Rng, configs: &[CacheConfig], max_len: usize) -> Vec<(u64, bool)> {
+    let mut seen = Vec::new();
+    (0..r.range_usize(1, max_len))
+        .map(|_| {
+            let config = *r.choose(configs);
+            let addr = address(r, config, &seen);
+            seen.push(addr);
+            (addr, r.bool())
+        })
+        .collect()
+}
+
 /// Hit/miss, write-back addresses and residency all match the reference
-/// model for every prefix of a random access stream.
+/// model for every prefix of a random access stream, on every geometry.
 #[test]
 fn cache_matches_reference() {
     let mut r = Rng::seed_from_u64(0xCA);
-    for _ in 0..CASES {
-        let ops = stream(&mut r, 4096, 1, 400);
-        let config = CacheConfig {
-            size_bytes: 512,
-            ways: 2,
-            line_bytes: 64,
-        };
-        let mut dut = Cache::new(config);
-        let mut reference = RefCache::new(config);
-        for (i, &(addr, write)) in ops.iter().enumerate() {
-            let got = dut.access(addr, access_kind(write));
-            let (want_hit, want_wb) = reference.access(addr, write);
-            assert_eq!(got.hit, want_hit, "op {i} addr {addr:#x}");
-            assert_eq!(got.writeback, want_wb, "op {i} addr {addr:#x}");
-        }
-        // final residency agrees everywhere touched
-        for &(addr, _) in &ops {
-            assert_eq!(dut.peek(addr), reference.peek(addr));
+    for config in geometries() {
+        for _ in 0..CASES / 4 {
+            let ops = geometry_stream(&mut r, &[config], 400);
+            let mut dut = Cache::new(config);
+            let mut reference = RefCache::new(config);
+            for (i, &(addr, write)) in ops.iter().enumerate() {
+                let got = dut.access(addr, access_kind(write));
+                let (want_hit, want_wb) = reference.access(addr, write);
+                let ctx = format!("{config:?} op {i} addr {addr:#x}");
+                assert_eq!(got.hit, want_hit, "{ctx}");
+                assert_eq!(got.writeback, want_wb, "{ctx}");
+            }
+            // final residency agrees everywhere touched
+            for &(addr, _) in &ops {
+                assert_eq!(dut.peek(addr), reference.peek(addr), "{config:?}");
+            }
         }
     }
 }
@@ -135,46 +188,61 @@ fn peek_transparency() {
 }
 
 /// The full hierarchy never reports a nearer level than where the line
-/// actually is, and peek agrees with a subsequent read's service level.
+/// actually is, and peek agrees with a subsequent read's service level, on
+/// every geometry.
 #[test]
 fn hierarchy_peek_predicts_read_level() {
     let mut r = Rng::seed_from_u64(0xCC);
-    for _ in 0..CASES {
-        let ops = stream(&mut r, 8192, 1, 300);
-        let mut m = MemoryHierarchy::new(HierarchyConfig {
-            l1i: CacheConfig {
-                size_bytes: 128,
-                ways: 1,
-                line_bytes: 64,
-            },
-            l1d: CacheConfig {
-                size_bytes: 128,
-                ways: 1,
-                line_bytes: 64,
-            },
-            l2: CacheConfig {
-                size_bytes: 512,
-                ways: 2,
-                line_bytes: 64,
-            },
-            next_line_prefetch: false,
-        });
-        for &(addr, write) in &ops {
-            let predicted = m.peek_data(addr);
-            let got = if write {
-                m.write_data(addr)
-            } else {
-                m.read_data(addr)
-            };
-            assert_eq!(
-                got.level, predicted,
-                "peek said {predicted:?} but access was serviced at {:?}",
-                got.level
-            );
+    let small = HierarchyConfig {
+        l1i: cache(128, 1, 64),
+        l1d: cache(128, 1, 64),
+        l2: cache(512, 2, 64),
+        next_line_prefetch: false,
+    };
+    let tiny = HierarchyConfig {
+        l1i: cache(8, 1, 8),
+        l1d: cache(8, 1, 8),
+        l2: cache(64, 2, 8),
+        next_line_prefetch: false,
+    };
+    let narrow = HierarchyConfig {
+        l1i: cache(1024, 8, 8),
+        l1d: cache(1024, 8, 8),
+        l2: cache(8 * 1024, 8, 8),
+        next_line_prefetch: true,
+    };
+    let hierarchies = [
+        small,
+        tiny,
+        HierarchyConfig {
+            next_line_prefetch: true,
+            ..tiny
+        },
+        narrow,
+        HierarchyConfig::paper(),
+        HierarchyConfig::paper_with_prefetch(),
+    ];
+    for config in hierarchies {
+        for _ in 0..CASES / 4 {
+            let ops = geometry_stream(&mut r, &[config.l1d, config.l2], 300);
+            let mut m = MemoryHierarchy::new(config);
+            for &(addr, write) in &ops {
+                let predicted = m.peek_data(addr);
+                let got = if write {
+                    m.write_data(addr)
+                } else {
+                    m.read_data(addr)
+                };
+                assert_eq!(
+                    got.level, predicted,
+                    "{config:?}: peek said {predicted:?} but {addr:#x} was serviced at {:?}",
+                    got.level
+                );
+            }
+            // loads + stores recorded = ops issued
+            let s = m.stats();
+            assert_eq!(s.loads.total() + s.stores.total(), ops.len() as u64);
         }
-        // loads + stores recorded = ops issued
-        let s = m.stats();
-        assert_eq!(s.loads.total() + s.stores.total(), ops.len() as u64);
     }
 }
 

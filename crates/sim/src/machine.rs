@@ -114,6 +114,7 @@ impl Machine {
     /// Charges a load of data word `addr` — energy per level plus
     /// write-back traffic, and stall cycles — and returns the level that
     /// serviced it.
+    #[inline]
     pub fn load(&mut self, addr: u64) -> ServiceLevel {
         let access = self.hierarchy.read_data(wrapping_addr(0, addr, WORD_BYTES));
         self.charge_mem(Category::Load, access);
@@ -121,6 +122,7 @@ impl Machine {
     }
 
     /// Charges a store to data word `addr` and returns the servicing level.
+    #[inline]
     pub fn store(&mut self, addr: u64) -> ServiceLevel {
         let access = self
             .hierarchy
@@ -131,6 +133,7 @@ impl Machine {
 
     /// Where a load of data word `addr` would be serviced right now, without
     /// touching cache state or the account (the `RCMP` residency probe).
+    #[inline]
     pub fn probe(&self, addr: u64) -> ServiceLevel {
         self.hierarchy.peek_data(wrapping_addr(0, addr, WORD_BYTES))
     }
@@ -162,6 +165,7 @@ impl Machine {
     }
 
     /// Charges a non-memory instruction's EPI and single-cycle latency.
+    #[inline]
     pub fn charge_op(&mut self, category: Category) {
         self.account.record(category, self.energy.epi(category));
         self.account.add_cycles(self.energy.op_cycles);
@@ -169,6 +173,7 @@ impl Machine {
 
     /// Models instruction supply for the instruction at index `pc`: the
     /// fetch goes through L1-I; misses charge fill energy and stall cycles.
+    #[inline]
     pub fn fetch(&mut self, pc: usize) {
         let byte_addr = wrapping_addr(TEXT_BASE, pc as u64, WORD_BYTES);
         let access = self.hierarchy.fetch_inst(byte_addr);
