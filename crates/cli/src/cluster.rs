@@ -6,10 +6,6 @@
 //! in-process [`Router`] with their addresses, and hosts the router until
 //! a `shutdown` request drains the fleet. Workers are found by reading
 //! the `listening on <addr>` line each one prints.
-//!
-//! [`drive_loadgen_cluster`] backs `loadgen --cluster <n>`: the open-loop
-//! schedule is driven at the router instead of a single in-process
-//! server, and the snapshot gains a `results.cluster` block.
 
 use std::io::{BufRead, BufReader, Write as _};
 use std::net::SocketAddr;
@@ -19,9 +15,7 @@ use std::sync::mpsc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use amnesiac_loadgen::{run_against, LoadgenConfig};
 use amnesiac_serve::{Router, RouterConfig};
-use amnesiac_telemetry::Json;
 
 use crate::{CliError, Command, Response};
 
@@ -140,11 +134,14 @@ fn spawn_worker(binary: &Path, index: usize, command: &Command) -> Result<Worker
     Ok(WorkerProc { child, addr })
 }
 
-/// Spawns the worker fleet — copies of this very binary — and starts the
-/// router over it. Worker ids in the membership view equal spawn order
-/// ([`amnesiac_serve::Membership`] numbers the seed addresses 0..n-1), so
-/// hop label `w<i>` names `fleet[i]`.
-fn boot_cluster(command: &Command, workers: usize) -> Result<(Vec<WorkerProc>, Router), CliError> {
+/// The `cluster` verb: spawns the worker fleet — `--workers <n>`
+/// (default 3) copies of this very binary — and hosts a router over it
+/// until a `shutdown` request drains the fleet. Worker ids in the
+/// membership view equal spawn order ([`amnesiac_serve::Membership`]
+/// numbers the seed addresses 0..n-1), so hop label `w<i>` names
+/// `fleet[i]`.
+pub(crate) fn run_cluster(command: &Command) -> Result<Response, CliError> {
+    let workers = command.workers.unwrap_or(3);
     let binary = std::env::current_exe()
         .map_err(|e| CliError::Tool(format!("cannot locate own binary: {e}")))?;
     let mut fleet = Vec::with_capacity(workers);
@@ -159,16 +156,8 @@ fn boot_cluster(command: &Command, workers: usize) -> Result<(Vec<WorkerProc>, R
     if let Some(timeout_ms) = command.timeout_ms {
         config.timeout_ms = timeout_ms;
     }
-    let router = Router::start(config, &addrs)
+    let mut router = Router::start(config, &addrs)
         .map_err(|e| CliError::Tool(format!("cannot start router: {e}")))?;
-    Ok((fleet, router))
-}
-
-/// The `cluster` verb: host a router over `--workers <n>` (default 3)
-/// spawned worker processes until a `shutdown` request drains the fleet.
-pub(crate) fn run_cluster(command: &Command) -> Result<Response, CliError> {
-    let workers = command.workers.unwrap_or(3);
-    let (mut fleet, mut router) = boot_cluster(command, workers)?;
     let addr = router.addr();
     println!(
         "amnesiac-cluster router listening on {addr} ({workers} workers) — \
@@ -185,40 +174,4 @@ pub(crate) fn run_cluster(command: &Command) -> Result<Response, CliError> {
         workers,
         stats,
     })
-}
-
-/// `loadgen --cluster <n>`: boots the worker fleet behind a router and
-/// drives the open-loop schedule at the router. The snapshot gains a
-/// `results.cluster` block (fleet size, membership generation, and the
-/// forwarded / rerouted / unavailable counters) but no `cache` / `warm`
-/// blocks — the caches live in the worker processes.
-pub(crate) fn drive_loadgen_cluster(
-    command: &Command,
-    config: &LoadgenConfig,
-    workers: usize,
-) -> Result<Json, CliError> {
-    let (mut fleet, router) = boot_cluster(command, workers)?;
-    let outcome = run_against(router.addr(), config)
-        .map_err(|e| CliError::Tool(format!("cluster loadgen failed: {e}")));
-    let stats = router.stats_json();
-    router.stop();
-    for worker in &mut fleet {
-        worker.wait_or_kill(WORKER_DRAIN_BUDGET);
-    }
-    let report = outcome?;
-    let mut snapshot = report.snapshot(config);
-    if let Some(results) = snapshot.get_mut("results") {
-        let counter = |key: &str| stats.get(key).cloned().unwrap_or(Json::Null);
-        results.set(
-            "cluster",
-            Json::obj()
-                .with("workers", workers as u64)
-                .with("workers_up", counter("workers_up"))
-                .with("generation", counter("generation"))
-                .with("forwarded", counter("forwarded"))
-                .with("rerouted", counter("rerouted"))
-                .with("unavailable", counter("unavailable")),
-        );
-    }
-    Ok(snapshot)
 }

@@ -18,8 +18,6 @@
 //! amnesiac verify [<prog | bench:NAME>] [--json <dir>] # static well-formedness
 //! amnesiac lint [<prog | bench:NAME>] [--json <dir>]   # abstract-interpretation lint
 //! amnesiac experiments --json <dir>                    # suite + JSON twins
-//! amnesiac bench-snapshot <out.json>                   # perf baseline
-//! amnesiac bench-compare <baseline.json> [--tolerance <pp>]
 //! amnesiac serve [--port <p>] [--workers <n>]          # line-protocol service
 //! amnesiac loadgen [--rate <r>] [--duration-ms <ms>] [--seed <n>] [--mix <m>]
 //! amnesiac cluster [--workers <n>] [--port <p>]        # router + worker fleet
@@ -39,11 +37,11 @@
 //! non-zero if any Error-severity diagnostic is found (`--json <dir>`
 //! additionally writes `verify.json`).
 //!
-//! The suite verbs drive the full evaluation (test scale unless
-//! `--paper-scale`): `experiments` writes the machine-readable results
-//! directory, `bench-snapshot` records a perf/gain baseline, and
-//! `bench-compare` re-runs the suite and exits non-zero when any gain
-//! fell more than the tolerance below the baseline.
+//! `experiments` drives the full evaluation (test scale unless
+//! `--paper-scale`) and writes the machine-readable results directory.
+//! The gains are gated elsewhere: the repository benchmark (`perfbench/`)
+//! checks every paper-scale cycle count and gain against its exact
+//! oracle.
 //!
 //! `serve` starts the [`amnesiac_serve`] line-protocol service with this
 //! crate's [`serve_handler`] plugged in (verbs `compile`, `simulate`,
@@ -53,18 +51,16 @@
 //! `loadgen` boots the same service in-process and drives it with an
 //! open-loop Poisson schedule ([`amnesiac_loadgen`]): deterministic per
 //! `--seed`, weighted across verbs per `--mix`, latencies measured from
-//! the *scheduled* send instant into log-bucketed histograms. Its
-//! `--json` payload is the serve benchmark snapshot `BENCH_serve.json`
-//! pins; `bench-compare` detects a `kind: "serve"` baseline, replays its
-//! embedded config, and gates the error rate (latency is
-//! informational).
+//! the *scheduled* send instant into log-bucketed histograms. A run is a
+//! cold burst against an empty compile cache, then a warm burst over the
+//! identical schedule; its `--json` payload is the snapshot document. It
+//! is a measuring tool, and no gate reads its output.
 //!
 //! `cluster` scales the same service across processes: a router
 //! consistent-hashes each request's routing key over `--workers <n>`
 //! spawned `amnesiac serve` worker processes, with health probes, a
-//! generation-numbered membership view, and re-route on worker loss;
-//! `loadgen --cluster <n>` drives the open-loop schedule through the
-//! router (DESIGN.md §4g).
+//! generation-numbered membership view, and re-route on worker loss
+//! (DESIGN.md §4g).
 //!
 //! Programs are referenced either as a path to an `.asm` file or as
 //! `bench:<name>` for any of the 33 built-in kernels (at test scale by
@@ -96,8 +92,7 @@ pub use service::serve_handler;
 pub struct Command {
     /// The subcommand verb.
     pub verb: Verb,
-    /// Program reference (a path or `bench:<name>`) — or, for the suite
-    /// verbs, the snapshot/baseline path.
+    /// Program reference (a path or `bench:<name>`).
     pub target: Option<String>,
     /// Output path (for `encode`).
     pub output: Option<String>,
@@ -108,10 +103,6 @@ pub struct Command {
     pub scale: Option<Scale>,
     /// Results directory for machine-readable output (`--json <dir>`).
     pub json_dir: Option<String>,
-    /// Regression tolerance in percentage points (`--tolerance <pp>`).
-    pub tolerance: Option<f64>,
-    /// Timing repetitions for the bench verbs (`--reps <n>`).
-    pub reps: Option<usize>,
     /// TCP port for the serve verbs (`--port <p>`; 0 = ephemeral).
     pub port: Option<u16>,
     /// Worker-pool size for the serve verbs (`--workers <n>`).
@@ -132,10 +123,6 @@ pub struct Command {
     /// cacheable verbs (compile, disasm, verify) and the serve verbs,
     /// where it backs the shared in-process cache across restarts.
     pub cache_dir: Option<String>,
-    /// Router mode for `loadgen` (`--cluster <n>`): boot `n` worker
-    /// processes behind a router and drive the load at the router
-    /// instead of a single in-process server.
-    pub cluster: Option<usize>,
 }
 
 /// CLI subcommands.
@@ -152,8 +139,6 @@ pub enum Verb {
     Verify,
     Lint,
     Experiments,
-    BenchSnapshot,
-    BenchCompare,
     Serve,
     Loadgen,
     Cluster,
@@ -215,12 +200,10 @@ pub const USAGE: &str = "usage: amnesiac <run|disasm|profile|compile|compare> \
        amnesiac verify [<prog | bench:NAME>] [--json <dir>] [--scale <test|paper>]
        amnesiac lint [<prog | bench:NAME>] [--json <dir>] [--scale <test|paper>]
        amnesiac experiments --json <dir> [--paper-scale]
-       amnesiac bench-snapshot <out.json> [--scale <test|paper>] [--reps <n>]
-       amnesiac bench-compare <baseline.json> [--tolerance <pp>] [--scale <test|paper>] [--reps <n>] [--json <dir>]
        amnesiac serve [--port <p>] [--workers <n>] [--backlog <n>] [--timeout-ms <ms>] [--cache-dir <dir>]
        amnesiac cluster [--workers <n>] [--port <p>] [--timeout-ms <ms>] [--cache-dir <dir>]
        amnesiac loadgen [--rate <req/s>] [--duration-ms <ms>] [--seed <n>] [--mix <verb=w,...>]
-                        [--workers <n>] [--backlog <n>] [--timeout-ms <ms>] [--cluster <n>] [--json <dir>]
+                        [--workers <n>] [--backlog <n>] [--timeout-ms <ms>] [--json <dir>]
   every verb accepts --json <dir> to export its payload as <verb>.json
   compile, disasm, and verify accept --cache-dir <dir>: a persistent
   content-addressed compile cache, reused across process restarts
@@ -265,8 +248,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut paper_scale = false;
     let mut scale = None;
     let mut json_dir = None;
-    let mut tolerance = None;
-    let mut reps = None;
     let mut port = None;
     let mut workers = None;
     let mut backlog = None;
@@ -276,14 +257,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut seed = None;
     let mut mix = None;
     let mut cache_dir = None;
-    let mut cluster = None;
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
         match arg {
             "run" | "disasm" | "profile" | "compile" | "compare" | "encode" | "trace"
-            | "verify" | "lint" | "experiments" | "bench-snapshot" | "bench-compare" | "serve"
-            | "loadgen" | "cluster"
+            | "verify" | "lint" | "experiments" | "serve" | "loadgen" | "cluster"
                 if verb.is_none() =>
             {
                 verb = Some(match arg {
@@ -296,8 +275,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "verify" => Verb::Verify,
                     "lint" => Verb::Lint,
                     "experiments" => Verb::Experiments,
-                    "bench-snapshot" => Verb::BenchSnapshot,
-                    "bench-compare" => Verb::BenchCompare,
                     "serve" => Verb::Serve,
                     "loadgen" => Verb::Loadgen,
                     "cluster" => Verb::Cluster,
@@ -326,23 +303,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "--json" => {
                 let dir = flag_value(args, &mut i, arg, "a directory")?;
                 set_once(&mut json_dir, dir.to_string(), arg)?;
-            }
-            "--tolerance" => {
-                let raw = flag_value(args, &mut i, arg, "a value")?;
-                let parsed = raw.parse::<f64>().map_err(|_| {
-                    CliError::Usage(format!("--tolerance: `{raw}` is not a number"))
-                })?;
-                set_once(&mut tolerance, parsed, arg)?;
-            }
-            "--reps" => {
-                let raw = flag_value(args, &mut i, arg, "a count")?;
-                let parsed = raw
-                    .parse::<usize>()
-                    .map_err(|_| CliError::Usage(format!("--reps: `{raw}` is not a count")))?;
-                if parsed == 0 {
-                    return Err(CliError::Usage("--reps must be at least 1".into()));
-                }
-                set_once(&mut reps, parsed, arg)?;
             }
             "--port" => {
                 let raw = flag_value(args, &mut i, arg, "a port number")?;
@@ -414,17 +374,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 let dir = flag_value(args, &mut i, arg, "a directory")?;
                 set_once(&mut cache_dir, dir.to_string(), arg)?;
             }
-            "--cluster" => {
-                let raw = flag_value(args, &mut i, arg, "a worker count")?;
-                let parsed = raw
-                    .parse::<usize>()
-                    .ok()
-                    .filter(|n| *n > 0)
-                    .ok_or_else(|| {
-                        CliError::Usage(format!("--cluster: `{raw}` is not a worker count"))
-                    })?;
-                set_once(&mut cluster, parsed, arg)?;
-            }
             flag if flag.starts_with("--") => {
                 return Err(CliError::Usage(format!("unknown flag `{flag}`")));
             }
@@ -444,13 +393,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     }
     let loadgen_verb = verb == Verb::Loadgen;
     let serve_verb = matches!(verb, Verb::Serve | Verb::Loadgen | Verb::Cluster);
-    if cluster.is_some() && !loadgen_verb {
-        return Err(CliError::Usage(
-            "--cluster only applies to the loadgen verbs (the cluster verbs size \
-             the worker fleet with --workers)"
-                .into(),
-        ));
-    }
     if !serve_verb {
         for (flag, given) in [
             ("--port", port.is_some()),
@@ -494,16 +436,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         Verb::Experiments if json_dir.is_none() => {
             return Err(CliError::Usage("experiments needs --json <dir>".into()));
         }
-        Verb::BenchSnapshot if target.is_none() => {
-            return Err(CliError::Usage(
-                "bench-snapshot needs an output path".into(),
-            ));
-        }
-        Verb::BenchCompare if target.is_none() => {
-            return Err(CliError::Usage(
-                "bench-compare needs a baseline path".into(),
-            ));
-        }
         Verb::Serve | Verb::Loadgen | Verb::Cluster if target.is_some() => {
             return Err(CliError::Usage(
                 "the serve verbs take flags only — no positional argument".into(),
@@ -512,8 +444,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         Verb::Verify
         | Verb::Lint
         | Verb::Experiments
-        | Verb::BenchSnapshot
-        | Verb::BenchCompare
         | Verb::Serve
         | Verb::Loadgen
         | Verb::Cluster => {}
@@ -529,8 +459,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         paper_scale,
         scale,
         json_dir,
-        tolerance,
-        reps,
         port,
         workers,
         backlog,
@@ -540,18 +468,10 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         seed,
         mix,
         cache_dir,
-        cluster,
     })
 }
 
 impl Command {
-    /// Timing repetitions for the bench verbs: an explicit `--reps` wins,
-    /// otherwise the harness default.
-    pub fn effective_reps(&self) -> usize {
-        self.reps
-            .unwrap_or(amnesiac_experiments::pipeline::DEFAULT_TIMING_REPS)
-    }
-
     /// The workload scale to run at: the explicit `--scale`, or the
     /// `--paper-scale` shorthand, or the test-scale default (the parser
     /// rejects the flag pair, so at most one is ever set).
@@ -604,10 +524,9 @@ pub fn load_program(target: &str, paper_scale: bool) -> Result<Program, CliError
 /// ([`serve_handler`]).
 ///
 /// Verb-inherent side effects happen here (`encode` writes its image,
-/// `bench-snapshot` its baseline, `serve`/`cluster` run their
-/// servers), but the `--json <dir>` exports do not — those belong to
-/// [`execute`]. Failure-shaped outcomes (a dirty `verify`, a regressed
-/// `bench-compare`) come back as `Ok` responses with
+/// `serve`/`cluster` run their servers), but the `--json <dir>` exports
+/// do not — those belong to [`execute`]. Failure-shaped outcomes (a dirty
+/// `verify` or `lint`) come back as `Ok` responses with
 /// [`Response::is_failure`] set, so callers keep the structured data.
 ///
 /// # Errors
@@ -634,7 +553,7 @@ pub(crate) fn run_with_cache(
     cache: Option<&CompileCache>,
 ) -> Result<Response, CliError> {
     match command.verb {
-        Verb::Experiments | Verb::BenchSnapshot | Verb::BenchCompare => run_suite_verb(command),
+        Verb::Experiments => run_experiments(command),
         Verb::Verify => run_verify(command, cache),
         Verb::Lint => run_lint(command),
         Verb::Serve => service::run_serve(command),
@@ -814,72 +733,22 @@ fn run_lint(command: &Command) -> Result<Response, CliError> {
     }
 }
 
-/// The suite verbs: `experiments`, `bench-snapshot`, `bench-compare`.
-fn run_suite_verb(command: &Command) -> Result<Response, CliError> {
-    use amnesiac_experiments::{export, regress, EvalSuite};
+/// The `experiments` verb: the focal suite plus its JSON artifact set.
+fn run_experiments(command: &Command) -> Result<Response, CliError> {
+    use amnesiac_experiments::{export, EvalSuite};
 
-    let scale = command.effective_scale();
-    match command.verb {
-        Verb::Experiments => {
-            let suite = EvalSuite::compute(scale);
-            let mut artifacts: Vec<(String, amnesiac_telemetry::Json)> =
-                export::suite_artifacts(&suite)
-                    .into_iter()
-                    .map(|(name, json)| (name.to_string(), json))
-                    .collect();
-            artifacts.push(("table1.json".to_string(), export::table1_json()));
-            artifacts.push(("table2.json".to_string(), export::table2_json()));
-            Ok(Response::Experiments {
-                dir: command.json_dir.as_deref().map(PathBuf::from),
-                n_benches: suite.benches.len(),
-                artifacts,
-            })
-        }
-        Verb::BenchSnapshot => {
-            let out_path = command.target.as_deref().expect("parse_args enforced this");
-            let suite = EvalSuite::compute_sequential(scale, command.effective_reps());
-            let snapshot = regress::snapshot(&suite, scale);
-            amnesiac_telemetry::write_json_file(std::path::Path::new(out_path), &snapshot)
-                .map_err(|e| CliError::Tool(format!("cannot write `{out_path}`: {e}")))?;
-            Ok(Response::BenchSnapshot {
-                path: out_path.to_string(),
-                n_benches: suite.benches.len(),
-                snapshot,
-            })
-        }
-        Verb::BenchCompare => {
-            let baseline_path = command.target.as_deref().expect("parse_args enforced this");
-            let text = std::fs::read_to_string(baseline_path)
-                .map_err(|e| CliError::Tool(format!("cannot read `{baseline_path}`: {e}")))?;
-            let baseline = amnesiac_telemetry::parse(&text)
-                .map_err(|e| CliError::Tool(format!("{baseline_path}: {e}")))?;
-            // A `kind: "serve"` baseline routes to the loadgen replay
-            // path instead of the suite sweep.
-            if regress::snapshot_kind(&baseline) == "serve" {
-                return service::run_bench_compare_serve(command, &baseline);
-            }
-            let suite = EvalSuite::compute_sequential(scale, command.effective_reps());
-            let current = regress::snapshot(&suite, scale);
-            let tolerance_pp = command.tolerance.unwrap_or(regress::DEFAULT_TOLERANCE_PP);
-            let regressions =
-                regress::compare(&baseline, &current, tolerance_pp).map_err(CliError::Tool)?;
-            let warnings: Vec<String> = regress::zero_baseline_cells(&baseline)
-                .into_iter()
-                .map(|cell| {
-                    format!(
-                        "baseline gain `{cell}` is exactly zero — the gate cannot see \
-                         a drop there; consider re-snapshotting with a larger --scale"
-                    )
-                })
-                .collect();
-            Ok(Response::BenchCompare {
-                tolerance_pp,
-                warnings,
-                regressions,
-            })
-        }
-        _ => unreachable!("only suite verbs reach run_suite_verb"),
-    }
+    let suite = EvalSuite::compute(command.effective_scale());
+    let mut artifacts: Vec<(String, amnesiac_telemetry::Json)> = export::suite_artifacts(&suite)
+        .into_iter()
+        .map(|(name, json)| (name.to_string(), json))
+        .collect();
+    artifacts.push(("table1.json".to_string(), export::table1_json()));
+    artifacts.push(("table2.json".to_string(), export::table2_json()));
+    Ok(Response::Experiments {
+        dir: command.json_dir.as_deref().map(PathBuf::from),
+        n_benches: suite.benches.len(),
+        artifacts,
+    })
 }
 
 /// Executes a command, returning the report text: [`run`] plus the
@@ -890,8 +759,7 @@ fn run_suite_verb(command: &Command) -> Result<Response, CliError> {
 /// # Errors
 ///
 /// Returns [`CliError::Tool`] when any pipeline stage fails — including a
-/// dirty `verify` or a `bench-compare` that finds regressions, so the
-/// process exits non-zero.
+/// dirty `verify` or `lint`, so the process exits non-zero.
 pub fn execute(command: &Command) -> Result<String, CliError> {
     let response = run(command)?;
     let mut text = response.render_text();
@@ -956,6 +824,35 @@ mod tests {
             parse_args(&args(&["frobnicate", "x"])),
             Err(CliError::Usage(_))
         ));
+        // verbs and flags the CLI does not have exit 2 with a usage error
+        let absent: &[(&[&str], &str)] = &[
+            (
+                &["bench-snapshot", "x.json"],
+                "unexpected argument `bench-snapshot`",
+            ),
+            (
+                &["bench-compare", "b.json"],
+                "unexpected argument `bench-compare`",
+            ),
+            (
+                &["experiments", "--json", "d", "--reps", "3"],
+                "unknown flag `--reps`",
+            ),
+            (
+                &["verify", "--tolerance", "1"],
+                "unknown flag `--tolerance`",
+            ),
+            (&["loadgen", "--cluster", "3"], "unknown flag `--cluster`"),
+        ];
+        for (argv, want) in absent {
+            match parse_args(&args(argv)) {
+                Err(e @ CliError::Usage(_)) => {
+                    assert_eq!(e.message(), *want);
+                    assert_eq!(e.exit_code(), 2);
+                }
+                other => panic!("{argv:?}: expected usage error, got {other:?}"),
+            }
+        }
     }
 
     #[test]
@@ -970,19 +867,12 @@ mod tests {
                 "--json given twice",
             ),
             (
-                &[
-                    "bench-compare",
-                    "b.json",
-                    "--tolerance",
-                    "1",
-                    "--tolerance",
-                    "2",
-                ],
-                "--tolerance given twice",
+                &["experiments", "--json", "a", "--json", "b"],
+                "--json given twice",
             ),
             (
-                &["bench-snapshot", "o.json", "--reps", "2", "--reps", "3"],
-                "--reps given twice",
+                &["loadgen", "--seed", "1", "--seed", "2"],
+                "--seed given twice",
             ),
             (
                 &["run", "bench:is", "--paper-scale", "--paper-scale"],
@@ -1017,8 +907,9 @@ mod tests {
     fn rejects_conflicting_and_misplaced_flags() {
         // --scale vs --paper-scale is a conflict, not a precedence rule
         match parse_args(&args(&[
-            "bench-compare",
-            "b.json",
+            "experiments",
+            "--json",
+            "d",
             "--paper-scale",
             "--scale",
             "test",
@@ -1122,64 +1013,28 @@ mod tests {
             parse_args(&args(&["experiments"])),
             Err(CliError::Usage(_))
         ));
-        let c = parse_args(&args(&[
-            "bench-compare",
-            "base.json",
-            "--tolerance",
-            "0.25",
-        ]))
-        .unwrap();
-        assert_eq!(c.verb, Verb::BenchCompare);
-        assert_eq!(c.target.as_deref(), Some("base.json"));
-        assert_eq!(c.tolerance, Some(0.25));
-        assert!(matches!(
-            parse_args(&args(&["bench-snapshot"])),
-            Err(CliError::Usage(_))
-        ));
-        assert!(matches!(
-            parse_args(&args(&["bench-compare", "x", "--tolerance", "abc"])),
-            Err(CliError::Usage(_))
-        ));
     }
 
     #[test]
     fn parses_and_resolves_the_scale_flag() {
-        let c = parse_args(&args(&["bench-snapshot", "out.json", "--scale", "paper"])).unwrap();
+        let c = parse_args(&args(&["verify", "--scale", "paper"])).unwrap();
         assert_eq!(c.scale, Some(Scale::Paper));
         assert_eq!(c.effective_scale(), Scale::Paper);
-        let c = parse_args(&args(&["bench-snapshot", "out.json", "--scale", "test"])).unwrap();
+        let c = parse_args(&args(&["lint", "--scale", "test"])).unwrap();
         assert_eq!(c.effective_scale(), Scale::Test);
-        // --paper-scale alone still works
-        let c = parse_args(&args(&["bench-snapshot", "out.json", "--paper-scale"])).unwrap();
+        // --paper-scale alone still works, and neither flag means test scale
+        let c = parse_args(&args(&["experiments", "--json", "d", "--paper-scale"])).unwrap();
         assert_eq!(c.effective_scale(), Scale::Paper);
+        let c = parse_args(&args(&["verify"])).unwrap();
+        assert_eq!(c.effective_scale(), Scale::Test);
         assert!(matches!(
-            parse_args(&args(&["bench-snapshot", "out.json", "--scale", "huge"])),
+            parse_args(&args(&["verify", "--scale", "huge"])),
             Err(CliError::Usage(_))
         ));
         assert!(matches!(
-            parse_args(&args(&["bench-snapshot", "out.json", "--scale"])),
+            parse_args(&args(&["verify", "--scale"])),
             Err(CliError::Usage(_))
         ));
-    }
-
-    #[test]
-    fn parses_and_resolves_the_reps_flag() {
-        let c = parse_args(&args(&["bench-snapshot", "out.json", "--reps", "9"])).unwrap();
-        assert_eq!(c.reps, Some(9));
-        assert_eq!(c.effective_reps(), 9);
-        // default when the flag is absent
-        let c = parse_args(&args(&["bench-snapshot", "out.json"])).unwrap();
-        assert_eq!(
-            c.effective_reps(),
-            amnesiac_experiments::pipeline::DEFAULT_TIMING_REPS
-        );
-        for bad in [
-            &["bench-snapshot", "out.json", "--reps", "zero"][..],
-            &["bench-snapshot", "out.json", "--reps", "0"],
-            &["bench-snapshot", "out.json", "--reps"],
-        ] {
-            assert!(matches!(parse_args(&args(bad)), Err(CliError::Usage(_))));
-        }
     }
 
     #[test]
@@ -1195,43 +1050,6 @@ mod tests {
         assert_eq!(tool.exit_code(), 1);
         assert_eq!(tool.message(), "sim fault");
         assert_eq!(tool.to_string(), "sim fault");
-    }
-
-    #[test]
-    fn snapshot_then_compare_is_clean_and_catches_doctored_baselines() {
-        let dir = std::env::temp_dir().join("amnesiac-cli-bench-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("baseline.json");
-        let baseline_str = baseline.to_string_lossy().into_owned();
-
-        let snap_cmd = parse_args(&args(&["bench-snapshot", &baseline_str])).unwrap();
-        assert!(execute(&snap_cmd).unwrap().contains("wrote bench baseline"));
-
-        // gains are deterministic, so a fresh run matches its own baseline
-        let cmp_cmd = parse_args(&args(&["bench-compare", &baseline_str])).unwrap();
-        assert!(execute(&cmp_cmd).unwrap().contains("OK"));
-
-        // inflate one baseline gain: the fresh run must now look regressed
-        let mut doc =
-            amnesiac_telemetry::parse(&std::fs::read_to_string(&baseline).unwrap()).unwrap();
-        let benches = doc.get_mut("benches").unwrap();
-        let (first, _) = {
-            let fields = benches.as_obj().unwrap();
-            (fields[0].0.clone(), ())
-        };
-        let gains = benches
-            .get_mut(&first)
-            .and_then(|b| b.get_mut("gains"))
-            .and_then(|g| g.get_mut("Compiler"))
-            .unwrap();
-        let old = gains
-            .get("edp_gain_pct")
-            .and_then(amnesiac_telemetry::Json::as_f64)
-            .unwrap();
-        gains.set("edp_gain_pct", old + 50.0);
-        std::fs::write(&baseline, doc.pretty()).unwrap();
-        assert!(matches!(execute(&cmp_cmd), Err(CliError::Tool(_))));
-        std::fs::remove_file(&baseline).ok();
     }
 
     #[test]
@@ -1448,7 +1266,7 @@ mod tests {
         for bad in [
             &["run", "bench:is", "--rate", "100"][..],
             &["serve", "--duration-ms", "100"],
-            &["bench-compare", "base.json", "--seed", "1"],
+            &["experiments", "--json", "d", "--seed", "1"],
             &["verify", "--mix", "stats=1"],
             &["loadgen", "bench:is"],
             &["cluster", "stray"],
@@ -1458,17 +1276,6 @@ mod tests {
                 "{bad:?} should be rejected"
             );
         }
-    }
-
-    #[test]
-    fn snapshot_schema_versions_stay_in_lockstep() {
-        // loadgen cannot depend on experiments, so the serve-snapshot
-        // schema version is pinned in both crates; this is the tripwire
-        // that keeps them moving together.
-        assert_eq!(
-            amnesiac_loadgen::SNAPSHOT_SCHEMA_VERSION,
-            amnesiac_experiments::regress::SCHEMA_VERSION
-        );
     }
 
     #[test]
@@ -1508,60 +1315,5 @@ mod tests {
                 .and_then(Json::as_f64),
             Some(0.0)
         );
-    }
-
-    #[test]
-    fn bench_compare_gates_a_serve_baseline() {
-        let dir = std::env::temp_dir().join("amnesiac-cli-test");
-        std::fs::create_dir_all(&dir).unwrap();
-        let baseline = dir.join("bench_serve_test.json");
-        let baseline_str = baseline.to_string_lossy().into_owned();
-
-        let loadgen_cmd = parse_args(&args(&[
-            "loadgen",
-            "--rate",
-            "300",
-            "--duration-ms",
-            "300",
-            "--seed",
-            "7",
-            "--mix",
-            "stats=1",
-        ]))
-        .unwrap();
-        let snapshot = match super::run(&loadgen_cmd).unwrap() {
-            Response::Loadgen { snapshot } => snapshot,
-            other => panic!("expected a loadgen response, got {other:?}"),
-        };
-        std::fs::write(&baseline, snapshot.pretty()).unwrap();
-
-        // a fresh replay of the embedded config stays within tolerance
-        let cmp_cmd = parse_args(&args(&["bench-compare", &baseline_str])).unwrap();
-        let response = super::run(&cmp_cmd).unwrap();
-        match &response {
-            Response::BenchCompareServe { comparison, .. } => {
-                assert!(comparison.ok(), "clean replay must gate clean");
-                assert!(!comparison.notes.is_empty(), "latency notes expected");
-            }
-            other => panic!("expected a serve comparison, got {other:?}"),
-        }
-        assert!(!response.is_failure());
-
-        // an impossibly good baseline error rate makes the gate trip
-        let mut doc = snapshot.clone();
-        doc.get_mut("results")
-            .unwrap()
-            .set("error_rate_pct", -1.0f64);
-        std::fs::write(&baseline, doc.pretty()).unwrap();
-        let response = super::run(&cmp_cmd).unwrap();
-        assert!(response.is_failure(), "error-rate rise must gate");
-
-        // a doctored scheduled count means the replay diverged: hard error
-        let mut doc = snapshot.clone();
-        doc.get_mut("results").unwrap().set("scheduled", 1u64);
-        std::fs::write(&baseline, doc.pretty()).unwrap();
-        assert!(matches!(super::run(&cmp_cmd), Err(CliError::Tool(_))));
-
-        std::fs::remove_file(&baseline).ok();
     }
 }

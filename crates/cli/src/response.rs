@@ -12,7 +12,6 @@ use std::path::PathBuf;
 
 use amnesiac_compiler::{CompileReport, SiteOutcome};
 use amnesiac_core::AmnesicRunResult;
-use amnesiac_experiments::regress::{self, Regression, ServeComparison};
 use amnesiac_experiments::{LintSweep, VerifySweep};
 use amnesiac_profile::ProgramProfile;
 use amnesiac_sim::RunResult;
@@ -21,8 +20,8 @@ use amnesiac_verify::VerifyReport;
 
 /// The structured outcome of one verb.
 ///
-/// Failure-shaped outcomes (a dirty `verify`, a regressed
-/// `bench-compare`) are still `Ok` responses from [`crate::run`] — [`Response::is_failure`] tells the
+/// Failure-shaped outcomes (a dirty `verify` or `lint`) are still `Ok`
+/// responses from [`crate::run`] — [`Response::is_failure`] tells the
 /// caller whether to exit non-zero, so the service layer can transport
 /// the full structured payload instead of a flattened error string.
 #[derive(Debug)]
@@ -124,24 +123,6 @@ pub enum Response {
         /// `(file name, document)` pairs in canonical write order.
         artifacts: Vec<(String, Json)>,
     },
-    /// `bench-snapshot`: a perf baseline was written.
-    BenchSnapshot {
-        /// Output path.
-        path: String,
-        /// Number of benchmarks in the baseline.
-        n_benches: usize,
-        /// The snapshot document.
-        snapshot: Json,
-    },
-    /// `bench-compare`: fresh gains diffed against a baseline.
-    BenchCompare {
-        /// Tolerance in percentage points.
-        tolerance_pp: f64,
-        /// Zero-baseline blind-spot warnings.
-        warnings: Vec<String>,
-        /// Every gain that fell beyond the tolerance.
-        regressions: Vec<Regression>,
-    },
     /// `serve`: the service drained and stopped.
     Serve {
         /// The address the server was bound to.
@@ -151,9 +132,9 @@ pub enum Response {
     },
     /// `loadgen`: one open-loop load run against an in-process server.
     Loadgen {
-        /// The full snapshot document (`{schema_version, kind,
-        /// config, results}`) — the exact bytes `--json` writes, so a
-        /// run can be committed verbatim as `BENCH_serve.json`.
+        /// The snapshot document (`{config, results}`, with the cold
+        /// burst's results plus `cache` and `warm` blocks) — the exact
+        /// bytes `--json` writes.
         snapshot: Json,
     },
     /// `cluster`: the router drained and stopped, workers reaped.
@@ -165,16 +146,6 @@ pub enum Response {
         /// Final router statistics (aggregated worker counters,
         /// membership view, reroute counts).
         stats: Json,
-    },
-    /// `bench-compare` against a `kind: "serve"` baseline: a fresh
-    /// loadgen replay diffed against the committed service baseline.
-    BenchCompareServe {
-        /// Tolerance in percentage points (applied to the error rate).
-        tolerance_pp: f64,
-        /// Gated regressions plus informational latency notes.
-        comparison: ServeComparison,
-        /// The freshly measured snapshot.
-        current: Json,
     },
 }
 
@@ -193,17 +164,14 @@ impl Response {
             Response::VerifyTarget { .. } | Response::VerifySweep { .. } => "verify",
             Response::LintTarget { .. } | Response::LintSweep { .. } => "lint",
             Response::Experiments { .. } => "experiments",
-            Response::BenchSnapshot { .. } => "bench-snapshot",
-            Response::BenchCompare { .. } => "bench-compare",
             Response::Serve { .. } => "serve",
             Response::Loadgen { .. } => "loadgen",
             Response::Cluster { .. } => "cluster",
-            Response::BenchCompareServe { .. } => "bench-compare",
         }
     }
 
     /// Whether this outcome should make the process exit non-zero
-    /// (e.g. a dirty `verify` or a regressed `bench-compare`).
+    /// (a dirty `verify` or `lint`).
     pub fn is_failure(&self) -> bool {
         match self {
             Response::VerifyTarget { report, .. } => !report.is_clean(),
@@ -212,8 +180,6 @@ impl Response {
                 !report.verify.is_clean() || report.verify.unexplained_warn_count() > 0
             }
             Response::LintSweep { sweep } => !sweep.is_clean(),
-            Response::BenchCompare { regressions, .. } => !regressions.is_empty(),
-            Response::BenchCompareServe { comparison, .. } => !comparison.ok(),
             _ => false,
         }
     }
@@ -425,23 +391,6 @@ impl Response {
                 }
                 out
             }
-            Response::BenchSnapshot {
-                path, n_benches, ..
-            } => {
-                format!("wrote bench baseline for {n_benches} benchmarks to {path}\n")
-            }
-            Response::BenchCompare {
-                tolerance_pp,
-                warnings,
-                regressions,
-            } => {
-                let mut out = String::new();
-                for w in warnings {
-                    let _ = writeln!(out, "warning: {w}");
-                }
-                out.push_str(&regress::render_report(regressions, *tolerance_pp));
-                out
-            }
             Response::Serve { addr, stats } => {
                 let served = stats
                     .get_path("verbs")
@@ -521,11 +470,6 @@ impl Response {
                      {forwarded} forwarded, {rerouted} rerouted\n"
                 )
             }
-            Response::BenchCompareServe {
-                tolerance_pp,
-                comparison,
-                ..
-            } => regress::render_serve_report(comparison, *tolerance_pp),
         }
     }
 
@@ -630,25 +574,11 @@ impl Response {
                     .with("n_benches", *n_benches as u64)
                     .with("artifacts", docs)
             }
-            Response::BenchSnapshot {
-                path,
-                n_benches,
-                snapshot,
-            } => Json::obj()
-                .with("path", path.as_str())
-                .with("n_benches", *n_benches as u64)
-                .with("snapshot", snapshot.clone()),
-            Response::BenchCompare {
-                tolerance_pp,
-                warnings,
-                regressions,
-            } => regress::comparison_json(regressions, warnings, *tolerance_pp),
             Response::Serve { addr, stats } => Json::obj()
                 .with("addr", addr.as_str())
                 .with("stats", stats.clone()),
             // The loadgen payload IS the snapshot — `--json` writes it
-            // verbatim, so a pinned run commits as `BENCH_serve.json`
-            // without post-processing.
+            // verbatim.
             Response::Loadgen { snapshot } => snapshot.clone(),
             Response::Cluster {
                 addr,
@@ -658,12 +588,6 @@ impl Response {
                 .with("addr", addr.as_str())
                 .with("workers", *workers as u64)
                 .with("stats", stats.clone()),
-            Response::BenchCompareServe {
-                tolerance_pp,
-                comparison,
-                current,
-            } => regress::serve_comparison_json(comparison, *tolerance_pp)
-                .with("current", current.clone()),
         }
     }
 }

@@ -6,16 +6,14 @@
 //! — so a socket client and the CLI see identical payloads for the same
 //! verb. [`run_serve`] hosts the public service.
 //!
-//! The loadgen verbs live here too: [`run_loadgen`] boots a private
-//! server and drives `amnesiac-loadgen`'s open-loop schedule at it, and
-//! [`run_bench_compare_serve`] replays a committed `BENCH_serve.json`
-//! baseline's exact load and gates the error rate.
+//! The `loadgen` verb lives here too: [`run_loadgen`] boots a private
+//! server and drives `amnesiac-loadgen`'s open-loop schedule at it, a
+//! cold burst and then a warm one.
 
 use std::io::Write as _;
 use std::sync::Arc;
 
 use amnesiac_cache::CompileCache;
-use amnesiac_experiments::regress;
 use amnesiac_loadgen::{run_against, LoadgenConfig, Mix};
 use amnesiac_serve::{code, Handler, Request, ServeError};
 use amnesiac_serve::{Server, ServerConfig, StatsHook, WireVerb};
@@ -121,8 +119,6 @@ fn request_command(request: &Request) -> Result<Command, ServeError> {
         paper_scale: false,
         scale,
         json_dir: None,
-        tolerance: None,
-        reps: None,
         port: None,
         workers: None,
         backlog: None,
@@ -132,7 +128,6 @@ fn request_command(request: &Request) -> Result<Command, ServeError> {
         seed: None,
         mix: None,
         cache_dir: None,
-        cluster: None,
     })
 }
 
@@ -183,8 +178,8 @@ pub(crate) fn run_serve(command: &Command) -> Result<Response, CliError> {
 
 /// Server tuning for the loadgen verbs' private in-process server.
 /// Worker count and backlog are pinned (not derived from the machine)
-/// so a committed `BENCH_serve.json` baseline replays against the same
-/// service shape everywhere; explicit serve flags still win.
+/// so a run measures the same service shape on every machine; explicit
+/// serve flags still win.
 fn loadgen_server_config(command: &Command) -> ServerConfig {
     let mut config = server_config(command);
     if command.workers.is_none() {
@@ -222,14 +217,15 @@ fn loadgen_config(command: &Command) -> Result<LoadgenConfig, CliError> {
     Ok(config)
 }
 
-/// Boots a private server with a shared compile cache, drives `config`'s
-/// open-loop load at it twice — a cold burst against the empty cache,
-/// then a warm burst replaying the *identical* schedule — and returns the
-/// snapshot document for the cold burst with two extra `results` blocks:
-/// `cache` (the shared cache's counters after both bursts) and `warm`
-/// (the warm burst's outcome). Snapshot schema v4; the comparator keeps
-/// accepting v3 baselines, which simply lack the two blocks.
-fn drive_loadgen(command: &Command, config: &LoadgenConfig) -> Result<Json, CliError> {
+/// The `loadgen` verb: boots a private server with a shared compile
+/// cache, drives the configured open-loop load at it twice — a cold burst
+/// against the empty cache, then a warm burst replaying the *identical*
+/// schedule — and reports the snapshot document for the cold burst with
+/// two extra `results` blocks: `cache` (the shared cache's counters after
+/// both bursts) and `warm` (the warm burst's outcome). `--json` writes
+/// the snapshot verbatim.
+pub(crate) fn run_loadgen(command: &Command) -> Result<Response, CliError> {
+    let config = loadgen_config(command)?;
     let cache = serve_cache(command)?;
     let server = Server::start_with_stats(
         loadgen_server_config(command),
@@ -238,15 +234,15 @@ fn drive_loadgen(command: &Command, config: &LoadgenConfig) -> Result<Json, CliE
     )
     .map_err(|e| CliError::Tool(format!("cannot start loadgen server: {e}")))?;
     let outcome = (|| {
-        let cold = run_against(server.addr(), config)
+        let cold = run_against(server.addr(), &config)
             .map_err(|e| CliError::Tool(format!("loadgen cold burst failed: {e}")))?;
-        let warm = run_against(server.addr(), config)
+        let warm = run_against(server.addr(), &config)
             .map_err(|e| CliError::Tool(format!("loadgen warm burst failed: {e}")))?;
         Ok((cold, warm))
     })();
     server.stop();
     let (cold, warm) = outcome?;
-    let mut snapshot = cold.snapshot(config);
+    let mut snapshot = cold.snapshot(&config);
     if let Some(results) = snapshot.get_mut("results") {
         results.set("cache", cache.stats_json());
         results.set(
@@ -262,43 +258,5 @@ fn drive_loadgen(command: &Command, config: &LoadgenConfig) -> Result<Json, CliE
                 .with("latency_ms", warm.latency_ms_json()),
         );
     }
-    Ok(snapshot)
-}
-
-/// The `loadgen` verb: one measured open-loop run against a private
-/// in-process server, reported as the snapshot document (which `--json`
-/// writes verbatim — commit it as `BENCH_serve.json` to pin a baseline).
-/// With `--cluster <n>` the load is driven at a router in front of `n`
-/// worker processes instead (see [`crate::cluster`]).
-pub(crate) fn run_loadgen(command: &Command) -> Result<Response, CliError> {
-    let config = loadgen_config(command)?;
-    let snapshot = match command.cluster {
-        Some(workers) => crate::cluster::drive_loadgen_cluster(command, &config, workers)?,
-        None => drive_loadgen(command, &config)?,
-    };
     Ok(Response::Loadgen { snapshot })
-}
-
-/// The serve arm of `bench-compare`: replays the committed baseline's
-/// exact load config (schedule and all — it is embedded in the
-/// snapshot) against a freshly booted server, then gates the error rate
-/// while reporting latency deltas as notes.
-pub(crate) fn run_bench_compare_serve(
-    command: &Command,
-    baseline: &Json,
-) -> Result<Response, CliError> {
-    let config_json = baseline
-        .get("config")
-        .ok_or_else(|| CliError::Tool("serve baseline has no `config` object".to_string()))?;
-    let config = LoadgenConfig::from_json(config_json)
-        .map_err(|e| CliError::Tool(format!("serve baseline: {e}")))?;
-    let current = drive_loadgen(command, &config)?;
-    let tolerance_pp = command.tolerance.unwrap_or(regress::DEFAULT_TOLERANCE_PP);
-    let comparison =
-        regress::compare_serve(baseline, &current, tolerance_pp).map_err(CliError::Tool)?;
-    Ok(Response::BenchCompareServe {
-        tolerance_pp,
-        comparison,
-        current,
-    })
 }

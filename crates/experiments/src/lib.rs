@@ -39,7 +39,6 @@ pub mod fig7;
 pub mod fig8;
 pub mod lint;
 pub mod pipeline;
-pub mod regress;
 pub mod report;
 pub mod table1;
 pub mod table2;

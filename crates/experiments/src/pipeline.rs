@@ -243,9 +243,6 @@ fn compute_workloads(workloads: Vec<Workload>, energy: &EnergyModel) -> Vec<Benc
     Pool::global().parallel_map(workloads, |w| BenchEval::compute(w, energy))
 }
 
-/// Default timing repetitions for [`EvalSuite::compute_sequential`].
-pub const DEFAULT_TIMING_REPS: usize = 3;
-
 impl EvalSuite {
     /// Computes the suite for the 11 focal benchmarks (in parallel on the
     /// global pool, one task per benchmark).
@@ -263,38 +260,6 @@ impl EvalSuite {
             benches: compute_workloads(workloads, energy),
             energy: energy.clone(),
         }
-    }
-
-    /// Computes the focal suite one benchmark at a time, repeating each
-    /// pipeline and keeping the element-wise *minimum* stage timings
-    /// ([`StageTimings::min_merge`]). The perf-regression harness snapshots
-    /// this instead of [`EvalSuite::compute`]: with one thread per
-    /// benchmark, per-bench stage wall-times mostly measure how the
-    /// scheduler time-shared the cores, and microsecond-scale compile
-    /// stages are further distorted by one-off allocator warm-up and
-    /// periodic scheduler hiccups — noise that only ever adds time, which
-    /// min-of-N strips. Results and gains are identical across repeats
-    /// (deterministic); only the timings are merged.
-    ///
-    /// `reps` is the number of timing repetitions per benchmark (clamped to
-    /// at least 1); [`DEFAULT_TIMING_REPS`] suits quiet machines, while a
-    /// loaded or frequency-scaling host wants more reps to reach the same
-    /// noise floor.
-    pub fn compute_sequential(scale: Scale, reps: usize) -> Self {
-        let reps = reps.max(1);
-        let energy = EnergyModel::paper();
-        let benches = FOCAL_NAMES
-            .iter()
-            .map(|name| {
-                let mut eval = BenchEval::compute(build_focal(name, scale), &energy);
-                for _ in 1..reps {
-                    let repeat = BenchEval::compute(build_focal(name, scale), &energy);
-                    eval.stages.min_merge(&repeat.stages);
-                }
-                eval
-            })
-            .collect();
-        EvalSuite { benches, energy }
     }
 
     /// Computes the control (compute-bound) benchmarks (on the pool, like

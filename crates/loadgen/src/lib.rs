@@ -16,8 +16,9 @@
 //! response receipt and recorded into an HDR-style log-bucketed
 //! [`LogHistogram`] (~3% relative resolution at any magnitude), from
 //! which the report extracts p50/p90/p99/p999. The snapshot document
-//! ([`LoadgenReport::snapshot`]) is what `BENCH_serve.json` pins and
-//! `bench-compare` gates.
+//! ([`LoadgenReport::snapshot`]) is the `loadgen` verb's payload. The
+//! repository benchmark (`perfbench/`) draws its serve workloads'
+//! arrivals from the same [`schedule`].
 
 mod hist;
 pub mod run;
@@ -28,16 +29,6 @@ pub use run::{run_against, LoadgenReport};
 use amnesiac_rng::Rng;
 use amnesiac_serve::WireVerb;
 use amnesiac_telemetry::Json;
-
-/// Snapshot schema version stamped into loadgen snapshots. Kept in
-/// lockstep with `amnesiac_experiments::regress::SCHEMA_VERSION` (a CLI
-/// test asserts the two are equal — the crates cannot depend on each
-/// other directly without pulling serve into experiments).
-///
-/// v4 added the optional `results.cache` (shared compile-cache counters)
-/// and `results.warm` (second-burst outcome over the identical schedule)
-/// blocks the CLI attaches to serve snapshots.
-pub const SNAPSHOT_SCHEMA_VERSION: u64 = 4;
 
 /// Hard cap on scheduled requests per run — a misconfigured
 /// `rate * duration` should fail loudly, not allocate without bound.
@@ -176,8 +167,8 @@ impl Mix {
 }
 
 /// Everything that determines a load run. The schedule is a pure
-/// function of this struct, so committing it inside a snapshot
-/// (`config` field) makes the run reproducible from the baseline alone.
+/// function of this struct, and the snapshot echoes it as its `config`
+/// object, so a run's own output says how to repeat it.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadgenConfig {
     /// Mean arrival rate, requests per second (Poisson process).
@@ -245,38 +236,6 @@ impl LoadgenConfig {
             .with("mix", self.mix.spec())
             .with("connections", self.connections)
             .with("timeout_ms", self.timeout_ms)
-    }
-
-    /// Rebuilds a configuration from a snapshot's `config` object, so
-    /// `bench-compare` can replay a committed baseline's exact load.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for the first missing or
-    /// malformed field.
-    pub fn from_json(value: &Json) -> Result<LoadgenConfig, String> {
-        let num = |key: &str| {
-            value
-                .get(key)
-                .and_then(Json::as_f64)
-                .ok_or_else(|| format!("config is missing number `{key}`"))
-        };
-        let int = |key: &str| num(key).map(|x| x as u64);
-        let mix = value
-            .get("mix")
-            .and_then(Json::as_str)
-            .ok_or_else(|| "config is missing string `mix`".to_string())
-            .and_then(Mix::parse)?;
-        let config = LoadgenConfig {
-            rate: num("rate")?,
-            duration_ms: int("duration_ms")?,
-            seed: int("seed")?,
-            mix,
-            connections: int("connections")? as usize,
-            timeout_ms: int("timeout_ms")?,
-        };
-        config.validate()?;
-        Ok(config)
     }
 }
 
@@ -508,20 +467,6 @@ mod tests {
             assert!(arrival.offset_us >= prev, "offsets must be non-decreasing");
             prev = arrival.offset_us;
         }
-    }
-
-    #[test]
-    fn config_round_trips_through_snapshot_json() {
-        let config = LoadgenConfig {
-            rate: 321.5,
-            duration_ms: 1500,
-            seed: 7,
-            mix: Mix::parse("compile=2,stats=1").unwrap(),
-            connections: 3,
-            timeout_ms: 9_000,
-        };
-        let parsed = LoadgenConfig::from_json(&config.to_json()).expect("round trip");
-        assert_eq!(parsed, config);
     }
 
     #[test]

@@ -21,7 +21,7 @@ use std::time::{Duration, Instant};
 use amnesiac_serve::{ClientConfig, Request, Response};
 use amnesiac_telemetry::Json;
 
-use crate::{schedule, LoadgenConfig, LogHistogram, SNAPSHOT_SCHEMA_VERSION};
+use crate::{schedule, LoadgenConfig, LogHistogram};
 
 /// Slack added to the per-request deadline before the receiver gives up
 /// on a connection (the server answers `timeout` *at* the deadline, so
@@ -108,8 +108,7 @@ impl LoadgenReport {
             .with("mean", self.latency.mean() / 1000.0)
     }
 
-    /// The full snapshot document — the schema `BENCH_serve.json` pins:
-    /// `{schema_version, kind: "serve", config, results}`.
+    /// The snapshot document: `{config, results}`.
     pub fn snapshot(&self, config: &LoadgenConfig) -> Json {
         let mut errors = Json::obj();
         for (code, n) in &self.errors_by_code {
@@ -131,8 +130,6 @@ impl LoadgenReport {
             .with("errors_by_code", errors)
             .with("verbs", verbs);
         Json::obj()
-            .with("schema_version", SNAPSHOT_SCHEMA_VERSION)
-            .with("kind", "serve")
             .with("config", config.to_json())
             .with("results", results)
     }

@@ -5,7 +5,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use amnesiac_loadgen::{run_against, schedule, LoadgenConfig, Mix, SNAPSHOT_SCHEMA_VERSION};
+use amnesiac_loadgen::{run_against, schedule, LoadgenConfig, Mix};
 use amnesiac_serve::{Handler, Request, Server, ServerConfig};
 use amnesiac_telemetry::Json;
 
@@ -82,14 +82,7 @@ fn snapshot_has_the_pinned_shape_and_embeds_the_config() {
     server.stop();
 
     let snapshot = report.snapshot(&config);
-    assert_eq!(
-        snapshot.get("schema_version").and_then(Json::as_f64),
-        Some(SNAPSHOT_SCHEMA_VERSION as f64)
-    );
-    assert_eq!(snapshot.get("kind").and_then(Json::as_str), Some("serve"));
-    let parsed = LoadgenConfig::from_json(snapshot.get("config").expect("config"))
-        .expect("config round-trips");
-    assert_eq!(parsed, config);
+    assert_eq!(snapshot.get("config"), Some(&config.to_json()));
     for path in [
         "results.scheduled",
         "results.completed",

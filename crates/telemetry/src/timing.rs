@@ -62,30 +62,6 @@ impl StageTimings {
             && self.compile_oracle_ms >= 0.0
             && self.policy_run_ms.iter().all(|(_, ms)| *ms >= 0.0)
     }
-
-    /// Element-wise minimum with another measurement of the same stages —
-    /// the standard noise-robust estimator for repeated wall-clock runs
-    /// (scheduler hiccups and page-fault warm-up only ever *add* time).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two measurements recorded different policy-run labels.
-    pub fn min_merge(&mut self, other: &StageTimings) {
-        self.profile_ms = self.profile_ms.min(other.profile_ms);
-        self.compile_prob_ms = self.compile_prob_ms.min(other.compile_prob_ms);
-        self.compile_oracle_ms = self.compile_oracle_ms.min(other.compile_oracle_ms);
-        assert_eq!(
-            self.policy_run_ms.len(),
-            other.policy_run_ms.len(),
-            "min_merge takes measurements of the same stages"
-        );
-        for ((label, ms), (other_label, other_ms)) in
-            self.policy_run_ms.iter_mut().zip(&other.policy_run_ms)
-        {
-            assert_eq!(label, other_label, "min_merge takes the same stages");
-            *ms = ms.min(*other_ms);
-        }
-    }
 }
 
 impl ToJson for StageTimings {
@@ -116,30 +92,6 @@ mod tests {
             std::hint::spin_loop();
         }
         assert!(sw.elapsed_ms() > 0.0);
-    }
-
-    #[test]
-    fn min_merge_takes_elementwise_minimum() {
-        let mut a = StageTimings {
-            profile_ms: 1.0,
-            compile_prob_ms: 5.0,
-            compile_oracle_ms: 3.0,
-            policy_run_ms: vec![("Oracle".into(), 4.0), ("FLC".into(), 1.0)],
-        };
-        let b = StageTimings {
-            profile_ms: 2.0,
-            compile_prob_ms: 1.0,
-            compile_oracle_ms: 3.5,
-            policy_run_ms: vec![("Oracle".into(), 3.0), ("FLC".into(), 2.0)],
-        };
-        a.min_merge(&b);
-        assert_eq!(a.profile_ms, 1.0);
-        assert_eq!(a.compile_prob_ms, 1.0);
-        assert_eq!(a.compile_oracle_ms, 3.0);
-        assert_eq!(
-            a.policy_run_ms,
-            vec![("Oracle".to_string(), 3.0), ("FLC".to_string(), 1.0)]
-        );
     }
 
     #[test]
