@@ -9,9 +9,9 @@
 //!
 //! Three layers (DESIGN.md §4f):
 //!
-//! * **Key derivation** — a 128-bit [`hash128`](amnesiac_mem::hash128)
-//!   over the canonical program image ([`encode_program`]), the
-//!   [`CompileOptions`] fingerprint, and [`CACHE_SCHEMA_VERSION`].
+//! * **Key derivation** — a 128-bit [`hash128`] over the canonical
+//!   program image ([`encode_program`]), the [`CompileOptions`]
+//!   fingerprint, and [`CACHE_SCHEMA_VERSION`].
 //!   Bumping the schema version invalidates every prior key, which is the
 //!   *only* invalidation rule: entries are never migrated or trusted across
 //!   pipeline changes.

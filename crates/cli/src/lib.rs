@@ -694,12 +694,14 @@ fn run_verify(command: &Command, cache: Option<&CompileCache>) -> Result<Respons
             let program = load_program(target, command.effective_scale() == Scale::Paper)?;
             let config = CoreConfig::paper();
             let tool = |e: &dyn std::fmt::Display| CliError::Tool(e.to_string());
-            let (binary, _) =
+            // `compile` gated the binary with the verifier's default
+            // options, so its report is the verdict; a cache hit carries it.
+            let (_, report) =
                 compile_maybe_cached(cache, &program, &config, &CompileOptions::default())
                     .map_err(|e| tool(&e))?;
             Ok(Response::VerifyTarget {
                 target: target.to_string(),
-                report: amnesiac_verify::verify(&binary),
+                report: report.verify,
             })
         }
         None => Ok(Response::VerifySweep {
@@ -752,8 +754,8 @@ fn run_experiments(command: &Command) -> Result<Response, CliError> {
 }
 
 /// Executes a command, returning the report text: [`run`] plus the
-/// terminal projection ([`Response::render_text`]) plus the `--json
-/// <dir>` exports (every verb writes `<verb>.json` with
+/// terminal projection ([`Response::render_text`]) plus the
+/// `--json <dir>` exports (every verb writes `<verb>.json` with
 /// [`Response::payload_json`]; `experiments` writes its artifact set).
 ///
 /// # Errors

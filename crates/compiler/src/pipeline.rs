@@ -5,7 +5,6 @@ use std::collections::BTreeSet;
 use amnesiac_energy::EnergyModel;
 use amnesiac_isa::{predecode, DecodedInst, IsaError, Program};
 use amnesiac_mem::ServiceLevel;
-use amnesiac_pool::Pool;
 use amnesiac_profile::{ProgramProfile, Unswappable};
 use amnesiac_sim::RunError;
 use amnesiac_telemetry::{Json, ToJson};
@@ -13,7 +12,7 @@ use amnesiac_verify::VerifyReport;
 
 use crate::annotate::annotate_with_map;
 use crate::estimate::SliceEstimator;
-use crate::replay::{replay_decoded, replay_validate};
+use crate::replay::replay_decoded;
 use crate::slice::SliceSpec;
 use crate::storage::StorageBounds;
 
@@ -283,10 +282,8 @@ pub fn compile(
 
     // plan every swappable site first: the Oracle criterion amortises REC
     // overheads across slices that share checkpointed origins (Hist is
-    // keyed by leaf address, §3.2). Site planning is independent per load
-    // pc, so it fans out on the pool; `parallel_map` preserves pc order, so
-    // decisions and origin accounting are identical to a sequential pass.
-    let plans = Pool::global().parallel_map(profile.loads.values().collect(), |site| {
+    // keyed by leaf address, §3.2).
+    let plans = profile.loads.values().map(|site| {
         let plan = if site.unswappable.is_some() {
             None
         } else {
@@ -476,63 +473,23 @@ fn all_slices_proven_static(annotated: &Program) -> bool {
         .all(|r| r.verdict.is_proven())
 }
 
-/// Shard count for one validation round: split across the pool only when
-/// there is real parallelism to win. Sharding replays the base instruction
-/// stream once *per shard*, so on a single worker it would only multiply
-/// work.
-fn validation_shards(n_specs: usize) -> usize {
-    let workers = Pool::global().workers();
-    if workers > 1 && n_specs >= 2 {
-        workers.min(n_specs)
-    } else {
-        1
-    }
-}
-
-/// Load pcs whose slices fail the validation replay, computed over `shards`
-/// contiguous chunks of `specs` replayed independently (in parallel on the
-/// pool when `shards > 1`).
-///
-/// Sharding is sound because of the incremental invariant: the replay
-/// retires the architecturally correct value at every `RCMP`, so a slice's
-/// match record depends only on its own traversals — and each shard's
-/// annotation carries the `REC`s for its own slices' origins, checkpointing
-/// the same architectural values the full annotation would. The union of
-/// the shards' failing sets therefore equals the full program's failing
-/// set. With `shards == 1` the pre-annotated full binary is replayed
-/// directly, avoiding a redundant annotation.
+/// Load pcs whose slices fail one validation replay of `annotated`, the
+/// annotation of `specs` (`decoded` is its predecode).
 fn failing_load_pcs(
-    program: &Program,
     annotated: &Program,
     decoded: &[DecodedInst],
     specs: &[SliceSpec],
     fuse: u64,
-    shards: usize,
 ) -> Result<BTreeSet<usize>, CompileError> {
+    let outcome = replay_decoded(annotated, decoded, fuse)?;
     // slice ids are assigned in load-pc order by annotate()
-    fn ids_to_pcs(failing: &[u32], specs: &[SliceSpec]) -> BTreeSet<usize> {
-        let mut by_pc: Vec<usize> = specs.iter().map(|s| s.load_pc).collect();
-        by_pc.sort_unstable();
-        failing.iter().map(|&id| by_pc[id as usize]).collect()
-    }
-    if shards <= 1 {
-        let outcome = replay_decoded(annotated, decoded, fuse)?;
-        return Ok(ids_to_pcs(&outcome.failing_slices(), specs));
-    }
-    let per_shard = specs.len().div_ceil(shards);
-    let results = Pool::global().parallel_map(
-        specs.chunks(per_shard).collect(),
-        |chunk| -> Result<BTreeSet<usize>, CompileError> {
-            let (shard_annotated, _) = annotate_with_map(program, chunk)?;
-            let outcome = replay_validate(&shard_annotated, fuse)?;
-            Ok(ids_to_pcs(&outcome.failing_slices(), chunk))
-        },
-    );
-    let mut failing = BTreeSet::new();
-    for shard in results {
-        failing.extend(shard?);
-    }
-    Ok(failing)
+    let mut by_pc: Vec<usize> = specs.iter().map(|s| s.load_pc).collect();
+    by_pc.sort_unstable();
+    Ok(outcome
+        .failing_slices()
+        .iter()
+        .map(|&id| by_pc[id as usize])
+        .collect())
 }
 
 /// Annotates `specs` into `program` and validates them by whole-program
@@ -575,14 +532,8 @@ fn validate_specs(
     } else if options.validate && !specs.is_empty() {
         loop {
             rounds += 1;
-            let round_dropped = failing_load_pcs(
-                program,
-                &annotated,
-                &decoded,
-                &specs,
-                options.replay_fuse,
-                validation_shards(specs.len()),
-            )?;
+            let round_dropped =
+                failing_load_pcs(&annotated, &decoded, &specs, options.replay_fuse)?;
             if round_dropped.is_empty() {
                 break;
             }
@@ -709,6 +660,7 @@ pub fn redundant_stores(profile: &ProgramProfile, selected: &BTreeSet<usize>) ->
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::replay::replay_validate;
     use crate::slice::SliceInstSpec;
     use amnesiac_isa::{AluOp, BranchCond, Instruction, OperandSource, ProgramBuilder, Reg};
     use amnesiac_profile::profile_program;
@@ -814,9 +766,7 @@ mod tests {
     }
 
     #[test]
-    fn pooled_compile_is_deterministic() {
-        // planning fans out on the pool; order-preserving parallel_map must
-        // make the result independent of scheduling
+    fn compile_is_deterministic() {
         let p = kernel(50);
         let (profile, _) = profile_program(&p, &small_config()).unwrap();
         let (a1, r1) = compile(&p, &profile, &CompileOptions::default()).unwrap();
@@ -1025,34 +975,6 @@ mod tests {
         let outcome = replay_validate(&v.annotated, 10_000).unwrap();
         assert_eq!(v.annotated.slices.len(), 1);
         assert!(outcome.failing_slices().is_empty());
-    }
-
-    #[test]
-    fn sharded_replay_matches_sequential_failing_set() {
-        let (p, add_a, add_b, load_a, load_b) = two_cell_program();
-        let good = spec_with(
-            load_b,
-            vec![SliceInstSpec {
-                inst: Instruction::Alui {
-                    op: AluOp::Add,
-                    dst: Reg(5),
-                    src: Reg(3),
-                    imm: 5,
-                },
-                origin_pc: add_b,
-                sources: [Some(OperandSource::Hist { key: 0 }), None, None],
-            }],
-        );
-        let specs = vec![bad_spec(load_a, add_a), good];
-        let (annotated, _) = annotate_with_map(&p, &specs).unwrap();
-        let decoded = predecode(&annotated);
-        let sequential = failing_load_pcs(&p, &annotated, &decoded, &specs, 10_000, 1).unwrap();
-        let sharded = failing_load_pcs(&p, &annotated, &decoded, &specs, 10_000, 2).unwrap();
-        assert_eq!(sequential, BTreeSet::from([load_a]));
-        assert_eq!(
-            sharded, sequential,
-            "per-shard replay must find the same failing set"
-        );
     }
 
     #[test]

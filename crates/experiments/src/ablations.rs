@@ -273,7 +273,7 @@ pub fn store_elision(suite: &EvalSuite) -> String {
 }
 
 /// Related-work interaction: does a next-line prefetcher (the classic
-/// latency-tolerance alternative, cf. Mowry et al. [28]) erode amnesic
+/// latency-tolerance alternative, cf. Mowry et al. \[28\]) erode amnesic
 /// execution's advantage? Both the baseline and the amnesic pipeline are
 /// re-profiled and re-compiled under the prefetching hierarchy, so the
 /// compiler sees the prefetch-improved PrLi.

@@ -1,5 +1,5 @@
-//! Regenerates the paper's Table 6 (break-even R sweep). Pass `--json
-//! <dir>` for the machine-readable twin.
+//! Regenerates the paper's Table 6 (break-even R sweep). Pass
+//! `--json <dir>` for the machine-readable twin.
 use amnesiac_experiments::export;
 use amnesiac_workloads::Scale;
 

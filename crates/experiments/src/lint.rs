@@ -1,8 +1,8 @@
 //! Suite-wide static lint sweep (the `amnesiac lint` verb).
 //!
 //! Compiles every built-in workload (all 33 of Table 2) under both slice
-//! sets and reports what the abstract-interpretation layer concluded about
-//! each binary: the verifier's full diagnostic set (including the
+//! sets, on scoped threads one workload per task, and reports what the
+//! abstract-interpretation layer concluded about each binary: the verifier's full diagnostic set (including the
 //! absint-backed kinds and machine-checked `explained` annotations) plus
 //! the pipeline's replay-validation counters, which show how many dynamic
 //! replay rounds the static replay-equivalence prover skipped.
@@ -15,7 +15,6 @@
 //! this, and on the aggregate static-skip ratio over the focal benches.
 
 use amnesiac_energy::EnergyModel;
-use amnesiac_pool::Pool;
 use amnesiac_profile::profile_program;
 use amnesiac_sim::CoreConfig;
 use amnesiac_telemetry::{Json, ToJson};
@@ -26,6 +25,8 @@ use amnesiac_workloads::{
 };
 
 use amnesiac_compiler::{compile, CompileOptions};
+
+use crate::pipeline::fan_out;
 
 /// Lint result for one annotated binary of a workload.
 #[derive(Debug, Clone)]
@@ -112,8 +113,8 @@ pub struct LintSweep {
 }
 
 impl LintSweep {
-    /// Compiles and lints all 33 built-in workloads at `scale`, one pool
-    /// task per workload (`parallel_map` preserves Table-2 order).
+    /// Compiles and lints all 33 built-in workloads at `scale`, one task
+    /// per workload, in Table-2 order.
     pub fn compute(scale: Scale) -> Self {
         let workloads: Vec<Workload> = FOCAL_NAMES
             .iter()
@@ -121,7 +122,7 @@ impl LintSweep {
             .chain(CONTROL_NAMES.iter().map(|n| build_control(n, scale)))
             .chain(EXTENDED_NAMES.iter().map(|n| build_extended(n, scale)))
             .collect();
-        let results = Pool::global().parallel_map(workloads, |w| Self::lint_workload(&w));
+        let results = fan_out(workloads, |w| Self::lint_workload(&w));
         LintSweep { workloads: results }
     }
 

@@ -1,11 +1,15 @@
 //! The shared evaluation pipeline: profile → compile (both slice sets) →
 //! run classic + every amnesic policy, once per benchmark.
 
+use std::num::NonZeroUsize;
+use std::panic;
+use std::sync::{Mutex, PoisonError};
+use std::thread;
+
 use amnesiac_compiler::{compile, CompileOptions, CompileReport};
 use amnesiac_core::{AmnesicConfig, AmnesicCore, AmnesicRunResult, Policy};
 use amnesiac_energy::EnergyModel;
 use amnesiac_isa::Program;
-use amnesiac_pool::Pool;
 use amnesiac_profile::{profile_program, ProgramProfile};
 use amnesiac_sim::{CoreConfig, RunResult};
 use amnesiac_telemetry::{Json, StageTimings, Stopwatch, ToJson};
@@ -235,17 +239,48 @@ pub struct EvalSuite {
     pub energy: EnergyModel,
 }
 
-/// Runs the full pipeline for every workload on the global pool. Suite
-/// composition is the caller's workload list; this helper only fans out.
-/// `parallel_map` preserves input order, so suite records are identical to
-/// a sequential pass regardless of worker count.
+/// Maps `f` over `items` on scoped threads and returns the results in
+/// input order. Each thread claims the next unclaimed item until none is
+/// left, so uneven items still balance. There are `available_parallelism`
+/// threads, capped at the item count. A panic in `f` is re-thrown here,
+/// with its payload, once every thread has stopped.
+pub(crate) fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync) -> Vec<R> {
+    let threads = thread::available_parallelism()
+        .map_or(1, NonZeroUsize::get)
+        .min(items.len());
+    let queue = Mutex::new(items.into_iter().enumerate());
+    // The guard drops when `claim` returns, so `f` never runs under it.
+    let claim = || queue.lock().unwrap_or_else(PoisonError::into_inner).next();
+    let mut done: Vec<(usize, R)> = thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    std::iter::from_fn(claim)
+                        .map(|(i, item)| (i, f(item)))
+                        .collect::<Vec<_>>()
+                })
+            })
+            .collect();
+        let joined: Vec<_> = handles.into_iter().map(|h| h.join()).collect();
+        joined
+            .into_iter()
+            .flat_map(|r| r.unwrap_or_else(|payload| panic::resume_unwind(payload)))
+            .collect()
+    });
+    done.sort_unstable_by_key(|&(i, _)| i);
+    done.into_iter().map(|(_, r)| r).collect()
+}
+
+/// Runs the full pipeline for every workload, fanned out with
+/// [`fan_out`]. Suite composition is the caller's workload list. Results
+/// keep input order, so suite records are identical to a sequential pass.
 fn compute_workloads(workloads: Vec<Workload>, energy: &EnergyModel) -> Vec<BenchEval> {
-    Pool::global().parallel_map(workloads, |w| BenchEval::compute(w, energy))
+    fan_out(workloads, |w| BenchEval::compute(w, energy))
 }
 
 impl EvalSuite {
-    /// Computes the suite for the 11 focal benchmarks (in parallel on the
-    /// global pool, one task per benchmark).
+    /// Computes the suite for the 11 focal benchmarks (in parallel, one
+    /// task per benchmark).
     pub fn compute(scale: Scale) -> Self {
         Self::compute_with(scale, &EnergyModel::paper())
     }
@@ -262,7 +297,7 @@ impl EvalSuite {
         }
     }
 
-    /// Computes the control (compute-bound) benchmarks (on the pool, like
+    /// Computes the control (compute-bound) benchmarks (in parallel, like
     /// [`EvalSuite::compute`]).
     pub fn compute_controls(scale: Scale) -> Self {
         let energy = EnergyModel::paper();
@@ -277,7 +312,7 @@ impl EvalSuite {
     }
 
     /// Computes "the rest": the 22 non-focal benchmarks of Table 2
-    /// (5 controls + 17 extended), in parallel on the pool.
+    /// (5 controls + 17 extended), in parallel.
     pub fn compute_rest(scale: Scale) -> Self {
         let energy = EnergyModel::paper();
         let workloads = CONTROL_NAMES
@@ -380,13 +415,59 @@ mod tests {
     }
 
     #[test]
+    fn fan_out_handles_empty_and_single_inputs() {
+        assert!(fan_out(Vec::<u32>::new(), |x| x).is_empty());
+        assert_eq!(fan_out(vec![7], |x| x + 1), vec![8]);
+    }
+
+    #[test]
+    fn fan_out_keeps_input_order_under_uneven_durations() {
+        fn spin(iters: u64) -> u64 {
+            let mut acc = iters;
+            for i in 0..iters {
+                acc = acc.wrapping_mul(6364136223846793005).wrapping_add(i);
+                std::hint::spin_loop();
+            }
+            acc
+        }
+        let mut rng = amnesiac_rng::Rng::seed_from_u64(0x9e3779b97f4a7c15);
+        for round in 0..4 {
+            let n = rng.below(100);
+            let items: Vec<(u64, u64)> = (0..n).map(|index| (index, rng.below(20_000))).collect();
+            let expected: Vec<u64> = items
+                .iter()
+                .map(|&(index, iters)| index.wrapping_add(spin(iters)))
+                .collect();
+            let got = fan_out(items, |(index, iters)| index.wrapping_add(spin(iters)));
+            assert_eq!(got, expected, "round {round}, {n} items");
+        }
+    }
+
+    #[test]
+    fn fan_out_rethrows_a_panic_with_its_payload() {
+        let result = std::panic::catch_unwind(|| {
+            fan_out((0..16).collect(), |x: u32| {
+                if x == 9 {
+                    panic!("boom at {x}");
+                }
+                x
+            })
+        });
+        let payload = result.expect_err("the panic reaches the caller");
+        assert_eq!(
+            payload.downcast_ref::<String>().map(String::as_str),
+            Some("boom at 9")
+        );
+    }
+
+    #[test]
     fn pooled_fanout_matches_sequential_byte_for_byte() {
         // the suite must be bitwise independent of how it was scheduled:
         // same binaries, same run records, same gains — only wall-clock
         // stage timings may differ between the two arms
         let energy = EnergyModel::paper();
         let names: Vec<_> = FOCAL_NAMES.iter().take(2).collect();
-        let pooled = compute_workloads(
+        let fanned = compute_workloads(
             names.iter().map(|n| build_focal(n, Scale::Test)).collect(),
             &energy,
         );
@@ -394,9 +475,9 @@ mod tests {
             .iter()
             .map(|n| BenchEval::compute(build_focal(n, Scale::Test), &energy))
             .collect();
-        assert_eq!(pooled.len(), sequential.len());
-        for (p, s) in pooled.iter().zip(&sequential) {
-            assert_eq!(p.name, s.name, "parallel_map must preserve input order");
+        assert_eq!(fanned.len(), sequential.len());
+        for (p, s) in fanned.iter().zip(&sequential) {
+            assert_eq!(p.name, s.name, "fan_out must preserve input order");
             assert_eq!(p.prob_binary.instructions, s.prob_binary.instructions);
             assert_eq!(p.oracle_binary.instructions, s.oracle_binary.instructions);
             assert_eq!(p.classic.to_json().compact(), s.classic.to_json().compact());
@@ -404,7 +485,7 @@ mod tests {
                 assert_eq!(
                     result.to_json().compact(),
                     s.run(*outcome).to_json().compact(),
-                    "{} diverged between pooled and sequential runs",
+                    "{} diverged between fanned-out and sequential runs",
                     outcome.label()
                 );
             }

@@ -9,6 +9,7 @@ use amnesiac_profile::{profile_program, ProgramProfile};
 use amnesiac_sim::{ClassicCore, CoreConfig};
 use amnesiac_workloads::{build_focal, Scale, FOCAL_NAMES};
 
+use crate::pipeline::fan_out;
 use crate::report::Table;
 
 /// Upper limit of the sweep; benchmarks still winning here report `> MAX`.
@@ -65,22 +66,10 @@ pub fn break_even(program: &amnesiac_isa::Program, profile: &ProgramProfile) -> 
 /// `(name, Some(factor))`, or `(name, None)` when the benchmark still gains
 /// at [`MAX_FACTOR`].
 pub fn compute(scale: Scale) -> Vec<(String, Option<f64>)> {
-    std::thread::scope(|scope| {
-        let handles: Vec<_> = FOCAL_NAMES
-            .iter()
-            .map(|name| {
-                scope.spawn(move || {
-                    let w = build_focal(name, scale);
-                    let (profile, _) =
-                        profile_program(&w.program, &CoreConfig::paper()).expect("profiles");
-                    (name.to_string(), break_even(&w.program, &profile))
-                })
-            })
-            .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("thread"))
-            .collect()
+    fan_out(FOCAL_NAMES.to_vec(), |name| {
+        let w = build_focal(name, scale);
+        let (profile, _) = profile_program(&w.program, &CoreConfig::paper()).expect("profiles");
+        (name.to_string(), break_even(&w.program, &profile))
     })
 }
 

@@ -1,3 +1,5 @@
+#![deny(unsafe_code)]
+
 //! `amnesiac-loadgen` — an open-loop load generator for `amnesiac-serve`.
 //!
 //! "Heavy traffic" is only a claim until there is a number attached; this
@@ -296,7 +298,7 @@ fn listing_sweep_targets() -> Vec<String> {
 /// `config.rate` (a Poisson process) until `config.duration_ms` is
 /// exhausted, each arrival tagged with a mix draw. The cacheable verbs
 /// additionally draw their target from a kernel pool:
-/// `compile`/`verify` sweep [`PAPER_SWEEP`] at paper scale (expensive
+/// `compile`/`verify` sweep `PAPER_SWEEP` at paper scale (expensive
 /// artifacts), `disasm` sweeps the whole suite at test scale (broad
 /// listings). Deterministic in `(rate, duration_ms, seed, mix)`; offsets
 /// are non-decreasing and the length is capped at [`MAX_SCHEDULED`].

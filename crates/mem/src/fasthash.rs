@@ -100,7 +100,7 @@ const K2: u64 = 0xC2B2_AE3D_27D4_EB4F;
 /// A 128-bit content hash over a sequence of byte chunks — the *one*
 /// audited hash implementation shared by the compile-cache content key
 /// and the [`FoldHasher`]-backed hot maps (both fold words with
-/// [`fold_mul`]).
+/// `fold_mul`).
 ///
 /// Two independent 64-bit lanes run over the same stream with different
 /// multipliers and initial states; each chunk is terminated by its

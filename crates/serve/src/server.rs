@@ -3,9 +3,10 @@
 //! One acceptor thread takes TCP connections; each connection gets a
 //! reader thread (parses request lines, dispatches jobs) and a writer
 //! thread (waits for each job up to its deadline, writes response lines
-//! in request order). Request execution happens on an [`amnesiac_pool`]
-//! work-stealing pool owned by a dispatcher thread, so heavy verbs from
-//! many connections share one bounded set of workers.
+//! in request order). Requests execute on `workers` threads that take
+//! jobs from one shared queue in arrival order, so heavy verbs from many
+//! connections share one bounded set of workers, and each request runs
+//! on exactly one of them.
 //!
 //! ## Backpressure
 //!
@@ -30,7 +31,7 @@
 //! makes readers refuse new requests with [`code::SHUTTING_DOWN`], and
 //! lets every already-admitted request drain: writers deliver all pending
 //! responses before their connections close. [`Server::join`] returns
-//! once every connection and the worker pool have wound down.
+//! once every connection and every worker have wound down.
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
@@ -42,14 +43,13 @@ use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use amnesiac_pool::Pool;
 use amnesiac_rng::Rng;
 use amnesiac_telemetry::Json;
 
 use crate::protocol::{code, Request, Response, RouteMeta, ServeError, PROTOCOL_VERSION};
 
 /// How the request handler is plugged into the server: a function from
-/// parsed request to payload-or-error. Called on pool workers; must be
+/// parsed request to payload-or-error. Called on worker threads; must be
 /// panic-safe in the sense that a panic is caught and reported as
 /// [`code::INTERNAL`], never crashes the server.
 pub type Handler = Arc<dyn Fn(&Request) -> Result<Json, ServeError> + Send + Sync>;
@@ -175,7 +175,7 @@ struct Shared {
     accept_errors: AtomicU64,
     /// Connections whose reader/writer threads are still running.
     open_connections: AtomicUsize,
-    /// Jobs the pool skipped because their deadline had already passed
+    /// Jobs a worker skipped because their deadline had already passed
     /// (or the writer had cancelled them) by the time a worker got there.
     expired_skipped: AtomicU64,
     stats: Mutex<Stats>,
@@ -274,7 +274,7 @@ impl Shared {
     }
 }
 
-/// One request's completion slot, shared between the pool job computing
+/// One request's completion slot, shared between the worker job computing
 /// it and the connection writer waiting on it.
 struct Job {
     cancelled: AtomicBool,
@@ -335,7 +335,7 @@ struct PendingResponse {
 enum PendingKind {
     /// Decided at dispatch time (stats, rejections, protocol errors).
     Ready(Result<Json, ServeError>),
-    /// Executing (or queued) on the pool; resolved by the writer.
+    /// Executing (or queued) on a worker; resolved by the writer.
     Running(Arc<Job>, Instant),
 }
 
@@ -345,17 +345,20 @@ enum PendingKind {
 pub struct Server {
     shared: Arc<Shared>,
     acceptor: Option<JoinHandle<()>>,
-    dispatcher: Option<JoinHandle<()>>,
+    workers: Vec<JoinHandle<()>>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
+/// One admitted request's work, queued for the workers.
+type Task = Box<dyn FnOnce() + Send>;
+
 impl Server {
-    /// Binds, spawns the worker pool and acceptor, and returns
+    /// Binds, spawns the workers and the acceptor, and returns
     /// immediately. Requests are served until [`Server::shutdown`].
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates a bind failure or a failed thread spawn.
     pub fn start(config: ServerConfig, handler: Handler) -> std::io::Result<Server> {
         Server::start_with_stats(config, handler, None)
     }
@@ -365,7 +368,7 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates the bind failure.
+    /// Propagates a bind failure or a failed thread spawn.
     pub fn start_with_stats(
         config: ServerConfig,
         handler: Handler,
@@ -392,15 +395,21 @@ impl Server {
             server_id: fresh_server_id(),
             started_at_ms: wall_clock_ms(),
         });
-        // The dispatcher thread owns the pool: jobs reach it over a
-        // channel whose senders are held by the acceptor and the
-        // connection readers, so the pool is dropped (draining its queue)
-        // exactly when the last connection is done — never from inside
-        // one of its own workers.
-        let (jobs_tx, jobs_rx) = channel::<Box<dyn FnOnce() + Send>>();
-        let dispatcher = thread::Builder::new()
-            .name("amnesiac-serve-dispatch".into())
-            .spawn(move || dispatcher_loop(workers, jobs_rx))?;
+        // Jobs reach the workers over one channel whose senders are held
+        // by the acceptor and the connection readers. It disconnects only
+        // once the last of them is done, and a receiver still yields every
+        // queued job before it sees the disconnect, so admitted work runs
+        // before the workers exit.
+        let (jobs_tx, jobs_rx) = channel::<Task>();
+        let jobs_rx = Arc::new(Mutex::new(jobs_rx));
+        let workers = (0..workers)
+            .map(|_| {
+                let jobs = Arc::clone(&jobs_rx);
+                thread::Builder::new()
+                    .name("amnesiac-serve-worker".into())
+                    .spawn(move || worker_loop(&jobs))
+            })
+            .collect::<std::io::Result<Vec<_>>>()?;
         let conns = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = Arc::clone(&shared);
@@ -412,7 +421,7 @@ impl Server {
         Ok(Server {
             shared,
             acceptor: Some(acceptor),
-            dispatcher: Some(dispatcher),
+            workers,
             conns,
         })
     }
@@ -444,8 +453,8 @@ impl Server {
         lock(&self.conns).len()
     }
 
-    /// Waits until the acceptor, every connection, and the worker pool
-    /// have exited. Only returns promptly after [`Server::shutdown`] (or
+    /// Waits until the acceptor, every connection, and every worker have
+    /// exited. Only returns promptly after [`Server::shutdown`] (or
     /// a `shutdown` request) — otherwise it waits for the next one. The
     /// server handle stays usable afterwards (e.g. for a final
     /// [`Server::stats_json`] snapshot); a second call is a no-op.
@@ -459,8 +468,8 @@ impl Server {
             };
             let _ = conn.join();
         }
-        if let Some(dispatcher) = self.dispatcher.take() {
-            let _ = dispatcher.join();
+        for worker in self.workers.drain(..) {
+            let _ = worker.join();
         }
     }
 
@@ -471,19 +480,22 @@ impl Server {
     }
 }
 
-fn dispatcher_loop(workers: usize, jobs: Receiver<Box<dyn FnOnce() + Send>>) {
-    let pool = Pool::new(workers);
-    for job in jobs {
-        pool.spawn(job);
+/// Runs queued jobs in arrival order until the channel disconnects. The
+/// lock is a temporary of the `let`, so it is released before the job runs.
+fn worker_loop(jobs: &Mutex<Receiver<Task>>) {
+    loop {
+        let Ok(job) = lock(jobs).recv() else {
+            return;
+        };
+        job();
     }
-    // Pool drop drains still-queued jobs before joining its workers.
 }
 
 fn acceptor_loop(
     listener: TcpListener,
     shared: Arc<Shared>,
     conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    jobs_tx: Sender<Box<dyn FnOnce() + Send>>,
+    jobs_tx: Sender<Task>,
 ) {
     let mut backoff = ACCEPT_BACKOFF_MIN;
     loop {
@@ -548,11 +560,7 @@ fn reap_finished(conns: &Mutex<Vec<JoinHandle<()>>>) {
     }
 }
 
-fn serve_connection(
-    shared: Arc<Shared>,
-    stream: TcpStream,
-    jobs_tx: Sender<Box<dyn FnOnce() + Send>>,
-) {
+fn serve_connection(shared: Arc<Shared>, stream: TcpStream, jobs_tx: Sender<Task>) {
     // Balances the acceptor's increment on every exit path.
     struct OpenGuard(Arc<Shared>);
     impl Drop for OpenGuard {
@@ -589,7 +597,7 @@ fn serve_connection(
 fn reader_loop(
     shared: &Arc<Shared>,
     stream: TcpStream,
-    jobs_tx: &Sender<Box<dyn FnOnce() + Send>>,
+    jobs_tx: &Sender<Task>,
     tx: &Sender<PendingResponse>,
 ) {
     let mut reader = BufReader::new(stream);
@@ -624,7 +632,7 @@ fn reader_loop(
 
 fn process_line(
     shared: &Arc<Shared>,
-    jobs_tx: &Sender<Box<dyn FnOnce() + Send>>,
+    jobs_tx: &Sender<Task>,
     tx: &Sender<PendingResponse>,
     raw: &[u8],
 ) {
@@ -659,12 +667,8 @@ fn process_line(
 }
 
 /// Decides what happens to one parsed request: answered inline (server
-/// verbs, rejections) or admitted and queued on the pool.
-fn dispatch(
-    shared: &Arc<Shared>,
-    jobs_tx: &Sender<Box<dyn FnOnce() + Send>>,
-    request: &Request,
-) -> PendingKind {
+/// verbs, rejections) or admitted and queued for the workers.
+fn dispatch(shared: &Arc<Shared>, jobs_tx: &Sender<Task>, request: &Request) -> PendingKind {
     match request.verb.as_str() {
         "stats" => PendingKind::Ready(Ok(shared.stats_json())),
         "shutdown" => {
@@ -713,10 +717,10 @@ fn dispatch(
                         job.complete(outcome);
                     }
                     shared.release();
-                }) as Box<dyn FnOnce() + Send>
+                }) as Task
             };
             if jobs_tx.send(task).is_err() {
-                // Dispatcher gone: only possible mid-shutdown.
+                // No worker is left to take it.
                 shared.release();
                 return PendingKind::Ready(Err(ServeError::new(
                     code::SHUTTING_DOWN,

@@ -222,7 +222,7 @@ fn queued_request_past_deadline_is_cancelled_without_executing() {
     release.send(()).unwrap();
     let blocked = blocker.recv().unwrap();
     assert!(blocked.is_ok());
-    // Give the pool a moment to drain the cancelled job, then check.
+    // Give the worker a moment to drain the cancelled job, then check.
     let sentinel = client
         .call(&Request::new("echo").with_id(3u64).with_timeout_ms(5_000))
         .unwrap();
@@ -425,7 +425,7 @@ fn expired_queued_requests_are_skipped_before_reaching_the_handler() {
     // earlier response on its connection. Pipeline a long-deadline `block`
     // ahead of several already-expired `sleep`s: the writer is stuck on
     // the block, so by the time the single worker frees, the sleeps are
-    // expired-but-not-yet-cancelled. Without the pool-side deadline check
+    // expired-but-not-yet-cancelled. Without the worker-side deadline check
     // they would all run (burning the worker for their full duration);
     // with it, the handler never sees them.
     let (server, release, entered, executed) = echo_server(1, 64, 60_000);
@@ -525,16 +525,37 @@ fn stats_carries_the_acceptor_health_counters() {
 
 #[test]
 fn shutdown_drains_in_flight_and_refuses_new_work() {
-    let (mut server, release, entered, _executed) = echo_server(1, 8, 60_000);
+    let (mut server, release, entered, executed) = echo_server(1, 8, 60_000);
     let addr = server.addr();
     let mut worker_client = Client::connect(addr).unwrap();
     worker_client
         .send(&Request::new("block").with_id(1u64))
         .unwrap();
     entered.recv_timeout(Duration::from_secs(5)).unwrap();
+    // A second request queues behind the blocked one on the only worker.
+    worker_client
+        .send(&Request::new("echo").with_id(2u64))
+        .unwrap();
+    let mut admin = Client::connect(addr).unwrap();
+    let deadline = std::time::Instant::now() + Duration::from_secs(5);
+    loop {
+        let stats = admin.call(&Request::new("stats")).unwrap();
+        let inflight = stats
+            .payload()
+            .unwrap()
+            .get("inflight")
+            .and_then(Json::as_f64);
+        if inflight == Some(2.0) {
+            break;
+        }
+        assert!(
+            std::time::Instant::now() < deadline,
+            "echo never admitted: {inflight:?}"
+        );
+        std::thread::sleep(Duration::from_millis(5));
+    }
 
     // Ask for shutdown over the wire while a request is in flight.
-    let mut admin = Client::connect(addr).unwrap();
     let response = admin.call(&Request::new("shutdown")).unwrap();
     assert!(response.is_ok());
     assert_eq!(
@@ -555,6 +576,15 @@ fn shutdown_drains_in_flight_and_refuses_new_work() {
         drained.error()
     );
     assert_eq!(drained.id, Json::Num(1.0));
+    // The queued request still runs and is answered after shutdown.
+    let queued = worker_client.recv().unwrap();
+    assert!(
+        queued.is_ok(),
+        "queued request drained: {:?}",
+        queued.error()
+    );
+    assert_eq!(queued.id, Json::Num(2.0));
+    assert_eq!(executed.load(Ordering::SeqCst), 2);
 
     // join() returns because every connection winds down after the flag.
     drop(worker_client);

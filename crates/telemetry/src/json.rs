@@ -107,7 +107,7 @@ impl Json {
     }
 
     /// Serializes with 2-space indentation and a trailing newline — the
-    /// format committed under `results/`.
+    /// format of the `--json <dir>` artifact files.
     pub fn pretty(&self) -> String {
         let mut out = String::new();
         self.write(&mut out, 0);

@@ -13,7 +13,7 @@
 //! inputs with a CFG-plus-dataflow static analysis:
 //!
 //! * basic blocks, reachability and dominators over the main code
-//!   ([`cfg`]),
+//!   ([`mod@cfg`]),
 //! * a forward must-reach analysis of `REC` checkpoints ([`dataflow`]),
 //! * structural checks of every [`amnesiac_isa::SliceMeta`] against the
 //!   instruction stream.

@@ -1,6 +1,7 @@
 //! Cross-check property: a binary the static verifier accepts must also be
 //! dynamically sound. For every generated workload, the pipeline's output
-//! must (a) verify clean and (b) pass the compiler's whole-program replay
+//! must (a) verify clean, (b) carry that same verifier report in its
+//! compile report and (c) pass the compiler's whole-program replay
 //! validation with zero failing slices — the static and dynamic oracles
 //! must agree on the same artifact.
 
@@ -8,6 +9,7 @@ use amnesiac_compiler::{compile, replay_validate, CompileOptions};
 use amnesiac_profile::profile_program;
 use amnesiac_rng::Rng;
 use amnesiac_sim::CoreConfig;
+use amnesiac_telemetry::ToJson;
 use amnesiac_verify::verify;
 use amnesiac_workloads::{
     build_control, build_extended, build_focal, Scale, Workload, CONTROL_NAMES, EXTENDED_NAMES,
@@ -20,11 +22,21 @@ fn check(workload: &Workload) {
     let config = CoreConfig::paper();
     let (profile, _) = profile_program(&workload.program, &config).expect("profiling succeeds");
     for options in [CompileOptions::default(), CompileOptions::oracle()] {
-        let (binary, _) = compile(&workload.program, &profile, &options).expect("compile succeeds");
+        let (binary, compiled) =
+            compile(&workload.program, &profile, &options).expect("compile succeeds");
         let report = verify(&binary);
         assert!(
             report.is_clean(),
             "{}: verifier rejected the pipeline output: {report:?}",
+            workload.name
+        );
+        // `verify` answers with the compile's gate report, so it must equal
+        // a fresh pass over the shipped binary, down to the wire bytes.
+        assert_eq!(compiled.verify, report, "{}", workload.name);
+        assert_eq!(
+            compiled.verify.to_json().compact(),
+            report.to_json().compact(),
+            "{}",
             workload.name
         );
         let outcome = replay_validate(&binary, REPLAY_FUSE)
