@@ -14,7 +14,9 @@
 //!   fingerprint, and [`CACHE_SCHEMA_VERSION`].
 //!   Bumping the schema version invalidates every prior key, which is the
 //!   *only* invalidation rule: entries are never migrated or trusted across
-//!   pipeline changes.
+//!   pipeline changes. A `bench:` request is first keyed by its [`Source`]
+//!   — what it names, before any program is built — and an alias map
+//!   sends a known benchmark straight to the key its first build derived.
 //! * **Sharded in-memory LRU** with a byte budget and single-flight
 //!   deduplication: N concurrent requests for one key block on one
 //!   compilation and all receive the shared artifact ([`CompileCache`]).
@@ -32,7 +34,7 @@ mod codec;
 mod disk;
 mod store;
 
-use amnesiac_compiler::{ArtifactStore, CompileError, CompileOptions, CompileReport};
+use amnesiac_compiler::{CompileOptions, CompileReport};
 use amnesiac_isa::{encode_program, Program};
 use amnesiac_mem::hash128;
 use amnesiac_telemetry::Json;
@@ -104,6 +106,56 @@ pub fn listing_key(program: &Program) -> u128 {
     hash128(&[b"listing", &image, &CACHE_SCHEMA_VERSION.to_le_bytes()])
 }
 
+/// What a request names, before any program is built or decoded (see
+/// [`CompileCache::get_or_compile_source`]).
+#[derive(Debug)]
+pub enum Source<'a> {
+    /// A built-in benchmark: a pure function of its name and scale, so it
+    /// has a source key, and the cache aliases that key to the entry its
+    /// first build resolved to. The alias is recorded only after the
+    /// build succeeds, so the caller's build must accept a fixed set of
+    /// names: the alias map then holds at most one alias per (name,
+    /// scale, options fingerprint in use) for artifacts, and one per
+    /// (name, scale) for listings.
+    Bench {
+        /// The benchmark name (`bench:NAME` without the prefix).
+        name: &'a str,
+        /// Paper scale (`true`) or test scale.
+        paper: bool,
+    },
+    /// A file target: no source key, never aliased. It is keyed by the
+    /// program decoded from it, so by its content and never its path: a
+    /// file rewritten in place misses.
+    File,
+}
+
+impl Source<'_> {
+    /// The source key under `tag` and `extra`, for a benchmark.
+    fn key(&self, tag: &[u8], extra: &[u8]) -> Option<u128> {
+        let Source::Bench { name, paper } = self else {
+            return None;
+        };
+        let schema = CACHE_SCHEMA_VERSION.to_le_bytes();
+        Some(hash128(&[
+            tag,
+            name.as_bytes(),
+            &[u8::from(*paper)],
+            extra,
+            &schema,
+        ]))
+    }
+
+    /// The alias key of this source's compile artifact under `options`.
+    pub(crate) fn artifact_key(&self, options: &CompileOptions) -> Option<u128> {
+        self.key(b"artifact-source", format!("{options:?}").as_bytes())
+    }
+
+    /// The alias key of this source's disassembly listing.
+    pub(crate) fn listing_key(&self) -> Option<u128> {
+        self.key(b"listing-source", &[])
+    }
+}
+
 /// Monotonic cache counters, updated lock-free by every request path.
 ///
 /// `bytes` is a gauge (resident artifact bytes under the LRU budget); the
@@ -141,18 +193,6 @@ impl CacheStats {
             .with("evictions", self.evictions.load(Ordering::Relaxed))
             .with("disk_loads", self.disk_loads.load(Ordering::Relaxed))
             .with("bytes", self.bytes.load(Ordering::Relaxed))
-    }
-}
-
-impl ArtifactStore for CompileCache {
-    fn get_or_compile(
-        &self,
-        program: &Program,
-        options: &CompileOptions,
-        compute: &mut dyn FnMut() -> Result<(Program, CompileReport), CompileError>,
-    ) -> Result<(Program, CompileReport), CompileError> {
-        let artifact = self.get_or_compile_arc(program, options, compute)?;
-        Ok((artifact.program.clone(), artifact.report.clone()))
     }
 }
 

@@ -1,8 +1,8 @@
 //! The sharded in-memory store: byte-budget LRU with single-flight
-//! compilation and lazy disk fault-in.
+//! compilation, lazy disk fault-in, and the source-key alias map.
 
 use crate::disk::DiskStore;
-use crate::{artifact_key, listing_key, CacheStats, CompileArtifact};
+use crate::{artifact_key, listing_key, CacheStats, CompileArtifact, Source};
 use amnesiac_compiler::{CompileError, CompileOptions, CompileReport};
 use amnesiac_isa::Program;
 use amnesiac_mem::FastMap;
@@ -35,10 +35,33 @@ struct Entry {
     last_used: u64,
 }
 
-#[derive(Clone)]
 enum Value {
     Artifact(Arc<CompileArtifact>),
     Listing(Arc<str>),
+}
+
+impl Value {
+    fn artifact(&self) -> Option<Arc<CompileArtifact>> {
+        match self {
+            Value::Artifact(artifact) => Some(Arc::clone(artifact)),
+            Value::Listing(_) => None,
+        }
+    }
+
+    fn listing(&self) -> Option<Arc<str>> {
+        match self {
+            Value::Listing(listing) => Some(Arc::clone(listing)),
+            Value::Artifact(_) => None,
+        }
+    }
+}
+
+/// Where a source key resolved when it was last built: the artifact or
+/// listing key its request derived from the program, and the program's
+/// name (what a payload reports, so a hit needs no program at all).
+struct Alias {
+    key: u128,
+    program: Arc<str>,
 }
 
 /// Rendezvous for concurrent requests of one key: the leader compiles,
@@ -67,6 +90,10 @@ enum FlightState {
 struct Shard {
     slots: FastMap<u128, Slot>,
     resident_bytes: usize,
+    /// Source key → alias, for the source keys this shard owns. Only
+    /// benchmarks have source keys, so the map is bounded by the set of
+    /// names a build accepts (see [`Source::Bench`]).
+    aliases: FastMap<u128, Alias>,
 }
 
 /// The content-addressed compile cache (see crate docs for the design).
@@ -108,6 +135,7 @@ impl CompileCache {
                     Mutex::new(Shard {
                         slots: FastMap::default(),
                         resident_bytes: 0,
+                        aliases: FastMap::default(),
                     })
                 })
                 .collect(),
@@ -153,34 +181,93 @@ impl CompileCache {
     }
 
     /// Looks up (or compiles exactly once, across all concurrent callers)
-    /// the artifact for `(program, options)` and returns it shared.
+    /// the artifact for what `source` names under `options`, and returns
+    /// the program's name with the shared artifact. When `source` is a
+    /// benchmark aliased to a resident artifact, that is a hit and neither
+    /// `build` nor `compute` runs. Otherwise `build` makes the program and
+    /// the request takes the program-keyed path ([`artifact_key`], then
+    /// memory, disk and a single-flight compile that calls `compute` only
+    /// as the flight leader); a benchmark is then aliased to the key that
+    /// path derived.
     ///
     /// # Errors
     ///
-    /// Propagates `compute`'s [`CompileError`]. Errors are delivered to
-    /// every waiter of the failing flight but are not retained: the next
-    /// request for the key compiles again.
-    pub fn get_or_compile_arc(
+    /// `build`'s error, or `compute`'s [`CompileError`] converted to `E`.
+    /// Errors are delivered to every waiter of the failing flight but are
+    /// not retained: the next request for the key compiles again.
+    pub fn get_or_compile_source<E: From<CompileError>>(
         &self,
-        program: &Program,
+        source: &Source<'_>,
         options: &CompileOptions,
-        compute: &mut dyn FnMut() -> Result<(Program, CompileReport), CompileError>,
+        build: impl FnOnce() -> Result<Program, E>,
+        compute: impl FnOnce(&Program) -> Result<(Program, CompileReport), CompileError>,
+    ) -> Result<(Arc<str>, Arc<CompileArtifact>), E> {
+        let alias = source.artifact_key(options);
+        if let Some(hit) = alias.and_then(|alias| self.resolve(alias, Value::artifact)) {
+            return Ok(hit);
+        }
+        let program = build()?;
+        let key = artifact_key(&program, options);
+        let artifact = self.get_or_compile_key(key, || compute(&program))?;
+        Ok((self.record_alias(alias, key, &program.name), artifact))
+    }
+
+    /// The value a source key aliases, when the alias and the entry it
+    /// names are both resident and the entry is the kind `pick` accepts;
+    /// counts a hit. An in-flight or evicted entry is `None`.
+    fn resolve<T>(&self, source: u128, pick: fn(&Value) -> Option<T>) -> Option<(Arc<str>, T)> {
+        let (key, program) = {
+            let shard = lock(self.shard_for(source));
+            let alias = shard.aliases.get(&source)?;
+            (alias.key, Arc::clone(&alias.program))
+        };
+        let mut shard = lock(self.shard_for(key));
+        let Some(Slot::Ready(entry)) = shard.slots.get_mut(&key) else {
+            return None;
+        };
+        let value = pick(&entry.value)?;
+        entry.last_used = self.tick();
+        self.stats.hits.fetch_add(1, Ordering::Relaxed);
+        Some((program, value))
+    }
+
+    /// Aliases `source`, when it has a source key, to `key`, the key its
+    /// request derived after building `program`; returns the name as the
+    /// alias shares it.
+    fn record_alias(&self, source: Option<u128>, key: u128, program: &str) -> Arc<str> {
+        let program: Arc<str> = Arc::from(program);
+        if let Some(source) = source {
+            let alias = Alias {
+                key,
+                program: Arc::clone(&program),
+            };
+            lock(self.shard_for(source)).aliases.insert(source, alias);
+        }
+        program
+    }
+
+    /// The program-keyed path under a derived `key`: memory, then disk,
+    /// then a single-flight compile.
+    fn get_or_compile_key(
+        &self,
+        key: u128,
+        compute: impl FnOnce() -> Result<(Program, CompileReport), CompileError>,
     ) -> Result<Arc<CompileArtifact>, CompileError> {
-        let key = artifact_key(program, options);
         loop {
             let flight = {
                 let mut shard = lock(self.shard_for(key));
                 match shard.slots.get_mut(&key) {
                     Some(Slot::Ready(entry)) => {
-                        if let Value::Artifact(artifact) = &entry.value {
-                            let artifact = Arc::clone(artifact);
+                        if let Some(artifact) = entry.value.artifact() {
                             entry.last_used = self.tick();
                             self.stats.hits.fetch_add(1, Ordering::Relaxed);
                             return Ok(artifact);
                         }
-                        // a listing under an artifact key is impossible
-                        // (disjoint tag spaces), but fall through safely
-                        unreachable!("listing entry under artifact key");
+                        // A listing under an artifact key takes a 128-bit
+                        // collision across the tagged key spaces: drop it
+                        // and read the request as a miss.
+                        self.remove_ready(&mut shard, key);
+                        continue;
                     }
                     Some(Slot::InFlight(flight)) => Arc::clone(flight),
                     None => {
@@ -229,7 +316,7 @@ impl CompileCache {
         &self,
         key: u128,
         flight: &Arc<Flight>,
-        compute: &mut dyn FnMut() -> Result<(Program, CompileReport), CompileError>,
+        compute: impl FnOnce() -> Result<(Program, CompileReport), CompileError>,
     ) -> Result<Arc<CompileArtifact>, CompileError> {
         self.stats.misses.fetch_add(1, Ordering::Relaxed);
         // If `compute` panics we must not strand waiters on a Pending
@@ -267,17 +354,40 @@ impl CompileCache {
         result
     }
 
-    /// Returns the cached disassembly listing for `program`, rendering it
-    /// with `render` on a miss. Listings are memory-only text artifacts in
-    /// the same LRU (no single-flight: rendering is cheap and idempotent,
-    /// so a race just renders twice and keeps one).
-    pub fn get_or_listing(&self, program: &Program, render: impl FnOnce() -> String) -> Arc<str> {
-        let key = listing_key(program);
+    /// The cached disassembly listing of what `source` names: a hit through
+    /// a benchmark's alias runs neither `build` nor `render`; otherwise
+    /// `build` makes the program, the listing is looked up by
+    /// [`listing_key`] (rendered with `render` on a miss), and a benchmark
+    /// is aliased to that key.
+    /// Listings are memory-only text artifacts in the same LRU (no
+    /// single-flight: rendering is cheap and idempotent, so a race just
+    /// renders twice and keeps one). Returns the program's name with the
+    /// listing.
+    ///
+    /// # Errors
+    ///
+    /// `build`'s error.
+    pub fn get_or_listing_source<E>(
+        &self,
+        source: &Source<'_>,
+        build: impl FnOnce() -> Result<Program, E>,
+        render: impl FnOnce(&Program) -> String,
+    ) -> Result<(Arc<str>, Arc<str>), E> {
+        let alias = source.listing_key();
+        if let Some(hit) = alias.and_then(|alias| self.resolve(alias, Value::listing)) {
+            return Ok(hit);
+        }
+        let program = build()?;
+        let key = listing_key(&program);
+        let listing = self.get_or_listing_key(key, || render(&program));
+        Ok((self.record_alias(alias, key, &program.name), listing))
+    }
+
+    fn get_or_listing_key(&self, key: u128, render: impl FnOnce() -> String) -> Arc<str> {
         {
             let mut shard = lock(self.shard_for(key));
             if let Some(Slot::Ready(entry)) = shard.slots.get_mut(&key) {
-                if let Value::Listing(listing) = &entry.value {
-                    let listing = Arc::clone(listing);
+                if let Some(listing) = entry.value.listing() {
                     entry.last_used = self.tick();
                     self.stats.hits.fetch_add(1, Ordering::Relaxed);
                     return listing;
@@ -289,12 +399,7 @@ impl CompileCache {
         let mut shard = lock(self.shard_for(key));
         match shard.slots.get_mut(&key) {
             // lost the render race: keep the incumbent for sharing
-            Some(Slot::Ready(entry)) => {
-                if let Value::Listing(incumbent) = &entry.value {
-                    return Arc::clone(incumbent);
-                }
-                Arc::clone(&listing)
-            }
+            Some(Slot::Ready(entry)) => entry.value.listing().unwrap_or(listing),
             _ => {
                 self.insert_ready(&mut shard, key, Value::Listing(Arc::clone(&listing)));
                 listing
@@ -339,13 +444,19 @@ impl CompileCache {
                 .min_by_key(|&(_, last_used)| last_used)
                 .map(|(k, _)| k);
             let Some(victim) = victim else { break };
-            if let Some(Slot::Ready(old)) = shard.slots.remove(&victim) {
-                shard.resident_bytes -= old.bytes;
-                self.stats
-                    .bytes
-                    .fetch_sub(old.bytes as u64, Ordering::Relaxed);
-                self.stats.evictions.fetch_add(1, Ordering::Relaxed);
-            }
+            self.remove_ready(shard, victim);
+            self.stats.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Removes the ready entry under `key` and takes its bytes off the
+    /// shard's and the gauge's accounts.
+    fn remove_ready(&self, shard: &mut Shard, key: u128) {
+        if let Some(Slot::Ready(old)) = shard.slots.remove(&key) {
+            shard.resident_bytes -= old.bytes;
+            self.stats
+                .bytes
+                .fetch_sub(old.bytes as u64, Ordering::Relaxed);
         }
     }
 }
@@ -380,6 +491,7 @@ impl Drop for FlightGuard<'_> {
 mod tests {
     use super::*;
     use amnesiac_compiler::compile;
+    use amnesiac_isa::encode_program;
     use amnesiac_profile::profile_program;
     use amnesiac_sim::CoreConfig;
     use amnesiac_workloads::{build_focal, Scale};
@@ -419,12 +531,9 @@ mod tests {
         let mut calls = 0;
         {
             let mut compute = compute_from(&artifact, &mut calls);
-            let first = cache
-                .get_or_compile_arc(&program, &options, &mut compute)
-                .expect("first");
-            let second = cache
-                .get_or_compile_arc(&program, &options, &mut compute)
-                .expect("second");
+            let key = artifact_key(&program, &options);
+            let first = cache.get_or_compile_key(key, &mut compute).expect("first");
+            let second = cache.get_or_compile_key(key, &mut compute).expect("second");
             assert!(Arc::ptr_eq(&first, &second), "hit must share the artifact");
         }
         assert_eq!(calls, 1, "one compilation for two requests");
@@ -438,7 +547,8 @@ mod tests {
         let cache = CompileCache::in_memory();
         let (program, options, artifact) = compiled("is");
         let mut failures = 0;
-        let err = cache.get_or_compile_arc(&program, &options, &mut || {
+        let key = artifact_key(&program, &options);
+        let err = cache.get_or_compile_key(key, || {
             failures += 1;
             Err(CompileError::Isa(amnesiac_isa::IsaError::UnboundLabel {
                 label: 0,
@@ -449,7 +559,7 @@ mod tests {
         {
             let mut compute = compute_from(&artifact, &mut calls);
             cache
-                .get_or_compile_arc(&program, &options, &mut compute)
+                .get_or_compile_key(key, &mut compute)
                 .expect("retry compiles fresh");
         }
         assert_eq!(failures, 1);
@@ -476,7 +586,7 @@ mod tests {
             let mut compute = compute_from(&artifact, &mut calls);
             for o in &variants {
                 cache
-                    .get_or_compile_arc(&program, o, &mut compute)
+                    .get_or_compile_key(artifact_key(&program, o), &mut compute)
                     .expect("insert");
             }
         }
@@ -495,18 +605,244 @@ mod tests {
     fn listing_cache_shares_and_hits() {
         let cache = CompileCache::in_memory();
         let (program, _, _) = compiled("is");
+        let source = Source::Bench {
+            name: "is",
+            paper: false,
+        };
         let mut renders = 0;
-        let first = cache.get_or_listing(&program, || {
-            renders += 1;
-            "LISTING".to_string()
-        });
-        let second = cache.get_or_listing(&program, || {
-            renders += 1;
-            "NEVER".to_string()
-        });
+        let (name, first) = cache
+            .get_or_listing_source(
+                &source,
+                || Ok::<_, CompileError>(program.clone()),
+                |_| {
+                    renders += 1;
+                    "LISTING".to_string()
+                },
+            )
+            .expect("first");
+        let (_, second) = cache
+            .get_or_listing_source(
+                &source,
+                || {
+                    Err(CompileError::Isa(amnesiac_isa::IsaError::UnboundLabel {
+                        label: 0,
+                    }))
+                },
+                |_| {
+                    renders += 1;
+                    "NEVER".to_string()
+                },
+            )
+            .expect("a hit builds nothing");
         assert_eq!(renders, 1);
+        assert_eq!(&*name, "is");
         assert_eq!(&*first, "LISTING");
         assert!(Arc::ptr_eq(&first, &second));
         assert_eq!(cache.stats().hits.load(Ordering::Relaxed), 1);
+
+        // a second source that builds the same program has no alias of
+        // its own: it hits on the program's listing key
+        let (_, third) = cache
+            .get_or_listing_source(
+                &Source::File,
+                || Ok::<_, CompileError>(program.clone()),
+                |_| {
+                    renders += 1;
+                    "NEVER".to_string()
+                },
+            )
+            .expect("third");
+        assert_eq!(renders, 1, "the program's listing is resident");
+        assert!(Arc::ptr_eq(&first, &third));
+        assert_eq!(cache.stats().hits.load(Ordering::Relaxed), 2);
+    }
+
+    /// Requests `source` through `cache`, counting builds and compiles.
+    fn through_source(
+        cache: &CompileCache,
+        source: &Source<'_>,
+        program: &Program,
+        artifact: &Arc<CompileArtifact>,
+        builds: &mut usize,
+        compiles: &mut usize,
+    ) -> (Arc<str>, Arc<CompileArtifact>) {
+        cache
+            .get_or_compile_source(
+                source,
+                &CompileOptions::default(),
+                || {
+                    *builds += 1;
+                    Ok::<_, CompileError>(program.clone())
+                },
+                |_| {
+                    *compiles += 1;
+                    Ok((artifact.program.clone(), artifact.report.clone()))
+                },
+            )
+            .expect("source lookup")
+    }
+
+    #[test]
+    fn repeated_source_lookups_build_the_program_once() {
+        let cache = CompileCache::in_memory();
+        let (program, _, artifact) = compiled("is");
+        let source = Source::Bench {
+            name: "is",
+            paper: false,
+        };
+        let (mut builds, mut compiles) = (0, 0);
+        let (name, first) = through_source(
+            &cache,
+            &source,
+            &program,
+            &artifact,
+            &mut builds,
+            &mut compiles,
+        );
+        for _ in 0..15 {
+            let (again, hit) = through_source(
+                &cache,
+                &source,
+                &program,
+                &artifact,
+                &mut builds,
+                &mut compiles,
+            );
+            assert!(Arc::ptr_eq(&first, &hit), "a hit shares the artifact");
+            assert_eq!(again, name);
+        }
+        assert_eq!((builds, compiles), (1, 1), "16 lookups, one build");
+        assert_eq!(&*name, "is");
+        assert_eq!(cache.stats().hits.load(Ordering::Relaxed), 15);
+        assert_eq!(cache.stats().misses.load(Ordering::Relaxed), 1);
+    }
+
+    #[test]
+    fn an_alias_to_an_evicted_entry_rebuilds_and_serves_equal_bytes() {
+        let (program, options, artifact) = compiled("is");
+        // one byte per shard: each shard keeps only its latest entry
+        let cache = CompileCache::with_budget(SHARDS);
+        let source = Source::Bench {
+            name: "is",
+            paper: false,
+        };
+        let (mut builds, mut compiles) = (0, 0);
+        let (_, first) = through_source(
+            &cache,
+            &source,
+            &program,
+            &artifact,
+            &mut builds,
+            &mut compiles,
+        );
+
+        // a different key in the same shard evicts the aliased entry
+        let shard_of = |key: u128| (key as usize) % SHARDS;
+        let home = shard_of(artifact_key(&program, &options));
+        let rival = (49..)
+            .map(|max_height| CompileOptions {
+                max_height,
+                ..options.clone()
+            })
+            .find(|o| shard_of(artifact_key(&program, o)) == home)
+            .expect("some fingerprint shares the shard");
+        cache
+            .get_or_compile_key(artifact_key(&program, &rival), || {
+                Ok((artifact.program.clone(), artifact.report.clone()))
+            })
+            .expect("rival");
+        assert_eq!(cache.stats().evictions.load(Ordering::Relaxed), 1);
+
+        let misses = cache.stats().misses.load(Ordering::Relaxed);
+        let (name, second) = through_source(
+            &cache,
+            &source,
+            &program,
+            &artifact,
+            &mut builds,
+            &mut compiles,
+        );
+        assert_eq!((builds, compiles), (2, 2), "rebuilt and recompiled");
+        assert_eq!(cache.stats().misses.load(Ordering::Relaxed), misses + 1);
+        assert_eq!(&*name, "is");
+        assert_eq!(
+            encode_program(&first.program),
+            encode_program(&second.program)
+        );
+        assert_eq!(first.report, second.report);
+    }
+
+    #[test]
+    fn test_and_paper_scale_never_share_an_alias() {
+        let cache = CompileCache::in_memory();
+        let (program, options, artifact) = compiled("is");
+        let test = Source::Bench {
+            name: "is",
+            paper: false,
+        };
+        let paper = Source::Bench {
+            name: "is",
+            paper: true,
+        };
+        assert_ne!(test.artifact_key(&options), paper.artifact_key(&options));
+        assert_ne!(test.listing_key(), paper.listing_key());
+        assert_ne!(test.artifact_key(&options), test.listing_key());
+
+        let (mut builds, mut compiles) = (0, 0);
+        through_source(
+            &cache,
+            &test,
+            &program,
+            &artifact,
+            &mut builds,
+            &mut compiles,
+        );
+        // this build stands in for the paper-scale one: it yields the same
+        // program, so only the alias decides whether it runs
+        through_source(
+            &cache,
+            &paper,
+            &program,
+            &artifact,
+            &mut builds,
+            &mut compiles,
+        );
+        assert_eq!((builds, compiles), (2, 1), "the paper alias missed");
+    }
+
+    #[test]
+    fn file_sources_are_keyed_by_the_program_they_decode_to() {
+        let cache = CompileCache::in_memory();
+        let (program, options, artifact) = compiled("is");
+        assert_eq!(Source::File.artifact_key(&options), None);
+        assert_eq!(Source::File.listing_key(), None);
+
+        let (mut builds, mut compiles) = (0, 0);
+        for _ in 0..2 {
+            through_source(
+                &cache,
+                &Source::File,
+                &program,
+                &artifact,
+                &mut builds,
+                &mut compiles,
+            );
+        }
+        assert_eq!((builds, compiles), (2, 1), "decoded again, hit by program");
+
+        // a file rewritten in place decodes to another program: a miss
+        let mut rewritten = program.clone();
+        rewritten.data.set(0, rewritten.data.get(0).wrapping_add(1));
+        through_source(
+            &cache,
+            &Source::File,
+            &rewritten,
+            &artifact,
+            &mut builds,
+            &mut compiles,
+        );
+        assert_eq!((builds, compiles), (3, 2));
+        let aliases: usize = cache.shards.iter().map(|s| lock(s).aliases.len()).sum();
+        assert_eq!(aliases, 0, "a file source is never aliased");
     }
 }

@@ -5,8 +5,8 @@
 //! once (counter hook on the compute closure) and every thread must
 //! receive the identical artifact.
 
-use amnesiac_cache::CompileCache;
-use amnesiac_compiler::{compile, CompileOptions};
+use amnesiac_cache::{CompileCache, Source};
+use amnesiac_compiler::{compile, CompileError, CompileOptions};
 use amnesiac_profile::profile_program;
 use amnesiac_sim::CoreConfig;
 use amnesiac_workloads::{build_focal, Scale};
@@ -15,53 +15,68 @@ use std::sync::{Arc, Barrier};
 
 const THREADS: usize = 8;
 
+const MCF: Source<'static> = Source::Bench {
+    name: "mcf",
+    paper: false,
+};
+
 #[test]
 fn eight_threads_one_compilation() {
     let program = build_focal("mcf", Scale::Test).program;
     let options = CompileOptions::default();
     let (profile, _) = profile_program(&program, &CoreConfig::paper()).expect("profile");
 
-    let cache = Arc::new(CompileCache::in_memory());
-    let pipeline_runs = Arc::new(AtomicUsize::new(0));
-    let barrier = Arc::new(Barrier::new(THREADS));
-
-    let handles: Vec<_> = (0..THREADS)
-        .map(|_| {
-            let cache = Arc::clone(&cache);
-            let runs = Arc::clone(&pipeline_runs);
-            let barrier = Arc::clone(&barrier);
-            let program = program.clone();
-            let profile = profile.clone();
-            let options = options.clone();
-            std::thread::spawn(move || {
-                barrier.wait();
-                cache
-                    .get_or_compile_arc(&program, &options, &mut || {
-                        runs.fetch_add(1, Ordering::SeqCst);
-                        compile(&program, &profile, &options)
-                    })
-                    .expect("cached compile")
+    let cache = CompileCache::in_memory();
+    let builds = AtomicUsize::new(0);
+    let pipeline_runs = AtomicUsize::new(0);
+    let barrier = Barrier::new(THREADS);
+    let artifacts: Vec<_> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..THREADS)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    cache
+                        .get_or_compile_source(
+                            &MCF,
+                            &options,
+                            || {
+                                builds.fetch_add(1, Ordering::SeqCst);
+                                Ok::<_, CompileError>(program.clone())
+                            },
+                            |program| {
+                                pipeline_runs.fetch_add(1, Ordering::SeqCst);
+                                compile(program, &profile, &options)
+                            },
+                        )
+                        .expect("cached compile")
+                })
             })
-        })
-        .collect();
-
-    let artifacts: Vec<_> = handles
-        .into_iter()
-        .map(|h| h.join().expect("thread"))
-        .collect();
+            .collect();
+        handles
+            .into_iter()
+            .map(|h| h.join().expect("thread"))
+            .collect()
+    });
 
     assert_eq!(
         pipeline_runs.load(Ordering::SeqCst),
         1,
         "exactly one pipeline execution for {THREADS} concurrent requests"
     );
-    let first = &artifacts[0];
-    for artifact in &artifacts[1..] {
+    // no alias exists until the first request returns, so any number of
+    // threads may build the program; the program-keyed single flight
+    // still lets exactly one of them compile it
+    let builds = builds.load(Ordering::SeqCst);
+    assert!((1..=THREADS).contains(&builds), "{builds} builds");
+    let (name, first) = &artifacts[0];
+    for (other_name, artifact) in &artifacts[1..] {
         assert!(
             Arc::ptr_eq(first, artifact),
             "all threads must share one artifact allocation"
         );
+        assert_eq!(other_name, name);
     }
+    assert_eq!(&**name, "mcf");
     // the artifact is the real thing, not a placeholder
     let (expected_program, expected_report) =
         compile(&program, &profile, &options).expect("reference compile");
@@ -89,22 +104,33 @@ fn warm_restart_serves_from_disk_without_recompiling() {
 
     let cold = CompileCache::persistent(&dir).expect("cold cache");
     let mut cold_runs = 0;
-    let cold_artifact = cold
-        .get_or_compile_arc(&program, &options, &mut || {
-            cold_runs += 1;
-            compile(&program, &profile, &options)
-        })
+    let (_, cold_artifact) = cold
+        .get_or_compile_source(
+            &MCF,
+            &options,
+            || Ok::<_, CompileError>(program.clone()),
+            |program| {
+                cold_runs += 1;
+                compile(program, &profile, &options)
+            },
+        )
         .expect("cold compile");
     assert_eq!(cold_runs, 1);
     assert_eq!(cold.stats().disk_loads.load(Ordering::SeqCst), 0);
 
     let warm = CompileCache::persistent(&dir).expect("warm cache");
     let mut warm_runs = 0;
-    let warm_artifact = warm
-        .get_or_compile_arc(&program, &options, &mut || {
-            warm_runs += 1;
-            compile(&program, &profile, &options)
-        })
+    // a fresh cache has no alias: the program-keyed path reads the disk
+    let (_, warm_artifact) = warm
+        .get_or_compile_source(
+            &MCF,
+            &options,
+            || Ok::<_, CompileError>(program.clone()),
+            |program| {
+                warm_runs += 1;
+                compile(program, &profile, &options)
+            },
+        )
         .expect("warm load");
     assert_eq!(warm_runs, 0, "warm restart must not recompile");
     assert_eq!(warm.stats().disk_loads.load(Ordering::SeqCst), 1);

@@ -68,9 +68,10 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
+use std::sync::Arc;
 
-use amnesiac_cache::CompileCache;
-use amnesiac_compiler::{compile, compile_cached, CompileOptions};
+use amnesiac_cache::{CompileArtifact, CompileCache, Source};
+use amnesiac_compiler::{compile, CompileError, CompileOptions};
 use amnesiac_core::{AmnesicConfig, AmnesicCore, Policy};
 use amnesiac_isa::{disassemble, parse_asm, Program};
 use amnesiac_profile::profile_program;
@@ -192,6 +193,12 @@ impl std::fmt::Display for CliError {
 }
 
 impl std::error::Error for CliError {}
+
+impl From<CompileError> for CliError {
+    fn from(e: CompileError) -> CliError {
+        CliError::Tool(e.to_string())
+    }
+}
 
 /// The usage text.
 pub const USAGE: &str = "usage: amnesiac <run|disasm|profile|compile|compare> \
@@ -519,6 +526,18 @@ pub fn load_program(target: &str, paper_scale: bool) -> Result<Program, CliError
     parse_asm(&text).map_err(|e| CliError::Tool(format!("{target}: {e}")))
 }
 
+/// What `target` names, for a cache key: a built-in benchmark by name and
+/// scale, or a file, which the cache keys by the program decoded from it.
+fn source_of(target: &str, paper_scale: bool) -> Source<'_> {
+    match target.strip_prefix("bench:") {
+        Some(name) => Source::Bench {
+            name,
+            paper: paper_scale,
+        },
+        None => Source::File,
+    }
+}
+
 /// Executes a command into its structured [`Response`] — the typed core
 /// shared by the terminal front-end ([`execute`]) and the service layer
 /// ([`serve_handler`]).
@@ -554,38 +573,95 @@ pub(crate) fn run_with_cache(
 ) -> Result<Response, CliError> {
     match command.verb {
         Verb::Experiments => run_experiments(command),
+        Verb::Compile => run_compile(command, cache),
+        Verb::Disasm => run_disasm(command, cache),
         Verb::Verify => run_verify(command, cache),
         Verb::Lint => run_lint(command),
         Verb::Serve => service::run_serve(command),
         Verb::Loadgen => service::run_loadgen(command),
         Verb::Cluster => cluster::run_cluster(command),
-        _ => run_program_verb(command, cache),
+        _ => run_program_verb(command),
     }
 }
 
-/// Compiles through the cache when one is threaded in, plain otherwise.
-/// Profiling (a full observed simulation, the expensive step) runs only
-/// on a cache miss — a hit serves the artifact without simulating.
+/// Compiles `target` under the default options, through the cache when
+/// one is threaded in and plain otherwise, and returns the program's name
+/// with the shared artifact. With a cache a `bench:` target is keyed by
+/// its source first, so a hit builds nothing; profiling (a full observed
+/// simulation, the expensive step) runs only on a miss.
 fn compile_maybe_cached(
     cache: Option<&CompileCache>,
-    program: &Program,
-    config: &CoreConfig,
-    options: &CompileOptions,
-) -> Result<(Program, amnesiac_compiler::CompileReport), amnesiac_compiler::CompileError> {
-    let profile = || {
-        profile_program(program, config)
-            .map(|(profile, _)| profile)
-            .map_err(amnesiac_compiler::CompileError::Replay)
+    target: &str,
+    paper_scale: bool,
+) -> Result<(Arc<str>, Arc<CompileArtifact>), CliError> {
+    let options = CompileOptions::default();
+    let build = || load_program(target, paper_scale);
+    let compute = |program: &Program| {
+        let (profile, _) =
+            profile_program(program, &CoreConfig::paper()).map_err(CompileError::Replay)?;
+        compile(program, &profile, &options)
     };
     match cache {
-        Some(cache) => compile_cached(cache, program, options, profile),
-        None => compile(program, &profile()?, options),
+        Some(cache) => {
+            cache.get_or_compile_source(&source_of(target, paper_scale), &options, build, compute)
+        }
+        None => {
+            let program = build()?;
+            let (binary, report) = compute(&program)?;
+            let artifact = CompileArtifact {
+                program: binary,
+                report,
+            };
+            Ok((Arc::from(program.name), Arc::new(artifact)))
+        }
     }
 }
 
-/// The program verbs: `run`, `disasm`, `profile`, `compile`, `compare`,
-/// `encode`, `trace`.
-fn run_program_verb(command: &Command, cache: Option<&CompileCache>) -> Result<Response, CliError> {
+/// The `compile` verb: annotate the target and report every site.
+fn run_compile(command: &Command, cache: Option<&CompileCache>) -> Result<Response, CliError> {
+    let target = command.target.as_deref().expect("parse_args enforced this");
+    let (program, artifact) =
+        compile_maybe_cached(cache, target, command.effective_scale() == Scale::Paper)?;
+    // counters ride along only on the one-shot `--cache-dir` path;
+    // served responses must stay byte-identical hit vs cold
+    let cache_stats = match (cache, &command.cache_dir) {
+        (Some(cache), Some(_)) => Some(cache.stats_json()),
+        _ => None,
+    };
+    Ok(Response::Compile {
+        program: program.to_string(),
+        report: artifact.report.clone(),
+        listing: disassemble(&artifact.program),
+        cache: cache_stats,
+    })
+}
+
+/// The `disasm` verb: the target's listing, through the cache's listing
+/// entries when one is threaded in.
+fn run_disasm(command: &Command, cache: Option<&CompileCache>) -> Result<Response, CliError> {
+    let target = command.target.as_deref().expect("parse_args enforced this");
+    let paper_scale = command.effective_scale() == Scale::Paper;
+    let (program, listing) = match cache {
+        Some(cache) => {
+            let (program, listing) = cache.get_or_listing_source(
+                &source_of(target, paper_scale),
+                || load_program(target, paper_scale),
+                disassemble,
+            )?;
+            (program.to_string(), listing.to_string())
+        }
+        None => {
+            let program = load_program(target, paper_scale)?;
+            let listing = disassemble(&program);
+            (program.name, listing)
+        }
+    };
+    Ok(Response::Disasm { program, listing })
+}
+
+/// The uncached program verbs: `run`, `profile`, `compare`, `encode`,
+/// `trace`.
+fn run_program_verb(command: &Command) -> Result<Response, CliError> {
     let target = command.target.as_deref().expect("parse_args enforced this");
     let program = load_program(target, command.effective_scale() == Scale::Paper)?;
     let config = CoreConfig::paper();
@@ -600,18 +676,6 @@ fn run_program_verb(command: &Command, cache: Option<&CompileCache>) -> Result<R
                 path: out.to_string(),
                 bytes: bytes.len(),
                 instructions: program.instructions.len(),
-            })
-        }
-        Verb::Disasm => {
-            let listing = match cache {
-                Some(cache) => cache
-                    .get_or_listing(&program, || disassemble(&program))
-                    .to_string(),
-                None => disassemble(&program),
-            };
-            Ok(Response::Disasm {
-                program: program.name.clone(),
-                listing,
             })
         }
         Verb::Trace => {
@@ -638,23 +702,6 @@ fn run_program_verb(command: &Command, cache: Option<&CompileCache>) -> Result<R
             Ok(Response::Profile {
                 program: program.name.clone(),
                 profile,
-            })
-        }
-        Verb::Compile => {
-            let (binary, report) =
-                compile_maybe_cached(cache, &program, &config, &CompileOptions::default())
-                    .map_err(|e| tool(&e))?;
-            // counters ride along only on the one-shot `--cache-dir` path;
-            // served responses must stay byte-identical hit vs cold
-            let cache_stats = match (cache, &command.cache_dir) {
-                (Some(cache), Some(_)) => Some(cache.stats_json()),
-                _ => None,
-            };
-            Ok(Response::Compile {
-                program: program.name.clone(),
-                report,
-                listing: disassemble(&binary),
-                cache: cache_stats,
             })
         }
         Verb::Compare => {
@@ -691,17 +738,13 @@ fn run_verify(command: &Command, cache: Option<&CompileCache>) -> Result<Respons
 
     match command.target.as_deref() {
         Some(target) => {
-            let program = load_program(target, command.effective_scale() == Scale::Paper)?;
-            let config = CoreConfig::paper();
-            let tool = |e: &dyn std::fmt::Display| CliError::Tool(e.to_string());
             // `compile` gated the binary with the verifier's default
             // options, so its report is the verdict; a cache hit carries it.
-            let (_, report) =
-                compile_maybe_cached(cache, &program, &config, &CompileOptions::default())
-                    .map_err(|e| tool(&e))?;
+            let (_, artifact) =
+                compile_maybe_cached(cache, target, command.effective_scale() == Scale::Paper)?;
             Ok(Response::VerifyTarget {
                 target: target.to_string(),
-                report: report.verify,
+                report: artifact.report.verify.clone(),
             })
         }
         None => Ok(Response::VerifySweep {

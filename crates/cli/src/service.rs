@@ -233,7 +233,7 @@ pub(crate) fn run_loadgen(command: &Command) -> Result<Response, CliError> {
         cache_stats_hook(&cache),
     )
     .map_err(|e| CliError::Tool(format!("cannot start loadgen server: {e}")))?;
-    let outcome = (|| {
+    let outcome: Result<_, CliError> = (|| {
         let cold = run_against(server.addr(), &config)
             .map_err(|e| CliError::Tool(format!("loadgen cold burst failed: {e}")))?;
         let warm = run_against(server.addr(), &config)

@@ -102,7 +102,7 @@ fn twice_on_the_wire(addr: SocketAddr, request: &Request) -> (String, String) {
         amnesiac_telemetry::parse(answer.trim_end())
             .unwrap()
             .get("payload")
-            .expect("compile answered a payload")
+            .expect("the request answered a payload")
             .compact()
     };
     (payload(), payload())
@@ -161,20 +161,36 @@ fn eight_concurrent_clients_complete_a_mixed_batch_without_mismatches() {
     let stats = admin.call(&Request::new("stats")).unwrap().result.unwrap();
     assert_eq!(stat(&stats, "verbs.compile.requests"), 8.0);
 
-    // A repeated compile is a cache hit that is byte-identical on the
-    // wire, and the shared cache counts it.
-    let twin = Request::new("compile")
-        .with_target("bench:is")
-        .with_id("twin");
-    let (first, second) = twice_on_the_wire(server.addr, &twin);
-    assert_eq!(first, second, "a cache hit changed the wire payload");
-    let stats = admin.call(&Request::new("stats")).unwrap().result.unwrap();
-    assert!(stat(&stats, "cache.hits") >= 1.0, "{}", stats.compact());
+    // A repeated request is a cache hit that is byte-identical on the
+    // wire, for each cached verb, on a `bench:` target and on a `.bin`
+    // file (a renamed image, so its first requests miss); the shared
+    // cache counts the hits.
+    let dir = std::env::temp_dir().join(format!("amnesiac-serve-mutate-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let mut image = amnesiac_cli::load_program("bench:is", false).unwrap();
+    image.name = "is-from-file".into();
+    let bin = dir.join("is.bin");
+    std::fs::write(&bin, amnesiac_isa::encode_program(&image)).unwrap();
+    let bin = bin.to_string_lossy();
+    let hits = |admin: &mut Client| {
+        let stats = admin.call(&Request::new("stats")).unwrap().result.unwrap();
+        stat(&stats, "cache.hits")
+    };
+    let before = hits(&mut admin);
+    for target in ["bench:is", bin.as_ref()] {
+        for verb in ["compile", "verify", "disasm"] {
+            let twin = Request::new(verb).with_target(target).with_id("twin");
+            let (first, second) = twice_on_the_wire(server.addr, &twin);
+            assert_eq!(
+                first, second,
+                "a cache hit changed the `{verb} {target}` payload"
+            );
+        }
+    }
+    assert!(hits(&mut admin) - before >= 6.0, "each repeat is a hit");
 
     // A one-word program mutation misses instead of sharing the
     // original's artifact.
-    let dir = std::env::temp_dir().join(format!("amnesiac-serve-mutate-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
     let path = dir.join("probe.asm");
     let source = include_str!("../../../assets/dotprod.asm");
     let mutated = source.replace("li r4, 40960", "li r4, 40704");

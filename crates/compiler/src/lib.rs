@@ -41,8 +41,8 @@ pub use annotate::{annotate, annotate_with_map};
 pub use elide::remove_stores;
 pub use estimate::{CutCost, SliceEstimator};
 pub use pipeline::{
-    compile, compile_cached, redundant_stores, ArtifactStore, CompileError, CompileOptions,
-    CompileReport, SiteDecision, SiteOutcome, SliceSetPolicy,
+    compile, redundant_stores, CompileError, CompileOptions, CompileReport, SiteDecision,
+    SiteOutcome, SliceSetPolicy,
 };
 pub use replay::{replay_validate, ReplayError, ReplayOutcome, SliceReplayStats};
 pub use slice::{SliceInstSpec, SliceSpec};

@@ -584,64 +584,6 @@ fn validate_specs(
     })
 }
 
-/// A content-addressed store of compiled artifacts, consulted before the
-/// pipeline runs.
-///
-/// The trait lives here (rather than in `amnesiac-cache`) so the compiler
-/// can define the cache-aware entry point [`compile_cached`] without
-/// depending on any particular store; `amnesiac-cache` implements it.
-///
-/// Contract: the store keys on the *program bytes and options only* — the
-/// profile is deliberately not part of the key because every in-repo caller
-/// derives it deterministically from the program, so (program, options)
-/// fully determines the artifact. A store must return either a previously
-/// computed artifact for an equal key or the result of calling `compute`
-/// exactly once per key across all concurrent callers — and never more
-/// than once within a single `get_or_compile` call.
-pub trait ArtifactStore: Sync {
-    /// Looks up the artifact for `(program, options)`, calling `compute` on
-    /// a miss and retaining its result for future callers.
-    ///
-    /// # Errors
-    ///
-    /// Propagates the [`CompileError`] from `compute` (errors are shared
-    /// with concurrent waiters but not retained).
-    fn get_or_compile(
-        &self,
-        program: &Program,
-        options: &CompileOptions,
-        compute: &mut dyn FnMut() -> Result<(Program, CompileReport), CompileError>,
-    ) -> Result<(Program, CompileReport), CompileError>;
-}
-
-/// Cache-aware variant of [`compile`]: consults `store` first and only runs
-/// the pipeline on a miss. With a hit the returned pair is the retained
-/// artifact — byte-identical to what the cold compilation produced, since
-/// [`compile`] is deterministic for a given (program, profile, options).
-///
-/// The profile is taken lazily: on a hit nothing is profiled at all. This
-/// matters because profiling is a full observed simulation — usually far
-/// more expensive than the compile pass itself — and the whole point of
-/// the cache is to skip that work. `profile` is invoked at most once.
-///
-/// # Errors
-///
-/// The errors of [`compile`], plus whatever `profile` reports (in-repo
-/// callers map profiling failures to [`CompileError::Replay`]); the store
-/// adds none of its own.
-pub fn compile_cached<C: ArtifactStore + ?Sized>(
-    store: &C,
-    program: &Program,
-    options: &CompileOptions,
-    profile: impl FnOnce() -> Result<ProgramProfile, CompileError>,
-) -> Result<(Program, CompileReport), CompileError> {
-    let mut profile = Some(profile);
-    store.get_or_compile(program, options, &mut || {
-        let profile = (profile.take().expect("compute runs at most once per call"))()?;
-        compile(program, &profile, options)
-    })
-}
-
 /// Stores whose every profiled consumer load was swapped for recomputation:
 /// candidates for elision under amnesic execution (§2 — "the corresponding
 /// store can become redundant if no other load depends on it"). Reported,

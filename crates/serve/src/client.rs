@@ -80,7 +80,9 @@ impl ClientConfig {
     }
 
     /// Connects a raw stream under this policy (retry + backoff), with
-    /// the read timeout already installed. The building block for
+    /// the read timeout already installed and `TCP_NODELAY` set, so a
+    /// pipelined request is sent at once instead of waiting for the one
+    /// before it to be acknowledged. The building block for
     /// [`ClientConfig::connect`] and for router worker lanes that manage
     /// their own framing.
     ///
@@ -98,6 +100,7 @@ impl ClientConfig {
             match TcpStream::connect(&addr) {
                 Ok(stream) => {
                     stream.set_read_timeout(self.read_timeout)?;
+                    stream.set_nodelay(true)?;
                     return Ok(stream);
                 }
                 Err(e) => last_err = Some(e),

@@ -48,7 +48,7 @@ use crate::client::ClientConfig;
 use crate::membership::{Membership, WorkerState};
 use crate::protocol::{code, Request, Response, RouteMeta, ServeError, WireVerb, PROTOCOL_VERSION};
 use crate::ring::WorkerId;
-use crate::server::{fresh_server_id, wall_clock_ms};
+use crate::server::{fresh_server_id, prepare_accepted, wall_clock_ms};
 
 /// Poll interval for reader/lane sockets (bounds how long threads take
 /// to notice shutdown or a passed deadline).
@@ -798,7 +798,7 @@ fn serve_connection(shared: Arc<RouterShared>, stream: TcpStream) {
         }
     }
     let _open = OpenGuard(Arc::clone(&shared));
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
+    if prepare_accepted(&stream).is_err() {
         return;
     }
     let Ok(write_stream) = stream.try_clone() else {

@@ -560,6 +560,17 @@ fn reap_finished(conns: &Mutex<Vec<JoinHandle<()>>>) {
     }
 }
 
+/// Readies an accepted service connection (the server's and the
+/// router's). Short read timeouts turn the blocking reader into a poll
+/// loop that notices the shutdown flag; writes stay blocking.
+/// `TCP_NODELAY` sends each small response at once: under Nagle's
+/// algorithm a pipelined response waits until the one before it is
+/// acknowledged.
+pub(crate) fn prepare_accepted(stream: &TcpStream) -> std::io::Result<()> {
+    stream.set_read_timeout(Some(READ_POLL))?;
+    stream.set_nodelay(true)
+}
+
 fn serve_connection(shared: Arc<Shared>, stream: TcpStream, jobs_tx: Sender<Task>) {
     // Balances the acceptor's increment on every exit path.
     struct OpenGuard(Arc<Shared>);
@@ -569,9 +580,7 @@ fn serve_connection(shared: Arc<Shared>, stream: TcpStream, jobs_tx: Sender<Task
         }
     }
     let _open = OpenGuard(Arc::clone(&shared));
-    // Short read timeouts turn the blocking reader into a poll loop that
-    // notices the shutdown flag; writes stay blocking.
-    if stream.set_read_timeout(Some(READ_POLL)).is_err() {
+    if prepare_accepted(&stream).is_err() {
         return;
     }
     let Ok(write_stream) = stream.try_clone() else {
@@ -792,5 +801,17 @@ mod tests {
         }
         assert_eq!(seen[1], ACCEPT_BACKOFF_MIN * 2);
         assert_eq!(*seen.last().unwrap(), ACCEPT_BACKOFF_MAX);
+    }
+
+    #[test]
+    fn service_sockets_disable_nagle_on_both_ends() {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let connected = crate::ClientConfig::new()
+            .connect_stream(listener.local_addr().unwrap())
+            .unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        prepare_accepted(&accepted).unwrap();
+        assert!(connected.nodelay().unwrap(), "connect_stream");
+        assert!(accepted.nodelay().unwrap(), "an accepted connection");
     }
 }
