@@ -11,7 +11,7 @@
 //!
 //! * **Key derivation** — a 128-bit [`hash128`] over the canonical
 //!   program image ([`encode_program`]), the [`CompileOptions`]
-//!   fingerprint, and [`CACHE_SCHEMA_VERSION`].
+//!   fingerprint ([`OptionsFingerprint`]), and [`CACHE_SCHEMA_VERSION`].
 //!   Bumping the schema version invalidates every prior key, which is the
 //!   *only* invalidation rule: entries are never migrated or trusted across
 //!   pipeline changes. A `bench:` request is first keyed by its [`Source`]
@@ -77,21 +77,48 @@ impl CompileArtifact {
     }
 }
 
+/// The [`CompileOptions`] part of every artifact key: the options' full
+/// `Debug` text (every field, including the energy model's per-class EPI
+/// values, with shortest-round-trip float formatting).
+///
+/// Formatting it costs microseconds, so a caller that keys many lookups
+/// under one set of options formats it once and passes it to
+/// [`CompileCache::get_or_compile_source`].
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct OptionsFingerprint(String);
+
+impl OptionsFingerprint {
+    /// The fingerprint of `options`.
+    #[must_use]
+    pub fn of(options: &CompileOptions) -> Self {
+        OptionsFingerprint(format!("{options:?}"))
+    }
+
+    /// The text every key hashes.
+    #[must_use]
+    pub fn as_str(&self) -> &str {
+        &self.0
+    }
+}
+
 /// Derives the content-addressed key for a compile artifact.
 ///
 /// Stable across runs and processes: the program contributes its canonical
-/// [`encode_program`] image, the options contribute their full `Debug`
-/// fingerprint (every field, including the energy model's per-class EPI
-/// values, with shortest-round-trip float formatting), and
+/// [`encode_program`] image, the options their [`OptionsFingerprint`], and
 /// [`CACHE_SCHEMA_VERSION`] ties the key to the pipeline generation.
 #[must_use]
 pub fn artifact_key(program: &Program, options: &CompileOptions) -> u128 {
+    artifact_key_for(program, &OptionsFingerprint::of(options))
+}
+
+/// [`artifact_key`] under an already formatted fingerprint.
+#[must_use]
+pub(crate) fn artifact_key_for(program: &Program, fingerprint: &OptionsFingerprint) -> u128 {
     let image = encode_program(program);
-    let fingerprint = format!("{options:?}");
     hash128(&[
         b"artifact",
         &image,
-        fingerprint.as_bytes(),
+        fingerprint.as_str().as_bytes(),
         &CACHE_SCHEMA_VERSION.to_le_bytes(),
     ])
 }
@@ -145,9 +172,10 @@ impl Source<'_> {
         ]))
     }
 
-    /// The alias key of this source's compile artifact under `options`.
-    pub(crate) fn artifact_key(&self, options: &CompileOptions) -> Option<u128> {
-        self.key(b"artifact-source", format!("{options:?}").as_bytes())
+    /// The alias key of this source's compile artifact under the options
+    /// `fingerprint` names.
+    pub(crate) fn artifact_key(&self, fingerprint: &OptionsFingerprint) -> Option<u128> {
+        self.key(b"artifact-source", fingerprint.as_str().as_bytes())
     }
 
     /// The alias key of this source's disassembly listing.
@@ -247,6 +275,39 @@ mod tests {
         let mut o = base.clone();
         o.replay_fuse += 1;
         assert_ne!(k, artifact_key(&p, &o));
+    }
+
+    #[test]
+    fn keys_of_a_built_in_benchmark_are_pinned() {
+        // what the keys hash — the image bytes, the options' Debug text, the
+        // schema version — must not move unnoticed, or every existing
+        // `--cache-dir` store misses; a deliberate change bumps
+        // CACHE_SCHEMA_VERSION and pins the new values here
+        let p = sample_program();
+        let options = CompileOptions::default();
+        let fingerprint = OptionsFingerprint::of(&options);
+        assert_eq!(fingerprint.as_str(), format!("{options:?}"));
+        assert_eq!(
+            artifact_key(&p, &options),
+            0xad4a79f48d12a432a2d9cae5813dd04d
+        );
+        assert_eq!(
+            artifact_key_for(&p, &fingerprint),
+            artifact_key(&p, &options)
+        );
+        assert_eq!(listing_key(&p), 0xb8f0fd5a93ecd3cb7ca80a3f7f9df99d);
+        let source = Source::Bench {
+            name: "is",
+            paper: false,
+        };
+        assert_eq!(
+            source.artifact_key(&fingerprint),
+            Some(0x95922c22b8bfff69b9bd3979f67f4b0d)
+        );
+        assert_eq!(
+            source.listing_key(),
+            Some(0xf155bf2f132a85b30ef38f0a8aa91c44)
+        );
     }
 
     #[test]

@@ -2,8 +2,10 @@
 //! compilation, lazy disk fault-in, and the source-key alias map.
 
 use crate::disk::DiskStore;
-use crate::{artifact_key, listing_key, CacheStats, CompileArtifact, Source};
-use amnesiac_compiler::{CompileError, CompileOptions, CompileReport};
+use crate::{
+    artifact_key_for, listing_key, CacheStats, CompileArtifact, OptionsFingerprint, Source,
+};
+use amnesiac_compiler::{CompileError, CompileReport};
 use amnesiac_isa::Program;
 use amnesiac_mem::FastMap;
 use amnesiac_telemetry::Json;
@@ -181,14 +183,17 @@ impl CompileCache {
     }
 
     /// Looks up (or compiles exactly once, across all concurrent callers)
-    /// the artifact for what `source` names under `options`, and returns
-    /// the program's name with the shared artifact. When `source` is a
+    /// the artifact for what `source` names, under the options `compute`
+    /// compiles with, whose fingerprint is `fingerprint`, and returns the
+    /// program's name with the shared artifact. When `source` is a
     /// benchmark aliased to a resident artifact, that is a hit and neither
     /// `build` nor `compute` runs. Otherwise `build` makes the program and
     /// the request takes the program-keyed path ([`artifact_key`], then
     /// memory, disk and a single-flight compile that calls `compute` only
     /// as the flight leader); a benchmark is then aliased to the key that
     /// path derived.
+    ///
+    /// [`artifact_key`]: crate::artifact_key
     ///
     /// # Errors
     ///
@@ -198,16 +203,16 @@ impl CompileCache {
     pub fn get_or_compile_source<E: From<CompileError>>(
         &self,
         source: &Source<'_>,
-        options: &CompileOptions,
+        fingerprint: &OptionsFingerprint,
         build: impl FnOnce() -> Result<Program, E>,
         compute: impl FnOnce(&Program) -> Result<(Program, CompileReport), CompileError>,
     ) -> Result<(Arc<str>, Arc<CompileArtifact>), E> {
-        let alias = source.artifact_key(options);
+        let alias = source.artifact_key(fingerprint);
         if let Some(hit) = alias.and_then(|alias| self.resolve(alias, Value::artifact)) {
             return Ok(hit);
         }
         let program = build()?;
-        let key = artifact_key(&program, options);
+        let key = artifact_key_for(&program, fingerprint);
         let artifact = self.get_or_compile_key(key, || compute(&program))?;
         Ok((self.record_alias(alias, key, &program.name), artifact))
     }
@@ -490,7 +495,8 @@ impl Drop for FlightGuard<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amnesiac_compiler::compile;
+    use crate::artifact_key;
+    use amnesiac_compiler::{compile, CompileOptions};
     use amnesiac_isa::encode_program;
     use amnesiac_profile::profile_program;
     use amnesiac_sim::CoreConfig;
@@ -669,7 +675,7 @@ mod tests {
         cache
             .get_or_compile_source(
                 source,
-                &CompileOptions::default(),
+                &OptionsFingerprint::of(&CompileOptions::default()),
                 || {
                     *builds += 1;
                     Ok::<_, CompileError>(program.clone())
@@ -776,6 +782,7 @@ mod tests {
     fn test_and_paper_scale_never_share_an_alias() {
         let cache = CompileCache::in_memory();
         let (program, options, artifact) = compiled("is");
+        let options = OptionsFingerprint::of(&options);
         let test = Source::Bench {
             name: "is",
             paper: false,
@@ -814,6 +821,7 @@ mod tests {
     fn file_sources_are_keyed_by_the_program_they_decode_to() {
         let cache = CompileCache::in_memory();
         let (program, options, artifact) = compiled("is");
+        let options = OptionsFingerprint::of(&options);
         assert_eq!(Source::File.artifact_key(&options), None);
         assert_eq!(Source::File.listing_key(), None);
 

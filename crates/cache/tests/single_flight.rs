@@ -5,7 +5,7 @@
 //! once (counter hook on the compute closure) and every thread must
 //! receive the identical artifact.
 
-use amnesiac_cache::{CompileCache, Source};
+use amnesiac_cache::{CompileCache, OptionsFingerprint, Source};
 use amnesiac_compiler::{compile, CompileError, CompileOptions};
 use amnesiac_profile::profile_program;
 use amnesiac_sim::CoreConfig;
@@ -24,6 +24,7 @@ const MCF: Source<'static> = Source::Bench {
 fn eight_threads_one_compilation() {
     let program = build_focal("mcf", Scale::Test).program;
     let options = CompileOptions::default();
+    let fingerprint = OptionsFingerprint::of(&options);
     let (profile, _) = profile_program(&program, &CoreConfig::paper()).expect("profile");
 
     let cache = CompileCache::in_memory();
@@ -38,7 +39,7 @@ fn eight_threads_one_compilation() {
                     cache
                         .get_or_compile_source(
                             &MCF,
-                            &options,
+                            &fingerprint,
                             || {
                                 builds.fetch_add(1, Ordering::SeqCst);
                                 Ok::<_, CompileError>(program.clone())
@@ -100,6 +101,7 @@ fn warm_restart_serves_from_disk_without_recompiling() {
 
     let program = build_focal("mcf", Scale::Test).program;
     let options = CompileOptions::default();
+    let fingerprint = OptionsFingerprint::of(&options);
     let (profile, _) = profile_program(&program, &CoreConfig::paper()).expect("profile");
 
     let cold = CompileCache::persistent(&dir).expect("cold cache");
@@ -107,7 +109,7 @@ fn warm_restart_serves_from_disk_without_recompiling() {
     let (_, cold_artifact) = cold
         .get_or_compile_source(
             &MCF,
-            &options,
+            &fingerprint,
             || Ok::<_, CompileError>(program.clone()),
             |program| {
                 cold_runs += 1;
@@ -124,7 +126,7 @@ fn warm_restart_serves_from_disk_without_recompiling() {
     let (_, warm_artifact) = warm
         .get_or_compile_source(
             &MCF,
-            &options,
+            &fingerprint,
             || Ok::<_, CompileError>(program.clone()),
             |program| {
                 warm_runs += 1;

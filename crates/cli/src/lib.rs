@@ -68,9 +68,9 @@
 
 use std::fmt::Write as _;
 use std::path::PathBuf;
-use std::sync::Arc;
+use std::sync::{Arc, OnceLock};
 
-use amnesiac_cache::{CompileArtifact, CompileCache, Source};
+use amnesiac_cache::{CompileArtifact, CompileCache, OptionsFingerprint, Source};
 use amnesiac_compiler::{compile, CompileError, CompileOptions};
 use amnesiac_core::{AmnesicConfig, AmnesicCore, Policy};
 use amnesiac_isa::{disassemble, parse_asm, Program};
@@ -584,6 +584,17 @@ pub(crate) fn run_with_cache(
     }
 }
 
+/// The default compile options with their cache-key fingerprint, built and
+/// formatted once per process rather than once per request.
+fn default_options() -> &'static (CompileOptions, OptionsFingerprint) {
+    static DEFAULT: OnceLock<(CompileOptions, OptionsFingerprint)> = OnceLock::new();
+    DEFAULT.get_or_init(|| {
+        let options = CompileOptions::default();
+        let fingerprint = OptionsFingerprint::of(&options);
+        (options, fingerprint)
+    })
+}
+
 /// Compiles `target` under the default options, through the cache when
 /// one is threaded in and plain otherwise, and returns the program's name
 /// with the shared artifact. With a cache a `bench:` target is keyed by
@@ -594,17 +605,20 @@ fn compile_maybe_cached(
     target: &str,
     paper_scale: bool,
 ) -> Result<(Arc<str>, Arc<CompileArtifact>), CliError> {
-    let options = CompileOptions::default();
+    let (options, fingerprint) = default_options();
     let build = || load_program(target, paper_scale);
     let compute = |program: &Program| {
         let (profile, _) =
             profile_program(program, &CoreConfig::paper()).map_err(CompileError::Replay)?;
-        compile(program, &profile, &options)
+        compile(program, &profile, options)
     };
     match cache {
-        Some(cache) => {
-            cache.get_or_compile_source(&source_of(target, paper_scale), &options, build, compute)
-        }
+        Some(cache) => cache.get_or_compile_source(
+            &source_of(target, paper_scale),
+            fingerprint,
+            build,
+            compute,
+        ),
         None => {
             let program = build()?;
             let (binary, report) = compute(&program)?;
@@ -844,6 +858,16 @@ mod tests {
 
     fn args(list: &[&str]) -> Vec<String> {
         list.iter().map(|s| s.to_string()).collect()
+    }
+
+    #[test]
+    fn the_precomputed_fingerprint_is_the_default_options_debug_text() {
+        let (options, fingerprint) = default_options();
+        assert_eq!(
+            fingerprint.as_str(),
+            format!("{:?}", CompileOptions::default())
+        );
+        assert_eq!(format!("{options:?}"), fingerprint.as_str());
     }
 
     #[test]

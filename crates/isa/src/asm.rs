@@ -72,29 +72,14 @@ pub fn to_asm(program: &Program) -> String {
     let mut out = String::new();
     let _ = writeln!(out, ".name {}", program.name);
     let _ = writeln!(out, ".entry {}", program.entry);
-    // contiguous data runs become one .data directive each
-    let mut run: Vec<(u64, u64)> = Vec::new();
-    let flush = |out: &mut String, run: &mut Vec<(u64, u64)>| {
-        if let Some(&(base, _)) = run.first() {
-            let _ = write!(out, ".data {base:#x}");
-            for &(_, v) in run.iter() {
-                let _ = write!(out, " {v:#x}");
-            }
-            out.push('\n');
+    // each maximal run of consecutive words is one .data directive
+    for (base, words) in program.data.runs() {
+        let _ = write!(out, ".data {base:#x}");
+        for value in words {
+            let _ = write!(out, " {value:#x}");
         }
-        run.clear();
-    };
-    for (addr, value) in program.data.iter() {
-        match run.last() {
-            Some(&(last, _)) if addr == last + 1 => run.push((addr, value)),
-            None => run.push((addr, value)),
-            _ => {
-                flush(&mut out, &mut run);
-                run.push((addr, value));
-            }
-        }
+        out.push('\n');
     }
-    flush(&mut out, &mut run);
     for r in &program.output {
         let _ = writeln!(out, ".output {:#x} {}", r.start, r.len);
     }
@@ -358,6 +343,9 @@ fn parse_instruction(text: &str, line: usize) -> Result<Instruction, AsmError> {
 /// [`crate::validate::validate`].
 pub fn parse_asm(text: &str) -> Result<Program, AsmError> {
     let mut program = Program::new("asm");
+    // `.data`/`.dataf` words in directive order; collected into the image
+    // in address order at the end, the later directive winning an overlap
+    let mut data: Vec<(u64, u64)> = Vec::new();
     for (idx, raw) in text.lines().enumerate() {
         let line = idx + 1;
         let content = raw.split(';').next().unwrap_or("").trim();
@@ -384,6 +372,12 @@ pub fn parse_asm(text: &str) -> Result<Program, AsmError> {
                         .ok_or_else(|| err(line, ".data expects a base address"))?;
                     let base = parse_u64(base_tok, line)?;
                     for (i, v) in values.iter().enumerate() {
+                        let addr = base.checked_add(i as u64).ok_or_else(|| {
+                            err(
+                                line,
+                                format!(".{kind} run at {base:#x} passes address 2^64"),
+                            )
+                        })?;
                         let word = if kind == "dataf" {
                             v.parse::<f64>()
                                 .map_err(|e| err(line, format!("bad f64 `{v}`: {e}")))?
@@ -391,7 +385,7 @@ pub fn parse_asm(text: &str) -> Result<Program, AsmError> {
                         } else {
                             parse_u64(v, line)?
                         };
-                        program.data.set(base + i as u64, word);
+                        data.push((addr, word));
                     }
                 }
                 "output" | "readonly" => {
@@ -419,6 +413,7 @@ pub fn parse_asm(text: &str) -> Result<Program, AsmError> {
         };
         program.instructions.push(parse_instruction(content, line)?);
     }
+    program.data = data.into_iter().collect();
     program.code_len = program.instructions.len();
     crate::validate::validate(&program)?;
     Ok(program)
@@ -527,6 +522,52 @@ mod tests {
                 other => panic!("unexpected {other:?}"),
             }
         }
+    }
+
+    #[test]
+    fn data_runs_past_the_address_space_end_are_syntax_errors() {
+        let e = parse_asm(".name t\n.data 0xffffffffffffffff 1 2\nhalt\n").unwrap_err();
+        assert!(
+            matches!(&e, AsmError::Syntax { line: 2, message } if message.contains("2^64")),
+            "{e:?}"
+        );
+        // the last word itself is addressable, and prints back the same
+        let p = parse_asm(".name t\n.data 0xffffffffffffffff 1\nhalt\n").unwrap();
+        assert_eq!(p.data.get(u64::MAX), 1);
+        assert_eq!(parse_asm(&to_asm(&p)).unwrap(), p);
+    }
+
+    #[test]
+    fn overlapping_data_directives_keep_the_later_word() {
+        let p = parse_asm(".data 0x10 1 2 3\n.data 0x11 9\nhalt\n").unwrap();
+        assert_eq!(
+            p.data.iter().collect::<Vec<_>>(),
+            [(0x10, 1), (0x11, 9), (0x12, 3)]
+        );
+        let p = parse_asm(".data 0x11 9\n.data 0x10 1 2 3\nhalt\n").unwrap();
+        assert_eq!(
+            p.data.iter().collect::<Vec<_>>(),
+            [(0x10, 1), (0x11, 2), (0x12, 3)]
+        );
+    }
+
+    #[test]
+    fn descending_data_directives_parse_like_their_ascending_twin() {
+        // one word per directive, so each lands below the one before: a
+        // word-at-a-time insert would move the whole image every line
+        let lines = |addrs: &mut dyn Iterator<Item = u64>| -> String {
+            let mut text = String::from(".name t\n");
+            for a in addrs {
+                text.push_str(&format!(".data {a:#x} {}\n", a * 3));
+            }
+            text + "halt\n"
+        };
+        let n = 100_000;
+        let descending = parse_asm(&lines(&mut (0x1000..0x1000 + n).rev())).unwrap();
+        let ascending = parse_asm(&lines(&mut (0x1000..0x1000 + n))).unwrap();
+        assert_eq!(descending.data.len(), n as usize);
+        assert_eq!(descending.data.runs().count(), 1);
+        assert_eq!(descending, ascending);
     }
 
     #[test]

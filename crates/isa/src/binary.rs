@@ -9,7 +9,7 @@
 //! magic "AMNC" | version u16 | name len u16 + bytes
 //! entry u32 | code_len u32
 //! n_instructions u32 | encoded instructions (variable length)
-//! n_data u32 | (addr u64, value u64)*
+//! n_data u32 | (addr u64, value u64)*      strictly ascending addresses
 //! n_output u32 | (start u64, len u64)*
 //! n_readonly u32 | (start u64, len u64)*
 //! n_slices u32 | slice records
@@ -43,6 +43,16 @@ pub enum DecodeError {
         /// The byte found.
         byte: u8,
     },
+    /// A data word's address is not above the one before it. Images list
+    /// their data words in strictly ascending address order, which is what
+    /// [`encode_program`] writes; a duplicate or descending address is
+    /// refused rather than sorted, so a decode stays linear in the image.
+    UnorderedData {
+        /// Byte offset of the offending address.
+        at: usize,
+        /// The address found.
+        addr: u64,
+    },
     /// The decoded program failed structural validation.
     Invalid(crate::IsaError),
 }
@@ -56,6 +66,10 @@ impl std::fmt::Display for DecodeError {
             DecodeError::BadOpcode { at, byte } => {
                 write!(f, "invalid opcode byte {byte:#04x} at offset {at}")
             }
+            DecodeError::UnorderedData { at, addr } => write!(
+                f,
+                "data address {addr:#x} at offset {at} is not above the previous one"
+            ),
             DecodeError::Invalid(e) => write!(f, "decoded program is invalid: {e}"),
         }
     }
@@ -101,35 +115,39 @@ struct Reader<'a> {
 
 impl<'a> Reader<'a> {
     fn take(&mut self, n: usize) -> Result<&'a [u8], DecodeError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(DecodeError::Truncated { at: self.pos });
-        }
-        let slice = &self.bytes[self.pos..self.pos + n];
+        let slice = self
+            .pos
+            .checked_add(n)
+            .and_then(|end| self.bytes.get(self.pos..end))
+            .ok_or(DecodeError::Truncated { at: self.pos })?;
         self.pos += n;
         Ok(slice)
     }
+    fn array<const N: usize>(&mut self) -> Result<[u8; N], DecodeError> {
+        let at = self.pos;
+        self.take(N)?
+            .try_into()
+            .map_err(|_| DecodeError::Truncated { at })
+    }
+    /// Bytes not yet read.
+    fn remaining(&self) -> usize {
+        self.bytes.len().saturating_sub(self.pos)
+    }
     fn u8(&mut self) -> Result<u8, DecodeError> {
-        Ok(self.take(1)?[0])
+        let [byte] = self.array()?;
+        Ok(byte)
     }
     fn u16(&mut self) -> Result<u16, DecodeError> {
-        Ok(u16::from_le_bytes(
-            self.take(2)?.try_into().expect("2 bytes"),
-        ))
+        Ok(u16::from_le_bytes(self.array()?))
     }
     fn u32(&mut self) -> Result<u32, DecodeError> {
-        Ok(u32::from_le_bytes(
-            self.take(4)?.try_into().expect("4 bytes"),
-        ))
+        Ok(u32::from_le_bytes(self.array()?))
     }
     fn u64(&mut self) -> Result<u64, DecodeError> {
-        Ok(u64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(u64::from_le_bytes(self.array()?))
     }
     fn i64(&mut self) -> Result<i64, DecodeError> {
-        Ok(i64::from_le_bytes(
-            self.take(8)?.try_into().expect("8 bytes"),
-        ))
+        Ok(i64::from_le_bytes(self.array()?))
     }
     fn reg(&mut self) -> Result<Reg, DecodeError> {
         Ok(Reg(self.u8()?))
@@ -451,11 +469,13 @@ pub fn encode_program(program: &Program) -> Vec<u8> {
     for inst in &program.instructions {
         encode_instruction(&mut w, inst);
     }
-    let data: Vec<(u64, u64)> = program.data.iter().collect();
-    w.u32(data.len() as u32);
-    for (addr, value) in data {
-        w.u64(addr);
-        w.u64(value);
+    w.u32(program.data.len() as u32);
+    w.bytes.reserve(16 * program.data.len());
+    for (base, words) in program.data.runs() {
+        for (i, &value) in words.iter().enumerate() {
+            w.u64(base + i as u64);
+            w.u64(value);
+        }
     }
     for ranges in [&program.output, &program.read_only] {
         w.u32(ranges.len() as u32);
@@ -517,7 +537,8 @@ pub fn decode_program(bytes: &[u8]) -> Result<Program, DecodeError> {
     let entry = r.u32()? as usize;
     let code_len = r.u32()? as usize;
     let n_inst = r.u32()? as usize;
-    let mut instructions = Vec::with_capacity(n_inst.min(1 << 20));
+    // an instruction takes at least one byte
+    let mut instructions = Vec::with_capacity(n_inst.min(r.remaining()));
     for _ in 0..n_inst {
         instructions.push(decode_instruction(&mut r)?);
     }
@@ -525,11 +546,19 @@ pub fn decode_program(bytes: &[u8]) -> Result<Program, DecodeError> {
     program.entry = entry;
     program.code_len = code_len;
     program.instructions = instructions;
+    // ascending addresses make every `set` an append; a word takes 16
+    // bytes, so a hostile count reserves no more than the image could hold
     let n_data = r.u32()? as usize;
+    program.data.reserve(n_data.min(r.remaining() / 16));
+    let mut prev = None;
     for _ in 0..n_data {
+        let at = r.pos;
         let addr = r.u64()?;
-        let value = r.u64()?;
-        program.data.set(addr, value);
+        if prev.is_some_and(|prev| addr <= prev) {
+            return Err(DecodeError::UnorderedData { at, addr });
+        }
+        prev = Some(addr);
+        program.data.set(addr, r.u64()?);
     }
     for _ in 0..r.u32()? {
         program.output.push(MemRange::new(r.u64()?, r.u64()?));
@@ -661,6 +690,88 @@ mod tests {
         assert!(matches!(
             decode_program(&bytes),
             Err(DecodeError::BadOpcode { .. })
+        ));
+    }
+
+    /// Byte offset of `n_data` in `p`'s image: the image of `p` without
+    /// data, ranges or slices ends with those four (zero) counts.
+    fn data_offset(p: &Program) -> usize {
+        let mut bare = p.clone();
+        bare.data = crate::program::DataImage::new();
+        bare.output.clear();
+        bare.read_only.clear();
+        bare.slices.clear();
+        encode_program(&bare).len() - 16
+    }
+
+    /// `p`'s image with data word `i`'s address replaced by `addr`.
+    fn with_data_addr(p: &Program, i: usize, addr: u64) -> (Vec<u8>, usize) {
+        let mut bytes = encode_program(p);
+        let at = data_offset(p) + 4 + 16 * i;
+        bytes[at..at + 8].copy_from_slice(&addr.to_le_bytes());
+        (bytes, at)
+    }
+
+    #[test]
+    fn data_words_must_ascend_strictly() {
+        let p = classic(); // data at 0x1000, 0x1001, 0x1002, 0x1003
+        let (bytes, _) = with_data_addr(&p, 0, 0x1000);
+        assert_eq!(decode_program(&bytes), Ok(p.clone()), "the offset is right");
+        // descending: the second word below the first
+        let (bytes, at) = with_data_addr(&p, 1, 0x0FFF);
+        assert_eq!(
+            decode_program(&bytes),
+            Err(DecodeError::UnorderedData { at, addr: 0x0FFF })
+        );
+        // a duplicated address
+        let (bytes, at) = with_data_addr(&p, 2, 0x1001);
+        assert_eq!(
+            decode_program(&bytes),
+            Err(DecodeError::UnorderedData { at, addr: 0x1001 })
+        );
+        // a gap is fine: the image then holds two runs
+        let (bytes, _) = with_data_addr(&p, 0, 0x10);
+        let q = decode_program(&bytes).unwrap();
+        assert_eq!(q.data.runs().count(), 2);
+        assert_eq!(encode_program(&q), bytes);
+    }
+
+    #[test]
+    fn a_data_count_past_the_image_end_is_truncation_not_an_allocation() {
+        // the image ends after its four data words, but claims 2^32 - 1
+        let p = classic();
+        let mut bytes = encode_program(&p);
+        let at = data_offset(&p);
+        bytes[at..at + 4].copy_from_slice(&u32::MAX.to_le_bytes());
+        let end = at + 4 + 16 * p.data.len();
+        bytes.truncate(end);
+        assert_eq!(
+            decode_program(&bytes),
+            Err(DecodeError::Truncated { at: end })
+        );
+    }
+
+    #[test]
+    fn words_at_the_top_of_the_address_space_round_trip() {
+        let mut p = classic();
+        p.data.set(u64::MAX - 1, 1);
+        p.data.set(u64::MAX, 2);
+        let bytes = encode_program(&p);
+        assert_eq!(decode_program(&bytes), Ok(p));
+    }
+
+    #[test]
+    fn code_len_past_the_instruction_stream_is_refused() {
+        let p = classic();
+        let mut bytes = encode_program(&p);
+        let offset = 4 + 2 + 2 + p.name.len() + 4;
+        bytes[offset..offset + 4].copy_from_slice(&1000u32.to_le_bytes());
+        assert!(matches!(
+            decode_program(&bytes),
+            Err(DecodeError::Invalid(crate::IsaError::CodeLenOutOfRange {
+                code_len: 1000,
+                ..
+            }))
         ));
     }
 

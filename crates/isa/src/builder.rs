@@ -101,9 +101,7 @@ impl ProgramBuilder {
     /// word address.
     pub fn alloc_data(&mut self, values: &[u64]) -> u64 {
         let base = self.next_data;
-        for (i, &v) in values.iter().enumerate() {
-            self.data.set(base + i as u64, v);
-        }
+        self.data.set_run(base, values);
         self.next_data += values.len() as u64;
         base
     }
@@ -116,12 +114,7 @@ impl ProgramBuilder {
 
     /// Allocates `len` zero-initialised words; returns the base address.
     pub fn alloc_zeroed(&mut self, len: u64) -> u64 {
-        let base = self.next_data;
-        for i in 0..len {
-            self.data.set(base + i, 0);
-        }
-        self.next_data += len;
-        base
+        self.alloc_data(&vec![0; len as usize])
     }
 
     /// Marks `[start, start+len)` as observable program output.

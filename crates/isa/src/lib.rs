@@ -119,6 +119,8 @@ pub enum IsaError {
     MemoryInstInSlice { slice: u32, pc: usize },
     /// Two data allocations overlap, or a data address is duplicated.
     OverlappingData { addr: u64 },
+    /// The main code region is longer than the instruction stream.
+    CodeLenOutOfRange { code_len: usize, len: usize },
 }
 
 impl fmt::Display for IsaError {
@@ -144,6 +146,12 @@ impl fmt::Display for IsaError {
             }
             IsaError::OverlappingData { addr } => {
                 write!(f, "overlapping data allocation at word address {addr}")
+            }
+            IsaError::CodeLenOutOfRange { code_len, len } => {
+                write!(
+                    f,
+                    "main code length {code_len} exceeds the instruction count {len}"
+                )
             }
         }
     }

@@ -190,9 +190,34 @@ impl MemRange {
 /// Initial data memory contents, word addressed (one `u64` per address).
 ///
 /// Word address `a` corresponds to byte address `8·a` in the cache model.
+///
+/// The words are held as maximal runs of consecutive addresses: one
+/// address-ordered `Vec<u64>` plus a run table giving each run's base
+/// address and the index of its first word. The runs are canonical —
+/// sorted by base, and no two runs touch (a run ends at least one address
+/// below the next run's base) — so the derived `PartialEq` means "holds the
+/// same words". Paper-scale programs initialise whole arrays, so an image
+/// is a handful of runs over a flat array: 8 bytes a word, and the bulk
+/// paths ([`DataImage::set_run`], [`DataImage::runs`]) copy slices.
+///
+/// A word set above every initialised word is appended in O(1); a word set
+/// below one is inserted in O(n). Builders and decoders therefore write in
+/// address order.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DataImage {
-    words: BTreeMap<u64, u64>,
+    /// Every initialised word, in address order.
+    words: Vec<u64>,
+    /// One entry per run, sorted by base address.
+    runs: Vec<Run>,
+}
+
+/// One maximal run of consecutive initialised words.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Run {
+    /// Address of the run's first word.
+    base: u64,
+    /// Index of the run's first word in [`DataImage::words`].
+    start: usize,
 }
 
 impl DataImage {
@@ -201,19 +226,121 @@ impl DataImage {
         Self::default()
     }
 
-    /// Sets the initial value of a word.
+    /// Reserves room for at least `additional` more words.
+    pub(crate) fn reserve(&mut self, additional: usize) {
+        self.words.reserve(additional);
+    }
+
+    /// Index one past run `i`'s last word in `words`.
+    fn end(&self, i: usize) -> usize {
+        self.runs.get(i + 1).map_or(self.words.len(), |r| r.start)
+    }
+
+    /// Address of run `i`'s last word (runs are never empty).
+    fn last_addr(&self, i: usize) -> u64 {
+        let run = self.runs[i];
+        run.base + (self.end(i) - run.start - 1) as u64
+    }
+
+    /// Address of the highest initialised word.
+    fn top(&self) -> Option<u64> {
+        let last = self.runs.len().checked_sub(1)?;
+        Some(self.last_addr(last))
+    }
+
+    /// Index into `words` of the word at `addr`, if it is initialised.
+    fn index_of(&self, addr: u64) -> Option<usize> {
+        let i = self
+            .runs
+            .partition_point(|r| r.base <= addr)
+            .checked_sub(1)?;
+        let run = self.runs[i];
+        let index = run.start + usize::try_from(addr - run.base).ok()?;
+        (index < self.end(i)).then_some(index)
+    }
+
+    /// Sets the initial value of a word; a later `set` of the same word
+    /// wins.
     pub fn set(&mut self, addr: u64, value: u64) {
-        self.words.insert(addr, value);
+        // the common case: a word above every initialised one extends the
+        // top run, or starts a run past a gap
+        let top = self.top();
+        if top.is_none_or(|top| addr > top) {
+            if top.is_none_or(|top| addr - top > 1) {
+                self.runs.push(Run {
+                    base: addr,
+                    start: self.words.len(),
+                });
+            }
+            self.words.push(value);
+            return;
+        }
+        if let Some(index) = self.index_of(addr) {
+            self.words[index] = value;
+            return;
+        }
+        // a gap below the top: `next` is the first run above `addr`, and
+        // the new word goes in front of its first word
+        let next = self.runs.partition_point(|r| r.base <= addr);
+        let joins_prev = next > 0 && addr - self.last_addr(next - 1) == 1;
+        let joins_next = self.runs[next].base - addr == 1;
+        let at = self.runs[next].start;
+        self.words.insert(at, value);
+        for run in &mut self.runs[next + 1..] {
+            run.start += 1;
+        }
+        match (joins_prev, joins_next) {
+            (true, true) => {
+                self.runs.remove(next);
+            }
+            (false, true) => self.runs[next].base = addr,
+            (true, false) => self.runs[next].start += 1,
+            (false, false) => {
+                self.runs[next].start += 1;
+                self.runs.insert(
+                    next,
+                    Run {
+                        base: addr,
+                        start: at,
+                    },
+                );
+            }
+        }
+    }
+
+    /// Sets the words at `base, base + 1, …` to `values`, exactly as one
+    /// [`DataImage::set`] per value in order would. A run placed above
+    /// every initialised word is appended with one slice copy.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the run would pass address `u64::MAX`.
+    pub fn set_run(&mut self, base: u64, values: &[u64]) {
+        let Some((&first, rest)) = values.split_first() else {
+            return;
+        };
+        assert!(
+            base.checked_add(rest.len() as u64).is_some(),
+            "data run at {base:#x} passes the end of the address space"
+        );
+        if self.top().is_none_or(|top| base > top) {
+            self.set(base, first);
+            self.words.extend_from_slice(rest);
+        } else {
+            for (i, &value) in values.iter().enumerate() {
+                self.set(base + i as u64, value);
+            }
+        }
     }
 
     /// Returns the initial value of a word (0 if never set).
     pub fn get(&self, addr: u64) -> u64 {
-        self.words.get(&addr).copied().unwrap_or(0)
+        self.index_of(addr).map_or(0, |i| self.words[i])
     }
 
     /// Returns `true` if the word was explicitly initialised.
     pub fn is_initialized(&self, addr: u64) -> bool {
-        self.words.contains_key(&addr)
+        self.index_of(addr).is_some()
     }
 
     /// Number of explicitly initialised words.
@@ -226,17 +353,40 @@ impl DataImage {
         self.words.is_empty()
     }
 
+    /// The maximal runs of consecutive initialised words, in address
+    /// order, as `(base address, words)`. No two runs touch.
+    pub fn runs(&self) -> impl Iterator<Item = (u64, &[u64])> + '_ {
+        self.runs
+            .iter()
+            .enumerate()
+            .map(|(i, run)| (run.base, &self.words[run.start..self.end(i)]))
+    }
+
     /// Iterates over `(address, value)` pairs in address order.
     pub fn iter(&self) -> impl Iterator<Item = (u64, u64)> + '_ {
-        self.words.iter().map(|(&a, &v)| (a, v))
+        self.runs().flat_map(|(base, words)| {
+            words
+                .iter()
+                .enumerate()
+                .map(move |(i, &value)| (base + i as u64, value))
+        })
     }
 }
 
 impl FromIterator<(u64, u64)> for DataImage {
+    /// Collects `(address, value)` pairs; where an address repeats, the
+    /// later pair wins, as with [`DataImage::set`]. The pairs are sorted
+    /// first, so any order costs O(n log n).
     fn from_iter<T: IntoIterator<Item = (u64, u64)>>(iter: T) -> Self {
-        DataImage {
-            words: iter.into_iter().collect(),
+        let mut pairs: Vec<(u64, u64)> = iter.into_iter().collect();
+        // stable: equal addresses keep their order, and the last one wins
+        pairs.sort_by_key(|&(addr, _)| addr);
+        let mut image = DataImage::new();
+        image.reserve(pairs.len());
+        for (addr, value) in pairs {
+            image.set(addr, value);
         }
+        image
     }
 }
 
@@ -335,9 +485,33 @@ mod tests {
 
     #[test]
     fn data_image_from_iterator() {
-        let img: DataImage = vec![(1, 2), (3, 4)].into_iter().collect();
+        let img: DataImage = vec![(3, 4), (1, 2), (3, 5)].into_iter().collect();
         assert_eq!(img.get(1), 2);
-        assert_eq!(img.get(3), 4);
+        assert_eq!(img.get(3), 5, "the later pair wins");
+        assert_eq!(img.len(), 2);
+    }
+
+    #[test]
+    fn data_image_keeps_maximal_runs() {
+        let mut img = DataImage::new();
+        img.set_run(10, &[1, 2, 3]);
+        img.set(20, 0); // explicit zero: initialised
+        img.set(14, 5);
+        let runs: Vec<_> = img.runs().collect();
+        assert_eq!(runs, [(10, &[1, 2, 3][..]), (14, &[5][..]), (20, &[0][..])]);
+        assert!(img.is_initialized(20));
+        img.set(13, 4); // fills the gap: the first two runs join
+        img.set(9, 0); // extends the first run downwards
+        img.set(11, 7); // overwrites in place
+        let runs: Vec<_> = img.runs().collect();
+        assert_eq!(runs, [(9, &[0, 1, 7, 3, 4, 5][..]), (20, &[0][..])]);
+        assert_eq!(img.len(), 7);
+    }
+
+    #[test]
+    #[should_panic(expected = "passes the end of the address space")]
+    fn data_runs_cannot_pass_the_last_address() {
+        DataImage::new().set_run(u64::MAX, &[1, 2]);
     }
 
     #[test]

@@ -10,7 +10,8 @@ use crate::IsaError;
 /// Checks performed:
 ///
 /// 1. every register id is `< NUM_REGS`;
-/// 2. every branch/jump target lies within the main code region;
+/// 2. the main code region lies within the instruction stream, and every
+///    branch/jump target lies within the main code region;
 /// 3. the main code region is terminated by at least one `Halt`;
 /// 4. slice-only instructions (`RTN`) never appear in main code, and
 ///    `RCMP`/`REC` only appear in main code;
@@ -52,8 +53,14 @@ fn validate_registers(program: &Program) -> Result<(), IsaError> {
 
 fn validate_control_flow(program: &Program) -> Result<(), IsaError> {
     let code_len = program.code_len;
+    let Some(main) = program.instructions.get(..code_len) else {
+        return Err(IsaError::CodeLenOutOfRange {
+            code_len,
+            len: program.instructions.len(),
+        });
+    };
     let mut has_halt = false;
-    for (pc, inst) in program.instructions[..code_len].iter().enumerate() {
+    for (pc, inst) in main.iter().enumerate() {
         match inst {
             Instruction::Branch { target, .. } | Instruction::Jump { target }
                 if *target >= code_len =>
@@ -131,7 +138,9 @@ fn validate_slice(program: &Program, meta: &crate::program::SliceMeta) -> Result
     }
     // body: compute instructions then a matching RTN
     let body = &program.instructions[meta.entry..end];
-    let (last, compute) = body.split_last().expect("len >= 2");
+    let Some((last, compute)) = body.split_last() else {
+        return Err(err("slice body is empty".into()));
+    };
     match last {
         Instruction::Rtn { slice } if *slice == meta.id => {}
         _ => return Err(err("slice body must end with its own RTN".into())),
@@ -190,8 +199,10 @@ fn validate_slice(program: &Program, meta: &crate::program::SliceMeta) -> Result
     // every Hist key the slice reads must be checkpointed by a REC in the
     // main code region
     for key in meta.hist_keys() {
-        let found = program.instructions[..program.code_len]
+        let found = program
+            .instructions
             .iter()
+            .take(program.code_len)
             .any(|i| matches!(i, Instruction::Rec { key: k, .. } if *k == key));
         if !found {
             return Err(err(format!("hist key {key} has no REC checkpoint")));

@@ -138,17 +138,41 @@ impl PagedMem {
                 return;
             }
         }
-        let idx = match self.directory.get(&page_no) {
-            Some(&idx) => idx,
-            None => {
-                let idx = u32::try_from(self.pages.len()).expect("page count fits u32");
-                self.pages.push((page_no, zero_page()));
-                self.directory.insert(page_no, idx);
-                idx
-            }
-        };
+        let idx = self.page_index(page_no);
         self.mru.set([idx, m0]);
         self.pages[idx as usize].1[offset] = value;
+    }
+
+    /// Index into `pages` of page `page_no`, allocating it on first touch.
+    fn page_index(&mut self, page_no: u64) -> u32 {
+        if let Some(&idx) = self.directory.get(&page_no) {
+            return idx;
+        }
+        let idx = u32::try_from(self.pages.len()).expect("page count fits u32");
+        self.pages.push((page_no, zero_page()));
+        self.directory.insert(page_no, idx);
+        idx
+    }
+
+    /// Writes `words` to `base, base + 1, …` (wrapping past `u64::MAX`),
+    /// one page-sized copy at a time. Leaves the memory exactly as one
+    /// [`PagedMem::set`] per word in order would: the same words, the same
+    /// pages allocated in the same order, the same MRU pages.
+    pub fn fill(&mut self, base: u64, words: &[u64]) {
+        let mut addr = base;
+        let mut rest = words;
+        while !rest.is_empty() {
+            let offset = (addr & OFFSET_MASK) as usize;
+            let (chunk, tail) = rest.split_at(rest.len().min(PAGE_WORDS - offset));
+            let idx = self.page_index(addr >> PAGE_SHIFT);
+            let [m0, _] = self.mru.get();
+            if idx != m0 {
+                self.mru.set([idx, m0]);
+            }
+            self.pages[idx as usize].1[offset..offset + chunk.len()].copy_from_slice(chunk);
+            addr = addr.wrapping_add(chunk.len() as u64);
+            rest = tail;
+        }
     }
 
     /// Number of allocated (touched) pages.
@@ -276,6 +300,28 @@ mod tests {
         assert_eq!(mem.get(1), 10);
         assert_eq!(mem.get(2), 20);
         assert_eq!(mem.get(3), 0);
+    }
+
+    #[test]
+    fn fill_matches_per_word_set_across_pages_and_the_address_wrap() {
+        let words: Vec<u64> = (1..=2 * PAGE_WORDS as u64 + 5).collect();
+        for base in [0, 7, PAGE_WORDS as u64 - 1, u64::MAX - 3] {
+            let mut filled = PagedMem::new();
+            filled.set(3 * PAGE_WORDS as u64, 9); // an earlier page
+            let mut per_word = filled.clone();
+            filled.fill(base, &words);
+            for (i, &w) in words.iter().enumerate() {
+                per_word.set(base.wrapping_add(i as u64), w);
+            }
+            assert_eq!(filled.page_count(), per_word.page_count(), "base {base}");
+            let tags = |m: &PagedMem| m.pages.iter().map(|(no, _)| *no).collect::<Vec<_>>();
+            assert_eq!(tags(&filled), tags(&per_word), "allocation order");
+            assert_eq!(filled.mru.get(), per_word.mru.get(), "MRU pages");
+            assert!(filled.iter_nonzero().eq(per_word.iter_nonzero()));
+        }
+        let mut empty = PagedMem::new();
+        empty.fill(5, &[]);
+        assert_eq!(empty.page_count(), 0, "an empty fill touches no page");
     }
 
     #[test]

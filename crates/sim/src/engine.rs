@@ -105,11 +105,16 @@ pub struct ArchState {
 }
 
 impl ArchState {
-    /// Zeroed registers over the program's data image.
+    /// Zeroed registers over the program's data image, copied in one
+    /// run of words at a time.
     pub(crate) fn new(program: &Program) -> Self {
+        let mut mem = PagedMem::new();
+        for (base, words) in program.data.runs() {
+            mem.fill(base, words);
+        }
         ArchState {
             regs: [0; NUM_REGS],
-            mem: program.data.iter().collect(),
+            mem,
         }
     }
 
