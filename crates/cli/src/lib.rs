@@ -19,7 +19,6 @@
 //! amnesiac lint [<prog | bench:NAME>] [--json <dir>]   # abstract-interpretation lint
 //! amnesiac experiments --json <dir>                    # suite + JSON twins
 //! amnesiac serve [--port <p>] [--workers <n>]          # line-protocol service
-//! amnesiac loadgen [--rate <r>] [--duration-ms <ms>] [--seed <n>] [--mix <m>]
 //! amnesiac cluster [--workers <n>] [--port <p>]        # router + worker fleet
 //! ```
 //!
@@ -47,14 +46,6 @@
 //! crate's [`serve_handler`] plugged in (verbs `compile`, `simulate`,
 //! `verify`, `bench`, `experiments`, plus the read-only `disasm` /
 //! `profile` / `trace`).
-//!
-//! `loadgen` boots the same service in-process and drives it with an
-//! open-loop Poisson schedule ([`amnesiac_loadgen`]): deterministic per
-//! `--seed`, weighted across verbs per `--mix`, latencies measured from
-//! the *scheduled* send instant into log-bucketed histograms. A run is a
-//! cold burst against an empty compile cache, then a warm burst over the
-//! identical schedule; its `--json` payload is the snapshot document. It
-//! is a measuring tool, and no gate reads its output.
 //!
 //! `cluster` scales the same service across processes: a router
 //! consistent-hashes each request's routing key over `--workers <n>`
@@ -112,14 +103,6 @@ pub struct Command {
     pub backlog: Option<usize>,
     /// Per-request deadline for the serve verbs (`--timeout-ms <ms>`).
     pub timeout_ms: Option<u64>,
-    /// Arrival rate for the loadgen verbs (`--rate <req/s>`).
-    pub rate: Option<f64>,
-    /// Load duration for the loadgen verbs (`--duration-ms <ms>`).
-    pub duration_ms: Option<u64>,
-    /// Schedule seed for the loadgen verbs (`--seed <n>`).
-    pub seed: Option<u64>,
-    /// Weighted verb mix for the loadgen verbs (`--mix <verb=w,...>`).
-    pub mix: Option<String>,
     /// Persistent compile-cache directory (`--cache-dir <dir>`) for the
     /// cacheable verbs (compile, disasm, verify) and the serve verbs,
     /// where it backs the shared in-process cache across restarts.
@@ -141,7 +124,6 @@ pub enum Verb {
     Lint,
     Experiments,
     Serve,
-    Loadgen,
     Cluster,
 }
 
@@ -209,8 +191,6 @@ pub const USAGE: &str = "usage: amnesiac <run|disasm|profile|compile|compare> \
        amnesiac experiments --json <dir> [--paper-scale]
        amnesiac serve [--port <p>] [--workers <n>] [--backlog <n>] [--timeout-ms <ms>] [--cache-dir <dir>]
        amnesiac cluster [--workers <n>] [--port <p>] [--timeout-ms <ms>] [--cache-dir <dir>]
-       amnesiac loadgen [--rate <req/s>] [--duration-ms <ms>] [--seed <n>] [--mix <verb=w,...>]
-                        [--workers <n>] [--backlog <n>] [--timeout-ms <ms>] [--json <dir>]
   every verb accepts --json <dir> to export its payload as <verb>.json
   compile, disasm, and verify accept --cache-dir <dir>: a persistent
   content-addressed compile cache, reused across process restarts
@@ -259,17 +239,13 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut workers = None;
     let mut backlog = None;
     let mut timeout_ms = None;
-    let mut rate = None;
-    let mut duration_ms = None;
-    let mut seed = None;
-    let mut mix = None;
     let mut cache_dir = None;
     let mut i = 0;
     while i < args.len() {
         let arg = args[i].as_str();
         match arg {
             "run" | "disasm" | "profile" | "compile" | "compare" | "encode" | "trace"
-            | "verify" | "lint" | "experiments" | "serve" | "loadgen" | "cluster"
+            | "verify" | "lint" | "experiments" | "serve" | "cluster"
                 if verb.is_none() =>
             {
                 verb = Some(match arg {
@@ -283,7 +259,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                     "lint" => Verb::Lint,
                     "experiments" => Verb::Experiments,
                     "serve" => Verb::Serve,
-                    "loadgen" => Verb::Loadgen,
                     "cluster" => Verb::Cluster,
                     _ => Verb::Encode,
                 });
@@ -348,35 +323,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
                 }
                 set_once(&mut timeout_ms, parsed, arg)?;
             }
-            "--rate" => {
-                let raw = flag_value(args, &mut i, arg, "requests per second")?;
-                let parsed = raw
-                    .parse::<f64>()
-                    .ok()
-                    .filter(|r| r.is_finite() && *r > 0.0)
-                    .ok_or_else(|| {
-                        CliError::Usage(format!("--rate: `{raw}` is not a positive rate"))
-                    })?;
-                set_once(&mut rate, parsed, arg)?;
-            }
-            "--duration-ms" => {
-                let raw = flag_value(args, &mut i, arg, "milliseconds")?;
-                let parsed = raw.parse::<u64>().ok().filter(|d| *d > 0).ok_or_else(|| {
-                    CliError::Usage(format!("--duration-ms: `{raw}` is not a duration"))
-                })?;
-                set_once(&mut duration_ms, parsed, arg)?;
-            }
-            "--seed" => {
-                let raw = flag_value(args, &mut i, arg, "a seed")?;
-                let parsed = raw
-                    .parse::<u64>()
-                    .map_err(|_| CliError::Usage(format!("--seed: `{raw}` is not a seed")))?;
-                set_once(&mut seed, parsed, arg)?;
-            }
-            "--mix" => {
-                let spec = flag_value(args, &mut i, arg, "a verb=weight list")?;
-                set_once(&mut mix, spec.to_string(), arg)?;
-            }
             "--cache-dir" => {
                 let dir = flag_value(args, &mut i, arg, "a directory")?;
                 set_once(&mut cache_dir, dir.to_string(), arg)?;
@@ -398,8 +344,7 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             "--scale conflicts with --paper-scale; pass one or the other".into(),
         ));
     }
-    let loadgen_verb = verb == Verb::Loadgen;
-    let serve_verb = matches!(verb, Verb::Serve | Verb::Loadgen | Verb::Cluster);
+    let serve_verb = matches!(verb, Verb::Serve | Verb::Cluster);
     if !serve_verb {
         for (flag, given) in [
             ("--port", port.is_some()),
@@ -410,20 +355,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             if given {
                 return Err(CliError::Usage(format!(
                     "{flag} only applies to the serve verbs"
-                )));
-            }
-        }
-    }
-    if !loadgen_verb {
-        for (flag, given) in [
-            ("--rate", rate.is_some()),
-            ("--duration-ms", duration_ms.is_some()),
-            ("--seed", seed.is_some()),
-            ("--mix", mix.is_some()),
-        ] {
-            if given {
-                return Err(CliError::Usage(format!(
-                    "{flag} only applies to the loadgen verbs"
                 )));
             }
         }
@@ -443,17 +374,12 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         Verb::Experiments if json_dir.is_none() => {
             return Err(CliError::Usage("experiments needs --json <dir>".into()));
         }
-        Verb::Serve | Verb::Loadgen | Verb::Cluster if target.is_some() => {
+        Verb::Serve | Verb::Cluster if target.is_some() => {
             return Err(CliError::Usage(
                 "the serve verbs take flags only — no positional argument".into(),
             ));
         }
-        Verb::Verify
-        | Verb::Lint
-        | Verb::Experiments
-        | Verb::Serve
-        | Verb::Loadgen
-        | Verb::Cluster => {}
+        Verb::Verify | Verb::Lint | Verb::Experiments | Verb::Serve | Verb::Cluster => {}
         _ if target.is_none() => {
             return Err(CliError::Usage("missing program".into()));
         }
@@ -470,10 +396,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         workers,
         backlog,
         timeout_ms,
-        rate,
-        duration_ms,
-        seed,
-        mix,
         cache_dir,
     })
 }
@@ -566,22 +488,46 @@ pub fn run(command: &Command) -> Result<Response, CliError> {
 }
 
 /// [`run`] with an externally owned cache — the entry point the serve
-/// handler uses so every request shares one store.
+/// handler uses so every request shares one store. This is where a
+/// program verb's target is checked: a command without one is a usage
+/// error, whether it came from [`parse_args`] or off the wire.
 pub(crate) fn run_with_cache(
     command: &Command,
     cache: Option<&CompileCache>,
 ) -> Result<Response, CliError> {
+    let paper_scale = command.effective_scale() == Scale::Paper;
+    let target = || {
+        command
+            .target
+            .as_deref()
+            .ok_or_else(|| CliError::Usage("missing program".into()))
+    };
+    let program = || load_program(target()?, paper_scale);
     match command.verb {
         Verb::Experiments => run_experiments(command),
-        Verb::Compile => run_compile(command, cache),
-        Verb::Disasm => run_disasm(command, cache),
+        Verb::Compile => run_compile(command, target()?, cache),
+        Verb::Disasm => run_disasm(target()?, paper_scale, cache),
         Verb::Verify => run_verify(command, cache),
-        Verb::Lint => run_lint(command),
+        Verb::Lint => run_lint(command, cache),
         Verb::Serve => service::run_serve(command),
-        Verb::Loadgen => service::run_loadgen(command),
         Verb::Cluster => cluster::run_cluster(command),
-        _ => run_program_verb(command),
+        Verb::Encode => {
+            let out = command
+                .output
+                .as_deref()
+                .ok_or_else(|| CliError::Usage("encode needs an output path".into()))?;
+            run_encode(&program()?, out)
+        }
+        Verb::Trace => run_trace(program()?),
+        Verb::Run => run_classic(program()?),
+        Verb::Profile => run_profile(program()?),
+        Verb::Compare => run_compare(program()?),
     }
+}
+
+/// A pipeline stage's failure, as the CLI reports it.
+fn tool(e: impl std::fmt::Display) -> CliError {
+    CliError::Tool(e.to_string())
 }
 
 /// The default compile options with their cache-key fingerprint, built and
@@ -632,8 +578,11 @@ fn compile_maybe_cached(
 }
 
 /// The `compile` verb: annotate the target and report every site.
-fn run_compile(command: &Command, cache: Option<&CompileCache>) -> Result<Response, CliError> {
-    let target = command.target.as_deref().expect("parse_args enforced this");
+fn run_compile(
+    command: &Command,
+    target: &str,
+    cache: Option<&CompileCache>,
+) -> Result<Response, CliError> {
     let (program, artifact) =
         compile_maybe_cached(cache, target, command.effective_scale() == Scale::Paper)?;
     // counters ride along only on the one-shot `--cache-dir` path;
@@ -652,9 +601,11 @@ fn run_compile(command: &Command, cache: Option<&CompileCache>) -> Result<Respon
 
 /// The `disasm` verb: the target's listing, through the cache's listing
 /// entries when one is threaded in.
-fn run_disasm(command: &Command, cache: Option<&CompileCache>) -> Result<Response, CliError> {
-    let target = command.target.as_deref().expect("parse_args enforced this");
-    let paper_scale = command.effective_scale() == Scale::Paper;
+fn run_disasm(
+    target: &str,
+    paper_scale: bool,
+    cache: Option<&CompileCache>,
+) -> Result<Response, CliError> {
     let (program, listing) = match cache {
         Some(cache) => {
             let (program, listing) = cache.get_or_listing_source(
@@ -673,76 +624,74 @@ fn run_disasm(command: &Command, cache: Option<&CompileCache>) -> Result<Respons
     Ok(Response::Disasm { program, listing })
 }
 
-/// The uncached program verbs: `run`, `profile`, `compare`, `encode`,
-/// `trace`.
-fn run_program_verb(command: &Command) -> Result<Response, CliError> {
-    let target = command.target.as_deref().expect("parse_args enforced this");
-    let program = load_program(target, command.effective_scale() == Scale::Paper)?;
+/// The `encode` verb: write the program's binary image to `out`.
+fn run_encode(program: &Program, out: &str) -> Result<Response, CliError> {
+    let bytes = amnesiac_isa::encode_program(program);
+    std::fs::write(out, &bytes)
+        .map_err(|e| CliError::Tool(format!("cannot write `{out}`: {e}")))?;
+    Ok(Response::Encode {
+        path: out.to_string(),
+        bytes: bytes.len(),
+        instructions: program.instructions.len(),
+    })
+}
+
+/// The `trace` verb: a classic run's retirements, the first 200 shown.
+fn run_trace(program: Program) -> Result<Response, CliError> {
+    let mut tracer = amnesiac_sim::TraceWriter::new(200);
+    ClassicCore::new(CoreConfig::paper())
+        .run_observed(&program, &mut tracer)
+        .map_err(tool)?;
+    Ok(Response::Trace {
+        program: program.name,
+        rendered: tracer.render(),
+    })
+}
+
+/// The `run` verb: classic execution.
+fn run_classic(program: Program) -> Result<Response, CliError> {
+    let result = ClassicCore::new(CoreConfig::paper())
+        .run(&program)
+        .map_err(tool)?;
+    Ok(Response::Run {
+        program: program.name,
+        result,
+    })
+}
+
+/// The `profile` verb: the per-load-site profile.
+fn run_profile(program: Program) -> Result<Response, CliError> {
+    let (profile, _) = profile_program(&program, &CoreConfig::paper()).map_err(tool)?;
+    Ok(Response::Profile {
+        program: program.name,
+        profile,
+    })
+}
+
+/// The `compare` verb: classic against every amnesic policy, each checked
+/// to leave the same memory.
+fn run_compare(program: Program) -> Result<Response, CliError> {
     let config = CoreConfig::paper();
-    let tool = |e: &dyn std::fmt::Display| CliError::Tool(e.to_string());
-    match command.verb {
-        Verb::Encode => {
-            let out = command.output.as_deref().expect("parse_args enforced this");
-            let bytes = amnesiac_isa::encode_program(&program);
-            std::fs::write(out, &bytes)
-                .map_err(|e| CliError::Tool(format!("cannot write `{out}`: {e}")))?;
-            Ok(Response::Encode {
-                path: out.to_string(),
-                bytes: bytes.len(),
-                instructions: program.instructions.len(),
-            })
+    let classic = ClassicCore::new(config.clone())
+        .run(&program)
+        .map_err(tool)?;
+    let (profile, _) = profile_program(&program, &config).map_err(tool)?;
+    let (binary, _) = compile(&program, &profile, &CompileOptions::default()).map_err(tool)?;
+    let mut policies = Vec::new();
+    for policy in Policy::ALL_EXTENDED {
+        let result = AmnesicCore::new(AmnesicConfig::paper(policy))
+            .run(&binary)
+            .map_err(tool)?;
+        if result.run.final_memory != classic.final_memory {
+            return Err(CliError::Tool(format!("{policy} diverged from classic")));
         }
-        Verb::Trace => {
-            let mut tracer = amnesiac_sim::TraceWriter::new(200);
-            ClassicCore::new(config)
-                .run_observed(&program, &mut tracer)
-                .map_err(|e| tool(&e))?;
-            Ok(Response::Trace {
-                program: program.name.clone(),
-                rendered: tracer.render(),
-            })
-        }
-        Verb::Run => {
-            let result = ClassicCore::new(config)
-                .run(&program)
-                .map_err(|e| tool(&e))?;
-            Ok(Response::Run {
-                program: program.name.clone(),
-                result,
-            })
-        }
-        Verb::Profile => {
-            let (profile, _) = profile_program(&program, &config).map_err(|e| tool(&e))?;
-            Ok(Response::Profile {
-                program: program.name.clone(),
-                profile,
-            })
-        }
-        Verb::Compare => {
-            let classic = ClassicCore::new(config.clone())
-                .run(&program)
-                .map_err(|e| tool(&e))?;
-            let (profile, _) = profile_program(&program, &config).map_err(|e| tool(&e))?;
-            let (binary, _) =
-                compile(&program, &profile, &CompileOptions::default()).map_err(|e| tool(&e))?;
-            let mut policies = Vec::new();
-            for policy in Policy::ALL_EXTENDED {
-                let result = AmnesicCore::new(AmnesicConfig::paper(policy))
-                    .run(&binary)
-                    .map_err(|e| tool(&e))?;
-                if result.run.final_memory != classic.final_memory {
-                    return Err(CliError::Tool(format!("{policy} diverged from classic")));
-                }
-                policies.push((policy.to_string(), result));
-            }
-            Ok(Response::Compare {
-                program: program.name.clone(),
-                classic,
-                policies,
-            })
-        }
-        _ => unreachable!("non-program verbs are dispatched before program loading"),
+        policies.push((policy.to_string(), result));
     }
+    Ok(Response::Compare {
+        program: program.name,
+        classic,
+        policies,
+    })
 }
 
 /// The `verify` verb: static well-formedness over one target (or, with no
@@ -770,20 +719,18 @@ fn run_verify(command: &Command, cache: Option<&CompileCache>) -> Result<Respons
 /// The `lint` verb: abstract-interpretation findings for one target — or,
 /// with no target, the whole built-in suite in parallel. Stricter than
 /// `verify`: unexplained Warn diagnostics also fail the lint.
-fn run_lint(command: &Command) -> Result<Response, CliError> {
+fn run_lint(command: &Command, cache: Option<&CompileCache>) -> Result<Response, CliError> {
     use amnesiac_experiments::LintSweep;
 
     match command.target.as_deref() {
         Some(target) => {
-            let program = load_program(target, command.effective_scale() == Scale::Paper)?;
-            let config = CoreConfig::paper();
-            let tool = |e: &dyn std::fmt::Display| CliError::Tool(e.to_string());
-            let (profile, _) = profile_program(&program, &config).map_err(|e| tool(&e))?;
-            let (_, report) =
-                compile(&program, &profile, &CompileOptions::default()).map_err(|e| tool(&e))?;
+            // the compile's report carries the verifier's findings and the
+            // replay-validation counters, so a cache hit carries the lint
+            let (_, artifact) =
+                compile_maybe_cached(cache, target, command.effective_scale() == Scale::Paper)?;
             Ok(Response::LintTarget {
                 target: target.to_string(),
-                report,
+                report: artifact.report.clone(),
             })
         }
         None => Ok(Response::LintSweep {
@@ -911,7 +858,17 @@ mod tests {
                 &["verify", "--tolerance", "1"],
                 "unknown flag `--tolerance`",
             ),
-            (&["loadgen", "--cluster", "3"], "unknown flag `--cluster`"),
+            (
+                &["loadgen", "--rate", "100"],
+                "unexpected argument `loadgen`",
+            ),
+            (&["serve", "--rate", "100"], "unknown flag `--rate`"),
+            (
+                &["serve", "--duration-ms", "500"],
+                "unknown flag `--duration-ms`",
+            ),
+            (&["serve", "--seed", "7"], "unknown flag `--seed`"),
+            (&["serve", "--mix", "stats=1"], "unknown flag `--mix`"),
         ];
         for (argv, want) in absent {
             match parse_args(&args(argv)) {
@@ -938,10 +895,6 @@ mod tests {
             (
                 &["experiments", "--json", "a", "--json", "b"],
                 "--json given twice",
-            ),
-            (
-                &["loadgen", "--seed", "1", "--seed", "2"],
-                "--seed given twice",
             ),
             (
                 &["run", "bench:is", "--paper-scale", "--paper-scale"],
@@ -1001,18 +954,20 @@ mod tests {
             other => panic!("expected usage error, got {other:?}"),
         }
         // serve verbs take no positional argument
-        assert!(matches!(
-            parse_args(&args(&["serve", "bench:is"])),
-            Err(CliError::Usage(_))
-        ));
+        for bad in [&["serve", "bench:is"], &["cluster", "stray"]] {
+            assert!(
+                matches!(parse_args(&args(bad)), Err(CliError::Usage(_))),
+                "{bad:?} should be rejected"
+            );
+        }
     }
 
     #[test]
     fn parses_and_validates_the_cache_dir_flag() {
         let c = parse_args(&args(&["compile", "bench:is", "--cache-dir", "/tmp/c"])).unwrap();
         assert_eq!(c.cache_dir.as_deref(), Some("/tmp/c"));
-        for verb in ["disasm", "verify", "serve", "loadgen", "cluster"] {
-            let argv: Vec<&str> = if matches!(verb, "serve" | "loadgen" | "cluster") {
+        for verb in ["disasm", "verify", "serve", "cluster"] {
+            let argv: Vec<&str> = if matches!(verb, "serve" | "cluster") {
                 vec![verb, "--cache-dir", "/tmp/c"]
             } else {
                 vec![verb, "bench:is", "--cache-dir", "/tmp/c"]
@@ -1281,108 +1236,76 @@ mod tests {
     }
 
     #[test]
+    fn a_command_without_its_program_is_a_usage_error_not_a_panic() {
+        // commands built without `parse_args`, as the service builds them
+        let base = Command {
+            target: None,
+            output: Some("never-written.bin".into()),
+            ..parse_args(&args(&["run", "bench:is"])).unwrap()
+        };
+        for verb in [
+            Verb::Run,
+            Verb::Disasm,
+            Verb::Profile,
+            Verb::Compile,
+            Verb::Compare,
+            Verb::Encode,
+            Verb::Trace,
+        ] {
+            let command = Command {
+                verb,
+                ..base.clone()
+            };
+            match super::run(&command) {
+                Err(e @ CliError::Usage(_)) => assert_eq!(e.message(), "missing program"),
+                other => panic!("{verb:?}: expected a usage error, got {other:?}"),
+            }
+        }
+        let command = Command {
+            verb: Verb::Encode,
+            target: Some("bench:is".into()),
+            output: None,
+            ..base
+        };
+        match super::run(&command) {
+            Err(e @ CliError::Usage(_)) => assert_eq!(e.message(), "encode needs an output path"),
+            other => panic!("expected a usage error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn served_lints_share_the_compile_cache_and_match_the_cli_export() {
+        let dir = std::env::temp_dir().join("amnesiac-cli-lint-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_str = dir.to_string_lossy().into_owned();
+        execute(&parse_args(&args(&["lint", "bench:is", "--json", &dir_str])).unwrap()).unwrap();
+        let on_disk =
+            amnesiac_telemetry::parse(&std::fs::read_to_string(dir.join("lint.json")).unwrap())
+                .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let cache = Arc::new(CompileCache::in_memory());
+        let handler = service::serve_handler_with_cache(Arc::clone(&cache));
+        let lint = amnesiac_serve::Request::new("lint").with_target("bench:is");
+        for _ in 0..2 {
+            assert_eq!(handler(&lint).unwrap(), on_disk);
+        }
+        // a compile of the same target reads the artifact the lint built
+        let compile = amnesiac_serve::Request::new("compile").with_target("bench:is");
+        handler(&compile).unwrap();
+        let stats = cache.stats_json();
+        let count = |field: &str| stats.get(field).and_then(Json::as_f64);
+        assert_eq!(
+            (count("misses"), count("hits")),
+            (Some(1.0), Some(2.0)),
+            "{}",
+            stats.compact()
+        );
+    }
+
+    #[test]
     fn missing_file_is_a_tool_error() {
         let cmd = parse_args(&args(&["run", "/no/such/file.asm"])).unwrap();
         assert!(matches!(execute(&cmd), Err(CliError::Tool(_))));
-    }
-
-    #[test]
-    fn parses_loadgen_flags() {
-        let c = parse_args(&args(&[
-            "loadgen",
-            "--rate",
-            "250.5",
-            "--duration-ms",
-            "800",
-            "--seed",
-            "9",
-            "--mix",
-            "compile=2,stats=1",
-            "--timeout-ms",
-            "5000",
-        ]))
-        .unwrap();
-        assert_eq!(c.verb, Verb::Loadgen);
-        assert_eq!(c.rate, Some(250.5));
-        assert_eq!(c.duration_ms, Some(800));
-        assert_eq!(c.seed, Some(9));
-        assert_eq!(c.mix.as_deref(), Some("compile=2,stats=1"));
-        assert_eq!(c.timeout_ms, Some(5000));
-
-        // bare verbs parse with every flag defaulted
-        let c = parse_args(&args(&["loadgen"])).unwrap();
-        assert_eq!(c.verb, Verb::Loadgen);
-        assert_eq!(c.rate, None);
-
-        // malformed values are usage errors
-        for bad in [
-            &["loadgen", "--rate", "0"][..],
-            &["loadgen", "--rate", "nan"],
-            &["loadgen", "--rate", "-3"],
-            &["loadgen", "--duration-ms", "0"],
-            &["loadgen", "--seed", "x"],
-            &["loadgen", "--rate", "100", "--rate", "200"],
-        ] {
-            assert!(
-                matches!(parse_args(&args(bad)), Err(CliError::Usage(_))),
-                "{bad:?} should be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn loadgen_flags_are_rejected_elsewhere_and_positionals_on_loadgen() {
-        for bad in [
-            &["run", "bench:is", "--rate", "100"][..],
-            &["serve", "--duration-ms", "100"],
-            &["experiments", "--json", "d", "--seed", "1"],
-            &["verify", "--mix", "stats=1"],
-            &["loadgen", "bench:is"],
-            &["cluster", "stray"],
-        ] {
-            assert!(
-                matches!(parse_args(&args(bad)), Err(CliError::Usage(_))),
-                "{bad:?} should be rejected"
-            );
-        }
-    }
-
-    #[test]
-    fn loadgen_schedule_replays_deterministically() {
-        let cmd = parse_args(&args(&[
-            "loadgen",
-            "--rate",
-            "300",
-            "--duration-ms",
-            "300",
-            "--seed",
-            "7",
-            "--mix",
-            "stats=1",
-        ]))
-        .unwrap();
-        let snapshot = |response: Response| match response {
-            Response::Loadgen { snapshot } => snapshot,
-            other => panic!("expected a loadgen response, got {other:?}"),
-        };
-        let first = snapshot(super::run(&cmd).unwrap());
-        let second = snapshot(super::run(&cmd).unwrap());
-        // config and the seeded schedule replay exactly; wall-clock
-        // numbers (latency, throughput) legitimately differ
-        assert_eq!(first.get("config"), second.get("config"));
-        assert_eq!(
-            first.get_path("results.scheduled"),
-            second.get_path("results.scheduled")
-        );
-        assert_eq!(
-            first.get_path("results.verbs"),
-            second.get_path("results.verbs")
-        );
-        assert_eq!(
-            first
-                .get_path("results.protocol_errors")
-                .and_then(Json::as_f64),
-            Some(0.0)
-        );
     }
 }

@@ -130,13 +130,6 @@ pub enum Response {
         /// Final statistics snapshot.
         stats: Json,
     },
-    /// `loadgen`: one open-loop load run against an in-process server.
-    Loadgen {
-        /// The snapshot document (`{config, results}`, with the cold
-        /// burst's results plus `cache` and `warm` blocks) — the exact
-        /// bytes `--json` writes.
-        snapshot: Json,
-    },
     /// `cluster`: the router drained and stopped, workers reaped.
     Cluster {
         /// The address the router was bound to.
@@ -165,7 +158,6 @@ impl Response {
             Response::LintTarget { .. } | Response::LintSweep { .. } => "lint",
             Response::Experiments { .. } => "experiments",
             Response::Serve { .. } => "serve",
-            Response::Loadgen { .. } => "loadgen",
             Response::Cluster { .. } => "cluster",
         }
     }
@@ -404,60 +396,6 @@ impl Response {
                     .unwrap_or(0);
                 format!("amnesiac-serve on {addr} drained and stopped after {served} request(s)\n")
             }
-            Response::Loadgen { snapshot } => {
-                let num = |path: &str| {
-                    snapshot
-                        .get_path(path)
-                        .and_then(Json::as_f64)
-                        .unwrap_or(0.0)
-                };
-                let mut out = String::new();
-                let _ = writeln!(
-                    out,
-                    "loadgen: {} requests scheduled at {} req/s over {} ms (seed {})",
-                    num("results.scheduled"),
-                    num("config.rate"),
-                    num("config.duration_ms"),
-                    num("config.seed"),
-                );
-                let _ = writeln!(
-                    out,
-                    "  ok {} / completed {} / protocol errors {} — error rate {:.3}%",
-                    num("results.ok"),
-                    num("results.completed"),
-                    num("results.protocol_errors"),
-                    num("results.error_rate_pct"),
-                );
-                let _ = writeln!(
-                    out,
-                    "  throughput {:.1} req/s over {:.1} ms",
-                    num("results.throughput_rps"),
-                    num("results.elapsed_ms"),
-                );
-                let _ = writeln!(
-                    out,
-                    "  latency ms: p50 {:.3}, p90 {:.3}, p99 {:.3}, p999 {:.3}, max {:.3}",
-                    num("results.latency_ms.p50"),
-                    num("results.latency_ms.p90"),
-                    num("results.latency_ms.p99"),
-                    num("results.latency_ms.p999"),
-                    num("results.latency_ms.max"),
-                );
-                if let Some(errors) = snapshot
-                    .get_path("results.errors_by_code")
-                    .and_then(Json::as_obj)
-                {
-                    for (code, n) in errors {
-                        let _ = writeln!(out, "  error `{code}`: {}", n.as_f64().unwrap_or(0.0));
-                    }
-                }
-                if let Some(verbs) = snapshot.get_path("results.verbs").and_then(Json::as_obj) {
-                    for (verb, n) in verbs {
-                        let _ = writeln!(out, "  verb `{verb}`: {}", n.as_f64().unwrap_or(0.0));
-                    }
-                }
-                out
-            }
             Response::Cluster {
                 addr,
                 workers,
@@ -577,9 +515,6 @@ impl Response {
             Response::Serve { addr, stats } => Json::obj()
                 .with("addr", addr.as_str())
                 .with("stats", stats.clone()),
-            // The loadgen payload IS the snapshot — `--json` writes it
-            // verbatim.
-            Response::Loadgen { snapshot } => snapshot.clone(),
             Response::Cluster {
                 addr,
                 workers,

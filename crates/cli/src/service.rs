@@ -5,16 +5,11 @@
 //! [`Response::payload_json`] — the same document `--json <dir>` writes
 //! — so a socket client and the CLI see identical payloads for the same
 //! verb. [`run_serve`] hosts the public service.
-//!
-//! The `loadgen` verb lives here too: [`run_loadgen`] boots a private
-//! server and drives `amnesiac-loadgen`'s open-loop schedule at it, a
-//! cold burst and then a warm one.
 
 use std::io::Write as _;
 use std::sync::Arc;
 
 use amnesiac_cache::CompileCache;
-use amnesiac_loadgen::{run_against, LoadgenConfig, Mix};
 use amnesiac_serve::{code, Handler, Request, ServeError};
 use amnesiac_serve::{Server, ServerConfig, StatsHook, WireVerb};
 use amnesiac_telemetry::Json;
@@ -67,7 +62,7 @@ fn cache_stats_hook(cache: &Arc<CompileCache>) -> Option<StatsHook> {
 
 /// Maps a wire request onto the typed [`Command`] it stands for. The
 /// verb vocabulary is the shared [`WireVerb`] enum — the same one the
-/// router places with and the load generator draws mixes from — so the
+/// router places with and `amnesiac-loadgen`'s mixes draw from — so the
 /// three layers cannot drift apart.
 fn request_command(request: &Request) -> Result<Command, ServeError> {
     let verb = match request.wire_verb() {
@@ -123,10 +118,6 @@ fn request_command(request: &Request) -> Result<Command, ServeError> {
         workers: None,
         backlog: None,
         timeout_ms: None,
-        rate: None,
-        duration_ms: None,
-        seed: None,
-        mix: None,
         cache_dir: None,
     })
 }
@@ -174,89 +165,4 @@ pub(crate) fn run_serve(command: &Command) -> Result<Response, CliError> {
         addr: addr.to_string(),
         stats,
     })
-}
-
-/// Server tuning for the loadgen verbs' private in-process server.
-/// Worker count and backlog are pinned (not derived from the machine)
-/// so a run measures the same service shape on every machine; explicit
-/// serve flags still win.
-fn loadgen_server_config(command: &Command) -> ServerConfig {
-    let mut config = server_config(command);
-    if command.workers.is_none() {
-        config.workers = 2;
-    }
-    if command.backlog.is_none() {
-        config.backlog = 1024;
-    }
-    if command.port.is_none() {
-        config.port = 0; // ephemeral: never collide with a real service
-    }
-    config
-}
-
-/// Builds the load configuration from the loadgen flags, keeping the
-/// crate defaults for anything not given.
-fn loadgen_config(command: &Command) -> Result<LoadgenConfig, CliError> {
-    let mut config = LoadgenConfig::default();
-    if let Some(rate) = command.rate {
-        config.rate = rate;
-    }
-    if let Some(duration_ms) = command.duration_ms {
-        config.duration_ms = duration_ms;
-    }
-    if let Some(seed) = command.seed {
-        config.seed = seed;
-    }
-    if let Some(mix) = command.mix.as_deref() {
-        config.mix = Mix::parse(mix).map_err(|e| CliError::Usage(format!("--mix: {e}")))?;
-    }
-    if let Some(timeout_ms) = command.timeout_ms {
-        config.timeout_ms = timeout_ms;
-    }
-    config.validate().map_err(CliError::Usage)?;
-    Ok(config)
-}
-
-/// The `loadgen` verb: boots a private server with a shared compile
-/// cache, drives the configured open-loop load at it twice — a cold burst
-/// against the empty cache, then a warm burst replaying the *identical*
-/// schedule — and reports the snapshot document for the cold burst with
-/// two extra `results` blocks: `cache` (the shared cache's counters after
-/// both bursts) and `warm` (the warm burst's outcome). `--json` writes
-/// the snapshot verbatim.
-pub(crate) fn run_loadgen(command: &Command) -> Result<Response, CliError> {
-    let config = loadgen_config(command)?;
-    let cache = serve_cache(command)?;
-    let server = Server::start_with_stats(
-        loadgen_server_config(command),
-        serve_handler_with_cache(Arc::clone(&cache)),
-        cache_stats_hook(&cache),
-    )
-    .map_err(|e| CliError::Tool(format!("cannot start loadgen server: {e}")))?;
-    let outcome: Result<_, CliError> = (|| {
-        let cold = run_against(server.addr(), &config)
-            .map_err(|e| CliError::Tool(format!("loadgen cold burst failed: {e}")))?;
-        let warm = run_against(server.addr(), &config)
-            .map_err(|e| CliError::Tool(format!("loadgen warm burst failed: {e}")))?;
-        Ok((cold, warm))
-    })();
-    server.stop();
-    let (cold, warm) = outcome?;
-    let mut snapshot = cold.snapshot(&config);
-    if let Some(results) = snapshot.get_mut("results") {
-        results.set("cache", cache.stats_json());
-        results.set(
-            "warm",
-            Json::obj()
-                .with("scheduled", warm.scheduled)
-                .with("completed", warm.completed)
-                .with("ok", warm.ok)
-                .with("protocol_errors", warm.protocol_errors)
-                .with("error_rate_pct", warm.error_rate_pct())
-                .with("throughput_rps", warm.throughput_rps())
-                .with("elapsed_ms", warm.elapsed_ms)
-                .with("latency_ms", warm.latency_ms_json()),
-        );
-    }
-    Ok(Response::Loadgen { snapshot })
 }

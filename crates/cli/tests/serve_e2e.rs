@@ -14,8 +14,7 @@ use std::net::{SocketAddr, TcpStream};
 use std::time::Duration;
 
 use amnesiac_cli::{execute, parse_args, serve_handler};
-use amnesiac_loadgen::{run_against, LoadgenConfig, Mix};
-use amnesiac_serve::{code, Client, ClientPool, Request, Server, ServerConfig};
+use amnesiac_serve::{code, Client, ClientConfig, Request, Server, ServerConfig};
 use amnesiac_telemetry::Json;
 use common::{mixed_batch, spawn_listening};
 
@@ -40,45 +39,33 @@ fn socket_payload_equals_the_cli_json_artifact() {
     let _ = std::fs::remove_dir_all(&dir);
     let dir_str = dir.to_string_lossy().into_owned();
 
-    // CLI side: `amnesiac compile bench:is --json <dir>` writes compile.json.
-    let cmd = parse_args(&args(&["compile", "bench:is", "--json", &dir_str])).unwrap();
-    execute(&cmd).unwrap();
-    let on_disk =
-        amnesiac_telemetry::parse(&std::fs::read_to_string(dir.join("compile.json")).unwrap())
-            .unwrap();
-
-    // Wire side: the same verb over a pooled connection answers the same
-    // document (the pool round-robins its lanes, so the two calls below
-    // travel different connections and must still agree).
+    // Wire side: two connections through the retrying connector.
     let server = start(2, 16, 120_000);
-    let mut pool = ClientPool::builder(server.addr())
-        .lanes(2)
+    let connector = ClientConfig::new()
         .attempts(3)
         .backoff(Duration::from_millis(5), Duration::from_millis(50))
-        .read_timeout(Some(Duration::from_secs(120)))
-        .build()
-        .unwrap();
-    let response = pool
-        .call(
-            &Request::new("compile")
-                .with_target("bench:is")
-                .with_id(1u64),
-        )
-        .unwrap();
-    assert!(response.is_ok(), "error: {:?}", response.error());
-    assert_eq!(response.payload().unwrap(), &on_disk);
+        .read_timeout(Some(Duration::from_secs(120)));
+    let mut clients = [
+        connector.connect(server.addr()).unwrap(),
+        connector.connect(server.addr()).unwrap(),
+    ];
 
-    // Same story for verify (a different payload family).
-    let cmd = parse_args(&args(&["verify", "bench:is", "--json", &dir_str])).unwrap();
-    execute(&cmd).unwrap();
-    let on_disk =
-        amnesiac_telemetry::parse(&std::fs::read_to_string(dir.join("verify.json")).unwrap())
-            .unwrap();
-    let response = pool
-        .call(&Request::new("verify").with_target("bench:is").with_id(2u64))
-        .unwrap();
-    assert!(response.is_ok());
-    assert_eq!(response.payload().unwrap(), &on_disk);
+    // `amnesiac <verb> bench:is --json <dir>` writes `<verb>.json`, and the
+    // same verb answers the same document on each connection; `verify` is
+    // a different payload family from `compile`.
+    for verb in ["compile", "verify"] {
+        let cmd = parse_args(&args(&[verb, "bench:is", "--json", &dir_str])).unwrap();
+        execute(&cmd).unwrap();
+        let file = dir.join(format!("{verb}.json"));
+        let on_disk = amnesiac_telemetry::parse(&std::fs::read_to_string(file).unwrap()).unwrap();
+        for client in &mut clients {
+            let response = client
+                .call(&Request::new(verb).with_target("bench:is"))
+                .unwrap();
+            assert!(response.is_ok(), "{verb}: {:?}", response.error());
+            assert_eq!(response.payload().unwrap(), &on_disk, "{verb}");
+        }
+    }
 
     server.stop();
     let _ = std::fs::remove_dir_all(&dir);
@@ -209,13 +196,65 @@ fn eight_concurrent_clients_complete_a_mixed_batch_without_mismatches() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// The soak's request cycle, in the proportions of a read-mostly client:
+/// `stats` answered by the server itself, cached listings, and uncached
+/// traces.
+const SOAK_CYCLE: &[(&str, Option<&str>)] = &[
+    ("stats", None),
+    ("disasm", Some("bench:cg")),
+    ("stats", None),
+    ("trace", Some("bench:bfs")),
+    ("stats", None),
+    ("disasm", Some("bench:is")),
+    ("stats", None),
+];
+
+/// Pipelines `per_connection` requests of [`SOAK_CYCLE`] on each of four
+/// connections at once, checks that every one is answered `ok` under its
+/// own id, and returns how many were sent.
+fn soak_burst(addr: SocketAddr, per_connection: usize) -> usize {
+    const CONNECTIONS: usize = 4;
+    std::thread::scope(|scope| {
+        for lane in 0..CONNECTIONS {
+            scope.spawn(move || {
+                let requests: Vec<Request> = (0..per_connection)
+                    .map(|i| {
+                        let (verb, target) = SOAK_CYCLE[(lane + i) % SOAK_CYCLE.len()];
+                        let request = Request::new(verb).with_id(format!("{lane}-{i}"));
+                        match target {
+                            Some(target) => request.with_target(target),
+                            None => request,
+                        }
+                    })
+                    .collect();
+                let mut client = Client::connect(addr).unwrap();
+                client
+                    .set_read_timeout(Some(Duration::from_secs(300)))
+                    .unwrap();
+                let responses = client.batch(&requests).unwrap();
+                for (request, response) in requests.iter().zip(&responses) {
+                    assert_eq!(response.id, request.id);
+                    assert!(
+                        response.is_ok(),
+                        "`{}` {:?}: {:?}",
+                        request.verb,
+                        request.target,
+                        response.error()
+                    );
+                }
+            });
+        }
+    });
+    CONNECTIONS * per_connection
+}
+
 #[test]
 fn a_two_burst_soak_keeps_the_server_counters_exact() {
-    // An open-loop soak of cheap verbs at high rate, then a second burst
-    // against the same `serve` process: nothing is lost, the per-verb
-    // counters only grow and account for every request exactly (a `stats`
-    // snapshot excludes itself; it is counted once answered), and the
-    // repeated targets hit the shared cache.
+    // A pipelined soak of cheap verbs on four connections at once, then a
+    // second burst against the same `serve` process: nothing is lost, the
+    // per-verb counters only grow and account for every request exactly
+    // (a `stats` snapshot excludes itself; it is counted once answered),
+    // and the repeated targets hit the shared cache.
     let server = spawn_listening(&[
         "serve",
         "--port",
@@ -225,37 +264,15 @@ fn a_two_burst_soak_keeps_the_server_counters_exact() {
         "--backlog",
         "8192",
     ]);
-    let soak = LoadgenConfig {
-        rate: 2_500.0,
-        duration_ms: 500,
-        seed: 42,
-        mix: Mix::parse("stats=4,disasm=2,trace=1").unwrap(),
-        timeout_ms: 60_000,
-        ..LoadgenConfig::default()
-    };
-    let burst = LoadgenConfig {
-        rate: 500.0,
-        duration_ms: 300,
-        seed: 43,
-        ..soak.clone()
-    };
     let mut admin = Client::connect(server.addr).unwrap();
     let mut stats = || admin.call(&Request::new("stats")).unwrap().result.unwrap();
 
-    let soaked = run_against(server.addr, &soak).unwrap();
+    let soaked = soak_burst(server.addr, 256);
     let after_soak = stats();
-    let burst_report = run_against(server.addr, &burst).unwrap();
+    let burst = soak_burst(server.addr, 64);
     let after_burst = stats();
 
-    assert!(
-        soaked.scheduled >= 1_000,
-        "soak too small: {}",
-        soaked.scheduled
-    );
-    for report in [&soaked, &burst_report] {
-        assert_eq!(report.protocol_errors, 0);
-        assert_eq!(report.ok, report.scheduled, "{:?}", report.errors_by_code);
-    }
+    assert!(soaked >= 1_000, "soak too small: {soaked}");
     let requests = |stats: &Json| -> Vec<(String, f64)> {
         stats
             .get("verbs")
@@ -274,11 +291,8 @@ fn a_two_burst_soak_keeps_the_server_counters_exact() {
         );
     }
     let total = |counts: &[(String, f64)]| counts.iter().map(|(_, n)| n).sum::<f64>();
-    assert_eq!(total(&first), soaked.scheduled as f64);
-    assert_eq!(
-        total(&second),
-        (soaked.scheduled + 1 + burst_report.scheduled) as f64
-    );
+    assert_eq!(total(&first), soaked as f64);
+    assert_eq!(total(&second), (soaked + 1 + burst) as f64);
     assert_eq!(stat(&after_burst, "accept_errors"), 0.0);
     assert!(
         stat(&after_burst, "cache.hits") > 0.0,

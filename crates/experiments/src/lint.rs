@@ -13,6 +13,8 @@
 //! non-dominating `REC` whose uncovered paths the zero-trip analysis shows
 //! infeasible) is allowed; an unexplained one fails the sweep. CI gates on
 //! this, and on the aggregate static-skip ratio over the focal benches.
+//! The `verify` sweep ([`crate::VerifySweep`]) reads this same
+//! computation with the looser pass condition of zero Errors.
 
 use amnesiac_energy::EnergyModel;
 use amnesiac_profile::profile_program;

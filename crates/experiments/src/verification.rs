@@ -1,135 +1,45 @@
 //! Suite-wide static verification sweep (the `amnesiac verify` verb).
 //!
-//! Compiles every built-in workload (all 33 of Table 2) under both slice
-//! sets — probabilistic and oracle — on scoped threads, one workload per
-//! task, and reports the [`amnesiac_verify`] findings for each annotated
-//! binary. The findings are the compile's own gate report: the pipeline
-//! verifies every binary it ships under the default options, so a second
-//! pass would only repeat it. A binary with Error diagnostics fails its
-//! compile and counts as one error. The sweep exists to (a) prove the
-//! whole generated suite clean end-to-end in CI and (b) surface the Warn
-//! diagnostics (non-dominating `REC`s and the like) that the hard gate
-//! deliberately lets through.
+//! A view of the [`LintSweep`]: the same compiles of every built-in
+//! workload under both slice sets, read with `verify`'s pass condition.
+//! The findings are the compile's own gate report: the pipeline verifies
+//! every binary it ships under the default options, so a second pass
+//! would only repeat it. A binary with Error diagnostics fails its
+//! compile and counts as one error. The sweep is clean with zero Errors;
+//! Warn diagnostics (non-dominating `REC`s and the like), which the hard
+//! gate deliberately lets through, are reported but pass. It exists to
+//! (a) prove the whole generated suite clean end-to-end in CI and (b)
+//! surface those warnings.
 
-use amnesiac_energy::EnergyModel;
-use amnesiac_profile::profile_program;
-use amnesiac_sim::CoreConfig;
 use amnesiac_telemetry::{Json, ToJson};
-use amnesiac_verify::VerifyReport;
-use amnesiac_workloads::{
-    build_control, build_extended, build_focal, Scale, Workload, CONTROL_NAMES, EXTENDED_NAMES,
-    FOCAL_NAMES,
-};
+use amnesiac_workloads::Scale;
 
-use amnesiac_compiler::{compile, CompileOptions};
+use crate::lint::LintSweep;
 
-use crate::pipeline::fan_out;
-
-/// Verification result for one annotated binary of a workload.
-#[derive(Debug, Clone)]
-pub struct VerifiedBinary {
-    /// Which slice set produced the binary (`"probabilistic"` / `"oracle"`).
-    pub slice_set: &'static str,
-    /// Slices embedded in the binary.
-    pub n_slices: usize,
-    /// The static analyser's findings.
-    pub report: VerifyReport,
-}
-
-/// Verification results for one workload.
-#[derive(Debug, Clone)]
-pub struct WorkloadVerification {
-    /// Workload short name (paper Table 2).
-    pub name: String,
-    /// Originating suite label.
-    pub suite: String,
-    /// One entry per compiled binary, or the compile error that prevented
-    /// verification (the pipeline's own gate rejecting the binary).
-    pub outcome: Result<Vec<VerifiedBinary>, String>,
-}
-
-impl WorkloadVerification {
-    /// Error-severity diagnostics across this workload's binaries; a failed
-    /// compile counts as one error.
-    pub fn error_count(&self) -> usize {
-        match &self.outcome {
-            Ok(binaries) => binaries.iter().map(|b| b.report.error_count()).sum(),
-            Err(_) => 1,
-        }
-    }
-
-    /// Warn-severity diagnostics across this workload's binaries.
-    pub fn warn_count(&self) -> usize {
-        match &self.outcome {
-            Ok(binaries) => binaries.iter().map(|b| b.report.warn_count()).sum(),
-            Err(_) => 0,
-        }
-    }
-}
-
-/// The whole-suite sweep.
+/// The whole-suite sweep, read as `verify` reads it.
 #[derive(Debug, Clone)]
 pub struct VerifySweep {
-    /// Per-workload results, in Table-2 order (focal, controls, extended).
-    pub workloads: Vec<WorkloadVerification>,
+    /// The per-workload compiles and findings, shared with `lint`.
+    lint: LintSweep,
 }
 
 impl VerifySweep {
     /// Compiles and verifies all 33 built-in workloads at `scale`, one
     /// task per workload, in Table-2 order.
     pub fn compute(scale: Scale) -> Self {
-        let workloads: Vec<Workload> = FOCAL_NAMES
-            .iter()
-            .map(|n| build_focal(n, scale))
-            .chain(CONTROL_NAMES.iter().map(|n| build_control(n, scale)))
-            .chain(EXTENDED_NAMES.iter().map(|n| build_extended(n, scale)))
-            .collect();
-        let results = fan_out(workloads, |w| Self::verify_workload(&w));
-        VerifySweep { workloads: results }
-    }
-
-    /// Profiles, compiles (both slice sets), and verifies one workload.
-    pub fn verify_workload(workload: &Workload) -> WorkloadVerification {
-        let name = workload.name.to_string();
-        let suite = format!("{:?}", workload.suite);
-        let config = CoreConfig::paper();
-        let outcome = (|| {
-            let (profile, _) = profile_program(&workload.program, &config)
-                .map_err(|e| format!("profiling failed: {e}"))?;
-            let mut binaries = Vec::new();
-            for (slice_set, options) in [
-                ("probabilistic", CompileOptions::default()),
-                ("oracle", CompileOptions::oracle()),
-            ] {
-                let options = CompileOptions {
-                    energy: EnergyModel::paper(),
-                    ..options
-                };
-                let (binary, report) = compile(&workload.program, &profile, &options)
-                    .map_err(|e| format!("{slice_set} compile failed: {e}"))?;
-                binaries.push(VerifiedBinary {
-                    slice_set,
-                    n_slices: binary.slices.len(),
-                    report: report.verify,
-                });
-            }
-            Ok(binaries)
-        })();
-        WorkloadVerification {
-            name,
-            suite,
-            outcome,
+        VerifySweep {
+            lint: LintSweep::compute(scale),
         }
     }
 
     /// Total Error-severity diagnostics (plus failed compiles) in the sweep.
     pub fn total_errors(&self) -> usize {
-        self.workloads.iter().map(|w| w.error_count()).sum()
+        self.lint.total_errors()
     }
 
     /// Total Warn-severity diagnostics in the sweep.
     pub fn total_warnings(&self) -> usize {
-        self.workloads.iter().map(|w| w.warn_count()).sum()
+        self.lint.total_warnings()
     }
 
     /// `true` when no workload has an Error-severity finding.
@@ -146,7 +56,7 @@ impl VerifySweep {
             "{:<12} {:<10} {:>8} {:>8} {:>8}",
             "bench", "suite", "slices", "errors", "warns"
         );
-        for w in &self.workloads {
+        for w in &self.lint.workloads {
             match &w.outcome {
                 Ok(binaries) => {
                     let slices: usize = binaries.iter().map(|b| b.n_slices).sum();
@@ -168,7 +78,7 @@ impl VerifySweep {
         let _ = writeln!(
             out,
             "{} workloads: {} error(s), {} warning(s) — {}",
-            self.workloads.len(),
+            self.lint.workloads.len(),
             self.total_errors(),
             self.total_warnings(),
             if self.is_clean() { "CLEAN" } else { "DIRTY" }
@@ -181,6 +91,7 @@ impl ToJson for VerifySweep {
     /// `{clean, errors, warnings, workloads: [{name, suite, binaries|error}]}`.
     fn to_json(&self) -> Json {
         let workloads: Vec<Json> = self
+            .lint
             .workloads
             .iter()
             .map(|w| {
@@ -215,29 +126,62 @@ impl ToJson for VerifySweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amnesiac_verify::{Diagnostic, DiagnosticKind};
+    use amnesiac_workloads::build_focal;
+
+    fn sweep_of(names: &[&str]) -> VerifySweep {
+        let workloads = names
+            .iter()
+            .map(|name| LintSweep::lint_workload(&build_focal(name, Scale::Test)))
+            .collect();
+        VerifySweep {
+            lint: LintSweep { workloads },
+        }
+    }
 
     #[test]
     fn focal_workload_verifies_clean() {
-        let w = build_focal("is", Scale::Test);
-        let v = VerifySweep::verify_workload(&w);
-        assert_eq!(v.error_count(), 0, "outcome: {:?}", v.outcome);
-        let binaries = v.outcome.as_ref().unwrap();
+        let sweep = sweep_of(&["is"]);
+        assert!(sweep.is_clean());
+        let w = &sweep.lint.workloads[0];
+        assert_eq!(w.error_count(), 0, "outcome: {:?}", w.outcome);
+        let binaries = w.outcome.as_ref().unwrap();
         assert_eq!(binaries.len(), 2, "both slice sets verified");
         assert!(binaries.iter().all(|b| b.report.is_clean()));
     }
 
     #[test]
     fn sweep_json_shape_and_determinism() {
-        let w = build_focal("sr", Scale::Test);
-        let a = VerifySweep::verify_workload(&w);
-        let b = VerifySweep::verify_workload(&w);
-        let sweep = VerifySweep {
-            workloads: vec![a, b],
-        };
+        let sweep = sweep_of(&["sr", "sr"]);
         let j = sweep.to_json();
         assert_eq!(j.get("clean"), Some(&Json::Bool(true)));
         let ws = j.get("workloads").and_then(Json::as_arr).unwrap();
         assert_eq!(ws.len(), 2);
         assert_eq!(ws[0].compact(), ws[1].compact(), "deterministic");
+    }
+
+    #[test]
+    fn an_unexplained_warning_passes_verify_and_fails_lint() {
+        let mut sweep = sweep_of(&["is"]);
+        let binaries = sweep.lint.workloads[0].outcome.as_mut().unwrap();
+        let kind = DiagnosticKind::RecNotDominating;
+        binaries[0].report.diagnostics.push(Diagnostic {
+            kind,
+            severity: kind.severity(),
+            pc: None,
+            slice: None,
+            message: "planted".into(),
+            explained: None,
+        });
+        assert_eq!(sweep.total_warnings(), 1);
+        assert!(sweep.is_clean(), "verify counts errors only");
+        assert!(!sweep.lint.is_clean(), "lint also fails unexplained warns");
+        // a failed compile is an error under both readings
+        sweep.lint.workloads[0].outcome = Err("compile failed".into());
+        assert!(!sweep.is_clean());
+        assert_eq!(
+            sweep.to_json().get("errors").and_then(Json::as_f64),
+            Some(1.0)
+        );
     }
 }

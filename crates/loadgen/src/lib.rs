@@ -1,43 +1,29 @@
 #![deny(unsafe_code)]
 
-//! `amnesiac-loadgen` — an open-loop load generator for `amnesiac-serve`.
+//! `amnesiac-loadgen` — the seeded arrival schedule that the repository
+//! benchmark (`perfbench/`) offers to `amnesiac serve`.
 //!
-//! "Heavy traffic" is only a claim until there is a number attached; this
-//! crate produces the number. It drives a live server with a **Poisson
-//! arrival process** at a configured rate: request send times are drawn
-//! up front from a seeded [`amnesiac_rng::Rng`], so the schedule is a
-//! pure function of `(rate, duration, seed, mix)` and two runs against
-//! different builds offer the exact same load. Crucially the loop is
-//! **open**: a request is sent at its scheduled instant whether or not
+//! Request send times follow a **Poisson arrival process** at a
+//! configured rate and are drawn up front from a seeded
+//! [`amnesiac_rng::Rng`], so the schedule is a pure function of
+//! `(rate, duration, seed, mix)` and two runs against different builds
+//! offer the exact same load. The schedule is meant for an **open**
+//! loop: each request goes out at its scheduled instant whether or not
 //! earlier responses have arrived, so a slow server faces a growing
-//! backlog exactly as it would in production, instead of the generator
+//! backlog exactly as it would in production, instead of the client
 //! politely slowing down with it (the closed-loop/coordinated-omission
-//! trap — see DESIGN.md).
-//!
-//! Latency is measured from the request's *scheduled* arrival time to
-//! response receipt and recorded into an HDR-style log-bucketed
-//! [`LogHistogram`] (~3% relative resolution at any magnitude), from
-//! which the report extracts p50/p90/p99/p999. The snapshot document
-//! ([`LoadgenReport::snapshot`]) is the `loadgen` verb's payload. The
-//! repository benchmark (`perfbench/`) draws its serve workloads'
-//! arrivals from the same [`schedule`].
-
-mod hist;
-pub mod run;
-
-pub use hist::LogHistogram;
-pub use run::{run_against, LoadgenReport};
+//! trap — see DESIGN.md §4d). The driver that sends it, and the
+//! latencies measured from each scheduled instant, live in perfbench.
 
 use amnesiac_rng::Rng;
 use amnesiac_serve::WireVerb;
-use amnesiac_telemetry::Json;
 
-/// Hard cap on scheduled requests per run — a misconfigured
-/// `rate * duration` should fail loudly, not allocate without bound.
-pub const MAX_SCHEDULED: usize = 1 << 20;
+/// Hard cap on scheduled requests per run, so a misconfigured
+/// `rate * duration` cannot allocate without bound.
+const MAX_SCHEDULED: usize = 1 << 20;
 
 /// The wire verbs a mix may draw from — the shared [`WireVerb`]
-/// vocabulary minus the admin verbs the generator has no business firing
+/// vocabulary minus the admin verbs that have no business being fired
 /// at rate (`shutdown`, `drain`, `cluster`) — with the default target
 /// each one gets (`None` = the verb takes no target). Targets pick small
 /// built-in benchmarks so a load point costs milliseconds, not seconds.
@@ -74,16 +60,6 @@ pub struct MixEntry {
 pub struct Mix {
     entries: Vec<MixEntry>,
     total_weight: u64,
-}
-
-impl Default for Mix {
-    /// The default mix: a read-mostly blend of the cheap verbs, shaped
-    /// like an interactive toolchain session (compiles dominating, a few
-    /// simulations, the rest introspection).
-    fn default() -> Mix {
-        Mix::parse("compile=4,disasm=3,simulate=2,trace=2,stats=2,verify=1")
-            .expect("default mix spec is valid")
-    }
 }
 
 impl Mix {
@@ -140,16 +116,6 @@ impl Mix {
         })
     }
 
-    /// The canonical `verb=weight,...` spec (round-trips through
-    /// [`Mix::parse`]).
-    pub fn spec(&self) -> String {
-        self.entries
-            .iter()
-            .map(|e| format!("{}={}", e.verb, e.weight))
-            .collect::<Vec<_>>()
-            .join(",")
-    }
-
     /// The entries of the mix.
     pub fn entries(&self) -> &[MixEntry] {
         &self.entries
@@ -168,9 +134,10 @@ impl Mix {
     }
 }
 
-/// Everything that determines a load run. The schedule is a pure
-/// function of this struct, and the snapshot echoes it as its `config`
-/// object, so a run's own output says how to repeat it.
+/// The inputs of a load run. [`schedule`] is a pure function of `rate`,
+/// `duration_ms`, `seed` and `mix`; `connections` and `timeout_ms` are
+/// carried for the caller that sends the schedule, and [`schedule`]
+/// reads neither.
 #[derive(Debug, Clone, PartialEq)]
 pub struct LoadgenConfig {
     /// Mean arrival rate, requests per second (Poisson process).
@@ -181,64 +148,12 @@ pub struct LoadgenConfig {
     pub seed: u64,
     /// The weighted verb mix.
     pub mix: Mix,
-    /// Client connections the schedule is dealt across (round-robin).
+    /// Client connections the caller deals the schedule across; the
+    /// schedule does not depend on it.
     pub connections: usize,
-    /// Per-request deadline attached to every request, in milliseconds.
+    /// Per-request deadline the caller attaches, in milliseconds; the
+    /// schedule does not depend on it.
     pub timeout_ms: u64,
-}
-
-impl Default for LoadgenConfig {
-    fn default() -> LoadgenConfig {
-        LoadgenConfig {
-            rate: 200.0,
-            duration_ms: 1000,
-            seed: 42,
-            mix: Mix::default(),
-            connections: 16,
-            timeout_ms: 10_000,
-        }
-    }
-}
-
-impl LoadgenConfig {
-    /// Checks the configuration is runnable.
-    ///
-    /// # Errors
-    ///
-    /// Returns a human-readable message for the first bad field.
-    pub fn validate(&self) -> Result<(), String> {
-        if !self.rate.is_finite() || self.rate <= 0.0 {
-            return Err(format!("rate must be a positive number, got {}", self.rate));
-        }
-        if self.duration_ms == 0 {
-            return Err("duration-ms must be at least 1".to_string());
-        }
-        if self.connections == 0 {
-            return Err("connections must be at least 1".to_string());
-        }
-        if self.timeout_ms == 0 {
-            return Err("timeout-ms must be at least 1".to_string());
-        }
-        let expected = self.rate * self.duration_ms as f64 / 1000.0;
-        if expected > MAX_SCHEDULED as f64 {
-            return Err(format!(
-                "rate {} over {} ms schedules ~{expected:.0} requests; the cap is {MAX_SCHEDULED}",
-                self.rate, self.duration_ms
-            ));
-        }
-        Ok(())
-    }
-
-    /// The `config` object embedded in snapshots.
-    pub fn to_json(&self) -> Json {
-        Json::obj()
-            .with("rate", self.rate)
-            .with("duration_ms", self.duration_ms)
-            .with("seed", self.seed)
-            .with("mix", self.mix.spec())
-            .with("connections", self.connections)
-            .with("timeout_ms", self.timeout_ms)
-    }
 }
 
 /// One scheduled request: when (µs after the run epoch) and what.
@@ -258,7 +173,7 @@ pub struct Arrival {
 /// The artifact sweep pool for `compile`/`verify`: kernels whose
 /// paper-scale compile (profiling simulation included) costs tens of
 /// milliseconds — expensive enough that a cache miss is clearly visible
-/// in the latency histogram, cheap enough that a cold sweep of the whole
+/// in the latencies, cheap enough that a cold sweep of the whole
 /// pool fits inside one burst. The heavy tail of the suite (paper-scale
 /// `mcf`, `calculix`, ... run for seconds to minutes) stays out so the
 /// pinned load point remains a latency benchmark, not a soak test.
@@ -301,7 +216,8 @@ fn listing_sweep_targets() -> Vec<String> {
 /// `compile`/`verify` sweep `PAPER_SWEEP` at paper scale (expensive
 /// artifacts), `disasm` sweeps the whole suite at test scale (broad
 /// listings). Deterministic in `(rate, duration_ms, seed, mix)`; offsets
-/// are non-decreasing and the length is capped at [`MAX_SCHEDULED`].
+/// are non-decreasing and the length is capped at 2^20 arrivals. A rate
+/// that is not a positive number schedules nothing.
 pub fn schedule(config: &LoadgenConfig) -> Vec<Arrival> {
     let mut rng = Rng::seed_from_u64(config.seed);
     let listings = listing_sweep_targets();
@@ -344,12 +260,30 @@ pub fn schedule(config: &LoadgenConfig) -> Vec<Arrival> {
 mod tests {
     use super::*;
 
+    /// A run over `mix` at `rate` for `duration_ms`; the lane count and
+    /// the deadline are placeholders the schedule never reads.
+    fn config(rate: f64, duration_ms: u64, seed: u64, mix: &str) -> LoadgenConfig {
+        LoadgenConfig {
+            rate,
+            duration_ms,
+            seed,
+            mix: Mix::parse(mix).unwrap(),
+            connections: 16,
+            timeout_ms: 10_000,
+        }
+    }
+
+    /// A read-mostly blend: compiles dominate, then listings, a few
+    /// simulations and introspection.
+    const BLEND: &str = "compile=4,disasm=3,simulate=2,trace=2,stats=2,verify=1";
+
     #[test]
-    fn mix_spec_round_trips_and_weights_default_to_one() {
+    fn mix_weights_default_to_one() {
         let mix = Mix::parse("compile=4, stats ,trace=2").expect("valid spec");
-        assert_eq!(mix.spec(), "compile=4,stats=1,trace=2");
-        assert_eq!(Mix::parse(&mix.spec()).unwrap(), mix);
+        assert_eq!(mix, Mix::parse("compile=4,stats=1,trace=2").unwrap());
         let entries = mix.entries();
+        let weights: Vec<u64> = entries.iter().map(|e| e.weight).collect();
+        assert_eq!(weights, [4, 1, 2]);
         assert_eq!(entries[0].target.as_deref(), Some("bench:is"));
         assert_eq!(entries[1].target, None);
         assert_eq!(entries[2].target.as_deref(), Some("bench:bfs"));
@@ -387,12 +321,7 @@ mod tests {
 
     #[test]
     fn schedule_is_deterministic_in_the_seed() {
-        let config = LoadgenConfig {
-            rate: 500.0,
-            duration_ms: 2_000,
-            seed: 99,
-            ..LoadgenConfig::default()
-        };
+        let config = config(500.0, 2_000, 99, BLEND);
         let a = schedule(&config);
         let b = schedule(&config);
         assert_eq!(a, b);
@@ -406,12 +335,7 @@ mod tests {
 
     #[test]
     fn cacheable_verbs_sweep_the_kernel_pools() {
-        let config = LoadgenConfig {
-            rate: 1_000.0,
-            duration_ms: 2_000,
-            seed: 7,
-            ..LoadgenConfig::default()
-        };
+        let config = config(1_000.0, 2_000, 7, BLEND);
         let listings: std::collections::BTreeSet<String> =
             listing_sweep_targets().into_iter().collect();
         assert_eq!(listings.len(), 33, "the full built-in suite");
@@ -450,13 +374,7 @@ mod tests {
 
     #[test]
     fn schedule_matches_the_rate_and_stays_inside_the_horizon() {
-        let config = LoadgenConfig {
-            rate: 1_000.0,
-            duration_ms: 4_000,
-            seed: 42,
-            ..LoadgenConfig::default()
-        };
-        let arrivals = schedule(&config);
+        let arrivals = schedule(&config(1_000.0, 4_000, 42, BLEND));
         // Poisson(4000): +-5 sigma is [3684, 4316]
         assert!(
             (3_600..=4_400).contains(&arrivals.len()),
@@ -471,39 +389,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn validate_catches_bad_configs() {
-        for (mutate, expect) in [
-            (
-                Box::new(|c: &mut LoadgenConfig| c.rate = 0.0) as Box<dyn Fn(&mut LoadgenConfig)>,
-                "rate must be",
-            ),
-            (
-                Box::new(|c: &mut LoadgenConfig| c.rate = f64::NAN),
-                "rate must be",
-            ),
-            (
-                Box::new(|c: &mut LoadgenConfig| c.duration_ms = 0),
-                "duration-ms",
-            ),
-            (
-                Box::new(|c: &mut LoadgenConfig| c.connections = 0),
-                "connections",
-            ),
-            (
-                Box::new(|c: &mut LoadgenConfig| c.timeout_ms = 0),
-                "timeout-ms",
-            ),
-            (
-                Box::new(|c: &mut LoadgenConfig| c.rate = 1e12),
-                "the cap is",
-            ),
-        ] {
-            let mut config = LoadgenConfig::default();
-            mutate(&mut config);
-            let err = config.validate().expect_err("must be rejected");
-            assert!(err.contains(expect), "{err}");
+    /// FNV-1a over every field of every arrival, in order.
+    fn digest(arrivals: &[Arrival]) -> u64 {
+        let mut hash = 0xcbf2_9ce4_8422_2325u64;
+        for a in arrivals {
+            let line = format!("{} {} {:?} {:?}\n", a.offset_us, a.verb, a.target, a.scale);
+            for byte in line.bytes() {
+                hash = (hash ^ u64::from(byte)).wrapping_mul(0x0100_0000_01b3);
+            }
         }
-        assert!(LoadgenConfig::default().validate().is_ok());
+        hash
+    }
+
+    #[test]
+    fn the_benchmark_streams_keep_their_draws() {
+        // perfbench's hit mix at its nominal rate, and its miss mix. Its
+        // oracle checks each payload against the digest of its own input,
+        // so a moved draw would pass the oracle while silently changing
+        // the benchmark's workload; this test fails on it instead.
+        for (spec, rate, duration_ms, len, want) in [
+            (
+                "compile=4,disasm=3,verify=1",
+                300.0,
+                2_000,
+                592,
+                0xb28d_7119_45c3_8a26u64,
+            ),
+            ("compile=1", 8.0, 20_000, 162, 0xb6be_d1e9_5a43_9cd4),
+        ] {
+            let config = config(rate, duration_ms, 7919, spec);
+            let arrivals = schedule(&config);
+            assert_eq!((arrivals.len(), digest(&arrivals)), (len, want), "{spec}");
+            // the lane count and the deadline are the caller's, not the schedule's
+            let other = LoadgenConfig {
+                connections: 1,
+                timeout_ms: 1,
+                ..config
+            };
+            assert_eq!(schedule(&other), arrivals, "{spec}");
+        }
     }
 }

@@ -1,11 +1,9 @@
-//! Line-protocol clients: a configurable connector ([`ClientConfig`]),
-//! a multi-lane [`ClientPool`] used by the load generator and the e2e
-//! tests, and the single-socket [`Client`] they all hand out.
+//! Line-protocol clients: a configurable connector ([`ClientConfig`])
+//! and the single-socket [`Client`] it hands out.
 //!
-//! [`Client::connect`] is the legacy one-socket constructor, kept as a
-//! thin wrapper over the default [`ClientConfig`]; new code that cares
-//! about connect retries, backoff, or read timeouts should build a
-//! [`ClientConfig`] (or a [`ClientPool`]) explicitly.
+//! [`Client::connect`] is the one-socket constructor over the default
+//! [`ClientConfig`]; code that cares about connect retries, backoff, or
+//! read timeouts builds a [`ClientConfig`] explicitly.
 
 use std::io::{self, BufRead, BufReader, Write};
 use std::net::{TcpStream, ToSocketAddrs};
@@ -127,115 +125,6 @@ impl ClientConfig {
     }
 }
 
-/// A fixed-size set of independent connections ("lanes") to one
-/// service, each its own pipelining [`Client`]. Built with
-/// [`ClientPool::builder`]; callers either round-robin through
-/// [`ClientPool::call`] or take the lanes apart with
-/// [`ClientPool::into_lanes`] (the load generator drives each lane from
-/// its own sender/receiver thread pair).
-pub struct ClientPool {
-    lanes: Vec<Client>,
-    next: usize,
-}
-
-/// Builder for [`ClientPool`] — lane count plus the shared
-/// [`ClientConfig`] connection policy.
-pub struct ClientPoolBuilder<A: ToSocketAddrs> {
-    addr: A,
-    lanes: usize,
-    config: ClientConfig,
-}
-
-impl<A: ToSocketAddrs> ClientPoolBuilder<A> {
-    /// Sets the number of lanes (clamped to ≥ 1; default 1).
-    pub fn lanes(mut self, lanes: usize) -> Self {
-        self.lanes = lanes.max(1);
-        self
-    }
-
-    /// Sets the connect attempts of the underlying [`ClientConfig`].
-    pub fn attempts(mut self, attempts: u32) -> Self {
-        self.config = self.config.attempts(attempts);
-        self
-    }
-
-    /// Sets the backoff of the underlying [`ClientConfig`].
-    pub fn backoff(mut self, initial: Duration, max: Duration) -> Self {
-        self.config = self.config.backoff(initial, max);
-        self
-    }
-
-    /// Sets the read timeout of the underlying [`ClientConfig`].
-    pub fn read_timeout(mut self, timeout: Option<Duration>) -> Self {
-        self.config = self.config.read_timeout(timeout);
-        self
-    }
-
-    /// Replaces the whole connection policy at once.
-    pub fn config(mut self, config: ClientConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Connects every lane.
-    ///
-    /// # Errors
-    ///
-    /// Fails on the first lane whose connect attempts are exhausted.
-    pub fn build(self) -> io::Result<ClientPool> {
-        let mut lanes = Vec::with_capacity(self.lanes);
-        for _ in 0..self.lanes.max(1) {
-            lanes.push(self.config.connect(&self.addr)?);
-        }
-        Ok(ClientPool { lanes, next: 0 })
-    }
-}
-
-impl ClientPool {
-    /// Starts a builder connecting to `addr`.
-    pub fn builder<A: ToSocketAddrs>(addr: A) -> ClientPoolBuilder<A> {
-        ClientPoolBuilder {
-            addr,
-            lanes: 1,
-            config: ClientConfig::default(),
-        }
-    }
-
-    /// Number of lanes.
-    pub fn len(&self) -> usize {
-        self.lanes.len()
-    }
-
-    /// `true` when the pool has no lanes (never the case for a built
-    /// pool; present for API completeness).
-    pub fn is_empty(&self) -> bool {
-        self.lanes.is_empty()
-    }
-
-    /// Borrows one lane by index (panics on out-of-range, like slice
-    /// indexing).
-    pub fn lane(&mut self, index: usize) -> &mut Client {
-        &mut self.lanes[index]
-    }
-
-    /// One request/response exchange on the next lane (round-robin).
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::call`].
-    pub fn call(&mut self, request: &Request) -> io::Result<Response> {
-        let index = self.next % self.lanes.len().max(1);
-        self.next = self.next.wrapping_add(1);
-        self.lanes[index].call(request)
-    }
-
-    /// Takes the lanes apart for callers that drive each connection from
-    /// dedicated threads.
-    pub fn into_lanes(self) -> Vec<Client> {
-        self.lanes
-    }
-}
-
 /// A connected client. One request/response exchange at a time via
 /// [`Client::call`], or pipeline explicitly with [`Client::send`] and
 /// [`Client::recv`] (responses arrive in request order).
@@ -246,9 +135,8 @@ pub struct Client {
 
 impl Client {
     /// Connects to a running server with the default single-attempt
-    /// policy. Legacy constructor — a thin wrapper over
-    /// [`ClientConfig::connect`]; prefer a [`ClientConfig`] (or a
-    /// [`ClientPool`]) when you need retries, backoff, or timeouts.
+    /// policy — a thin wrapper over [`ClientConfig::connect`]; build a
+    /// [`ClientConfig`] when you need retries, backoff, or timeouts.
     ///
     /// # Errors
     ///
@@ -265,13 +153,6 @@ impl Client {
     /// Propagates the socket-option failure.
     pub fn set_read_timeout(&self, timeout: Option<Duration>) -> io::Result<()> {
         self.reader.get_ref().set_read_timeout(timeout)
-    }
-
-    /// Splits the client into its raw write half and buffered read half,
-    /// for callers (the load generator) that pump each direction from a
-    /// dedicated thread.
-    pub fn split(self) -> (TcpStream, BufReader<TcpStream>) {
-        (self.writer, self.reader)
     }
 
     /// Sends one request line without waiting for the response.

@@ -41,7 +41,7 @@ pub mod ring;
 pub mod router;
 pub mod server;
 
-pub use client::{Client, ClientConfig, ClientPool, ClientPoolBuilder};
+pub use client::{Client, ClientConfig};
 pub use membership::{Membership, ProbeOutcome, WorkerInfo, WorkerState};
 pub use protocol::{code, Request, Response, RouteMeta, ServeError, WireVerb, PROTOCOL_VERSION};
 pub use ring::{Ring, WorkerId, REPLICAS};
