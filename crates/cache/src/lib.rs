@@ -35,7 +35,7 @@ mod disk;
 mod store;
 
 use amnesiac_compiler::{CompileOptions, CompileReport};
-use amnesiac_isa::{encode_program, Program};
+use amnesiac_isa::{encode_program, encoded_len, Program};
 use amnesiac_mem::hash128;
 use amnesiac_telemetry::Json;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -68,7 +68,7 @@ impl CompileArtifact {
     /// allocation measurement.
     #[must_use]
     pub fn approx_bytes(&self) -> usize {
-        let program = encode_program(&self.program).len();
+        let program = encoded_len(&self.program);
         let report = self.report.decisions.len() * 96
             + self.report.pc_map.len() * 8
             + self.report.verify.diagnostics.len() * 128

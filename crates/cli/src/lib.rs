@@ -489,8 +489,9 @@ pub fn run(command: &Command) -> Result<Response, CliError> {
 
 /// [`run`] with an externally owned cache — the entry point the serve
 /// handler uses so every request shares one store. This is where a
-/// program verb's target is checked: a command without one is a usage
-/// error, whether it came from [`parse_args`] or off the wire.
+/// verb's target is checked: a program verb without one, or `experiments`
+/// with one, is a usage error, whether it came from [`parse_args`] or off
+/// the wire.
 pub(crate) fn run_with_cache(
     command: &Command,
     cache: Option<&CompileCache>,
@@ -504,6 +505,9 @@ pub(crate) fn run_with_cache(
     };
     let program = || load_program(target()?, paper_scale);
     match command.verb {
+        Verb::Experiments if command.target.is_some() => Err(CliError::Usage(
+            "experiments runs the whole suite and takes no target".into(),
+        )),
         Verb::Experiments => run_experiments(command),
         Verb::Compile => run_compile(command, target()?, cache),
         Verb::Disasm => run_disasm(target()?, paper_scale, cache),
@@ -521,7 +525,7 @@ pub(crate) fn run_with_cache(
         Verb::Trace => run_trace(program()?),
         Verb::Run => run_classic(program()?),
         Verb::Profile => run_profile(program()?),
-        Verb::Compare => run_compare(program()?),
+        Verb::Compare => run_compare(target()?, paper_scale, cache),
     }
 }
 
@@ -545,14 +549,16 @@ fn default_options() -> &'static (CompileOptions, OptionsFingerprint) {
 /// one is threaded in and plain otherwise, and returns the program's name
 /// with the shared artifact. With a cache a `bench:` target is keyed by
 /// its source first, so a hit builds nothing; profiling (a full observed
-/// simulation, the expensive step) runs only on a miss.
+/// simulation, the expensive step) runs only on a miss. `loaded` is the
+/// target's program when the caller has built it already.
 fn compile_maybe_cached(
     cache: Option<&CompileCache>,
     target: &str,
     paper_scale: bool,
+    loaded: Option<Program>,
 ) -> Result<(Arc<str>, Arc<CompileArtifact>), CliError> {
     let (options, fingerprint) = default_options();
-    let build = || load_program(target, paper_scale);
+    let build = || loaded.map_or_else(|| load_program(target, paper_scale), Ok);
     let compute = |program: &Program| {
         let (profile, _) =
             profile_program(program, &CoreConfig::paper()).map_err(CompileError::Replay)?;
@@ -583,8 +589,12 @@ fn run_compile(
     target: &str,
     cache: Option<&CompileCache>,
 ) -> Result<Response, CliError> {
-    let (program, artifact) =
-        compile_maybe_cached(cache, target, command.effective_scale() == Scale::Paper)?;
+    let (program, artifact) = compile_maybe_cached(
+        cache,
+        target,
+        command.effective_scale() == Scale::Paper,
+        None,
+    )?;
     // counters ride along only on the one-shot `--cache-dir` path;
     // served responses must stay byte-identical hit vs cold
     let cache_stats = match (cache, &command.cache_dir) {
@@ -670,17 +680,22 @@ fn run_profile(program: Program) -> Result<Response, CliError> {
 
 /// The `compare` verb: classic against every amnesic policy, each checked
 /// to leave the same memory.
-fn run_compare(program: Program) -> Result<Response, CliError> {
-    let config = CoreConfig::paper();
-    let classic = ClassicCore::new(config.clone())
+fn run_compare(
+    target: &str,
+    paper_scale: bool,
+    cache: Option<&CompileCache>,
+) -> Result<Response, CliError> {
+    let program = load_program(target, paper_scale)?;
+    let classic = ClassicCore::new(CoreConfig::paper())
         .run(&program)
         .map_err(tool)?;
-    let (profile, _) = profile_program(&program, &config).map_err(tool)?;
-    let (binary, _) = compile(&program, &profile, &CompileOptions::default()).map_err(tool)?;
+    // the binary `compile` builds for the target, so a compare after a
+    // compile (or another compare) profiles and compiles nothing
+    let (name, artifact) = compile_maybe_cached(cache, target, paper_scale, Some(program))?;
     let mut policies = Vec::new();
     for policy in Policy::ALL_EXTENDED {
         let result = AmnesicCore::new(AmnesicConfig::paper(policy))
-            .run(&binary)
+            .run(&artifact.program)
             .map_err(tool)?;
         if result.run.final_memory != classic.final_memory {
             return Err(CliError::Tool(format!("{policy} diverged from classic")));
@@ -688,7 +703,7 @@ fn run_compare(program: Program) -> Result<Response, CliError> {
         policies.push((policy.to_string(), result));
     }
     Ok(Response::Compare {
-        program: program.name,
+        program: name.to_string(),
         classic,
         policies,
     })
@@ -703,8 +718,12 @@ fn run_verify(command: &Command, cache: Option<&CompileCache>) -> Result<Respons
         Some(target) => {
             // `compile` gated the binary with the verifier's default
             // options, so its report is the verdict; a cache hit carries it.
-            let (_, artifact) =
-                compile_maybe_cached(cache, target, command.effective_scale() == Scale::Paper)?;
+            let (_, artifact) = compile_maybe_cached(
+                cache,
+                target,
+                command.effective_scale() == Scale::Paper,
+                None,
+            )?;
             Ok(Response::VerifyTarget {
                 target: target.to_string(),
                 report: artifact.report.verify.clone(),
@@ -726,8 +745,12 @@ fn run_lint(command: &Command, cache: Option<&CompileCache>) -> Result<Response,
         Some(target) => {
             // the compile's report carries the verifier's findings and the
             // replay-validation counters, so a cache hit carries the lint
-            let (_, artifact) =
-                compile_maybe_cached(cache, target, command.effective_scale() == Scale::Paper)?;
+            let (_, artifact) = compile_maybe_cached(
+                cache,
+                target,
+                command.effective_scale() == Scale::Paper,
+                None,
+            )?;
             Ok(Response::LintTarget {
                 target: target.to_string(),
                 report: artifact.report.clone(),
@@ -1301,6 +1324,51 @@ mod tests {
             "{}",
             stats.compact()
         );
+    }
+
+    #[test]
+    fn served_compares_share_the_compile_cache_and_match_the_cli_export() {
+        let dir = std::env::temp_dir().join("amnesiac-cli-compare-test");
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_str = dir.to_string_lossy().into_owned();
+        execute(&parse_args(&args(&["compare", "bench:is", "--json", &dir_str])).unwrap()).unwrap();
+        let on_disk =
+            amnesiac_telemetry::parse(&std::fs::read_to_string(dir.join("compare.json")).unwrap())
+                .unwrap();
+        let _ = std::fs::remove_dir_all(&dir);
+
+        let cache = Arc::new(CompileCache::in_memory());
+        let handler = service::serve_handler_with_cache(Arc::clone(&cache));
+        let compile = amnesiac_serve::Request::new("compile").with_target("bench:is");
+        handler(&compile).unwrap();
+        // the compare runs the binary the compile built and cached
+        let compare = amnesiac_serve::Request::new("compare").with_target("bench:is");
+        assert_eq!(handler(&compare).unwrap(), on_disk);
+        let stats = cache.stats_json();
+        let count = |field: &str| stats.get(field).and_then(Json::as_f64);
+        assert_eq!(
+            (count("misses"), count("hits")),
+            (Some(1.0), Some(1.0)),
+            "{}",
+            stats.compact()
+        );
+    }
+
+    #[test]
+    fn experiments_with_a_target_is_a_usage_error() {
+        let dir = std::env::temp_dir().join("amnesiac-cli-experiments-stray");
+        let _ = std::fs::remove_dir_all(&dir);
+        let dir_str = dir.to_string_lossy().into_owned();
+        let command = parse_args(&args(&["experiments", "stray", "--json", &dir_str])).unwrap();
+        let err = execute(&command).unwrap_err();
+        assert!(matches!(err, CliError::Usage(_)), "{err}");
+        assert_eq!(err.exit_code(), 2);
+        assert!(!dir.exists(), "nothing ran, so nothing was written");
+
+        let handler = service::serve_handler();
+        let stray = amnesiac_serve::Request::new("experiments").with_target("stray");
+        let err = handler(&stray).unwrap_err();
+        assert_eq!(err.code, amnesiac_serve::code::USAGE, "{}", err.message);
     }
 
     #[test]

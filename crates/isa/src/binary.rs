@@ -83,25 +83,49 @@ impl From<crate::IsaError> for DecodeError {
     }
 }
 
-struct Writer {
-    bytes: Vec<u8>,
+/// Where an encoding goes: the image's bytes, or only their count.
+trait Sink {
+    fn put(&mut self, bytes: &[u8]);
+    fn reserve(&mut self, _additional: usize) {}
 }
 
-impl Writer {
+impl Sink for Vec<u8> {
+    fn put(&mut self, bytes: &[u8]) {
+        self.extend_from_slice(bytes);
+    }
+    fn reserve(&mut self, additional: usize) {
+        Vec::reserve(self, additional);
+    }
+}
+
+/// Counts the bytes an encoding would write.
+struct Len(usize);
+
+impl Sink for Len {
+    fn put(&mut self, bytes: &[u8]) {
+        self.0 += bytes.len();
+    }
+}
+
+struct Writer<S> {
+    out: S,
+}
+
+impl<S: Sink> Writer<S> {
     fn u8(&mut self, v: u8) {
-        self.bytes.push(v);
+        self.out.put(&[v]);
     }
     fn u16(&mut self, v: u16) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
     }
     fn u32(&mut self, v: u32) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
     }
     fn u64(&mut self, v: u64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
     }
     fn i64(&mut self, v: i64) {
-        self.bytes.extend_from_slice(&v.to_le_bytes());
+        self.out.put(&v.to_le_bytes());
     }
     fn reg(&mut self, r: Reg) {
         self.u8(r.0);
@@ -154,7 +178,7 @@ impl<'a> Reader<'a> {
     }
 }
 
-fn encode_instruction(w: &mut Writer, inst: &Instruction) {
+fn encode_instruction<S: Sink>(w: &mut Writer<S>, inst: &Instruction) {
     match inst {
         Instruction::Li { dst, imm } => {
             w.u8(0x01);
@@ -430,7 +454,7 @@ code_pairs!(
     ]
 );
 
-fn encode_source(w: &mut Writer, source: &Option<OperandSource>) {
+fn encode_source<S: Sink>(w: &mut Writer<S>, source: &Option<OperandSource>) {
     match source {
         None => w.u8(0),
         Some(OperandSource::LiveReg) => w.u8(1),
@@ -458,19 +482,33 @@ fn decode_source(r: &mut Reader<'_>) -> Result<Option<OperandSource>, DecodeErro
 
 /// Encodes a program (classic or annotated) to a binary image.
 pub fn encode_program(program: &Program) -> Vec<u8> {
-    let mut w = Writer { bytes: Vec::new() };
-    w.bytes.extend_from_slice(MAGIC);
+    let mut w = Writer { out: Vec::new() };
+    write_program(&mut w, program);
+    w.out
+}
+
+/// The length of [`encode_program`]'s image of `program`, without building
+/// it: the same walk over the instructions, data, ranges and slices, with
+/// each field adding its size instead of its bytes.
+pub fn encoded_len(program: &Program) -> usize {
+    let mut w = Writer { out: Len(0) };
+    write_program(&mut w, program);
+    w.out.0
+}
+
+fn write_program<S: Sink>(w: &mut Writer<S>, program: &Program) {
+    w.out.put(MAGIC);
     w.u16(VERSION);
     w.u16(program.name.len() as u16);
-    w.bytes.extend_from_slice(program.name.as_bytes());
+    w.out.put(program.name.as_bytes());
     w.u32(program.entry as u32);
     w.u32(program.code_len as u32);
     w.u32(program.instructions.len() as u32);
     for inst in &program.instructions {
-        encode_instruction(&mut w, inst);
+        encode_instruction(w, inst);
     }
     w.u32(program.data.len() as u32);
-    w.bytes.reserve(16 * program.data.len());
+    w.out.reserve(16 * program.data.len());
     for (base, words) in program.data.runs() {
         for (i, &value) in words.iter().enumerate() {
             w.u64(base + i as u64);
@@ -498,7 +536,7 @@ pub fn encode_program(program: &Program) -> Vec<u8> {
         w.u32(meta.plans.len() as u32);
         for plan in &meta.plans {
             for source in &plan.sources {
-                encode_source(&mut w, source);
+                encode_source(w, source);
             }
         }
         w.u32(meta.leaves.len() as u32);
@@ -514,7 +552,6 @@ pub fn encode_program(program: &Program) -> Vec<u8> {
             }
         }
     }
-    w.bytes
 }
 
 /// Decodes a binary image back into a validated [`Program`].

@@ -53,7 +53,7 @@ mod program;
 pub mod validate;
 
 pub use asm::{parse_asm, to_asm, AsmError};
-pub use binary::{decode_program, encode_program, DecodeError};
+pub use binary::{decode_program, encode_program, encoded_len, DecodeError};
 pub use builder::{Label, ProgramBuilder, DATA_BASE};
 pub use decoded::{predecode, DecodedInst, DecodedOp};
 pub use disasm::disassemble;

@@ -177,7 +177,7 @@ pub struct Arrival {
 /// pool fits inside one burst. The heavy tail of the suite (paper-scale
 /// `mcf`, `calculix`, ... run for seconds to minutes) stays out so the
 /// pinned load point remains a latency benchmark, not a soak test.
-const PAPER_SWEEP: &[&str] = &[
+pub const PAPER_SWEEP: &[&str] = &[
     "bodytrack",
     "hotspot",
     "particlefilter",

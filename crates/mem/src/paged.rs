@@ -180,6 +180,19 @@ impl PagedMem {
         self.pages.len()
     }
 
+    /// Every word of every allocated page, zeros included, in page
+    /// allocation order: a walk over what the memory holds that costs no
+    /// sort and no address arithmetic. Untouched pages are not visited.
+    pub fn words(&self) -> impl Iterator<Item = u64> + '_ {
+        self.pages.iter().flat_map(|(_, page)| page.iter().copied())
+    }
+
+    /// [`PagedMem::words`], mutably: the same words in the same order.
+    /// Allocates nothing, so the set of pages stays as it is.
+    pub fn words_mut(&mut self) -> impl Iterator<Item = &mut u64> + '_ {
+        self.pages.iter_mut().flat_map(|(_, page)| page.iter_mut())
+    }
+
     /// Iterates over all non-zero words as `(address, value)` pairs, in
     /// ascending address order — the output-extraction and debugging view.
     /// Words that were written and later zeroed are skipped, exactly as an
@@ -322,6 +335,38 @@ mod tests {
         let mut empty = PagedMem::new();
         empty.fill(5, &[]);
         assert_eq!(empty.page_count(), 0, "an empty fill touches no page");
+    }
+
+    #[test]
+    fn words_visit_every_word_of_every_allocated_page_once() {
+        let mut mem = PagedMem::new();
+        assert_eq!(mem.words().count(), 0, "no page, no word");
+        let far = 7 * PAGE_WORDS as u64;
+        mem.set(far + 3, 5);
+        mem.set(1, 9);
+        mem.set(u64::MAX, 2);
+        let pages = mem.page_count();
+        assert_eq!(pages, 3);
+        assert_eq!(mem.words().count(), pages * PAGE_WORDS);
+        // tag each word with its position, through `words_mut`, then read
+        // the tags back at their addresses: each word got exactly one
+        for (i, word) in mem.words_mut().enumerate() {
+            *word = i as u64 + 1;
+        }
+        assert_eq!(mem.page_count(), pages, "walking allocates nothing");
+        let mut seen: Vec<u64> = mem.words().collect();
+        assert!(seen.iter().enumerate().all(|(i, &w)| w == i as u64 + 1));
+        let mut read_back = Vec::new();
+        for page_no in [far >> PAGE_SHIFT, 0, u64::MAX >> PAGE_SHIFT] {
+            let base = page_no << PAGE_SHIFT;
+            read_back.extend((0..PAGE_WORDS as u64).map(|i| mem.get(base + i)));
+        }
+        seen.sort_unstable();
+        read_back.sort_unstable();
+        assert_eq!(
+            seen, read_back,
+            "the walk covers the three pages and nothing else"
+        );
     }
 
     #[test]

@@ -4,10 +4,10 @@
 use std::collections::BTreeMap;
 
 use amnesiac_isa::{Instruction, Program, NUM_REGS};
-use amnesiac_mem::{FastMap, LevelStats};
+use amnesiac_mem::{LevelStats, PagedMem};
 use amnesiac_sim::{ClassicCore, CoreConfig, Observer, RetireEvent, RunError, RunResult};
 
-use crate::provenance::{Arena, NodeId, NIL};
+use crate::provenance::{narrow_pc, Arena, NodeId, MAX_NODES, NIL};
 use crate::tree::{Instance, ProvNode};
 
 /// Why a load site cannot be swapped for recomputation.
@@ -155,13 +155,53 @@ impl ProgramProfile {
     }
 }
 
-#[derive(Debug)]
-struct MemCell {
+/// The provenance of one memory word, packed into the word itself so the
+/// per-address table is a [`PagedMem`]:
+///
+/// ```text
+/// bits 32..64  store pc (any pc below 2^32)
+/// bit  31      read since that store
+/// bits  0..31  node id + 2 (ids stay below MAX_NODES; NIL wraps to 1)
+/// ```
+///
+/// The node field is never 0, so a written cell is never 0, and 0 — what
+/// a [`PagedMem`] reads for a word no store wrote — means "untracked".
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct MemCell(u64);
+
+impl MemCell {
+    const READ: u64 = 1 << 31;
+    const NODE_MASK: u64 = Self::READ - 1;
+
+    /// A cell for a store at `store_pc` of a value produced by `node`
+    /// ([`NIL`] when untracked), not yet read.
+    fn new(node: NodeId, store_pc: usize) -> MemCell {
+        debug_assert!(node == NIL || node < MAX_NODES);
+        MemCell((u64::from(narrow_pc(store_pc)) << 32) | u64::from(node.wrapping_add(2)))
+    }
+
+    /// The cell at a word, or `None` for a word no store wrote.
+    fn at(word: u64) -> Option<MemCell> {
+        (word != 0).then_some(MemCell(word))
+    }
+
     /// Provenance of the stored value ([`NIL`] when untracked); the cell
     /// holds one reference.
-    node: NodeId,
-    store_pc: usize,
-    read: bool,
+    fn node(self) -> NodeId {
+        ((self.0 & Self::NODE_MASK) as NodeId).wrapping_sub(2)
+    }
+
+    fn store_pc(self) -> usize {
+        (self.0 >> 32) as usize
+    }
+
+    fn read(self) -> bool {
+        self.0 & Self::READ != 0
+    }
+
+    fn mark_read(self) -> MemCell {
+        MemCell(self.0 | Self::READ)
+    }
 }
 
 /// The profiling observer: follows a classic run's retirement stream and
@@ -176,14 +216,20 @@ pub struct Profiler<'p> {
     /// Provenance of each register's value ([`NIL`] while never written);
     /// each holds one reference.
     reg_prov: [NodeId; NUM_REGS],
-    /// Probed on every dynamic load and store; fixed-key hashing (the keys
-    /// are simulated addresses) keeps the per-retirement cost down.
-    mem_prov: FastMap<u64, MemCell>,
+    /// One packed [`MemCell`] per word address, probed on every dynamic
+    /// load and store. Only a store allocates a page, and the simulator's
+    /// own data memory already holds every page a store touches.
+    mem_prov: PagedMem,
     /// Per-site profiles, dense by pc (every observed pc is main code, so
     /// `pc < code_len`): the per-dynamic-load site lookup is an index, not
     /// a map probe. [`Profiler::finish`] converts to the profile's BTreeMaps.
     loads: Vec<Option<LoadSiteProfile>>,
     stores: Vec<Option<StoreSiteProfile>>,
+    /// Store→load flows, dense by load pc: each load pc's store pcs with
+    /// how many of its loads read their values. A load pc reads from few
+    /// store pcs, so a short scan beats a map probe; [`Profiler::finish`]
+    /// folds them into each store's `consumers`.
+    flows: Vec<Vec<(u32, u64)>>,
     all_loads: LevelStats,
     /// dense per-pc execution counters (pcs are `< code_len`)
     pc_counts: Vec<u64>,
@@ -200,9 +246,10 @@ impl<'p> Profiler<'p> {
             regs: [0; NUM_REGS],
             arena: Arena::default(),
             reg_prov: [NIL; NUM_REGS],
-            mem_prov: FastMap::default(),
+            mem_prov: PagedMem::new(),
             loads: vec![None; program.code_len],
             stores: vec![None; program.code_len],
+            flows: vec![Vec::new(); program.code_len],
             all_loads: LevelStats::default(),
             pc_counts: vec![0; program.code_len],
             last_exec: vec![None; program.code_len],
@@ -225,18 +272,16 @@ impl<'p> Profiler<'p> {
         site.last_value = Some(value);
 
         // provenance of the value the load observed
-        let cell_node = match self.mem_prov.get_mut(&addr) {
+        let cell_node = match MemCell::at(self.mem_prov.get(addr)) {
             Some(cell) => {
-                cell.read = true;
-                *self.stores[cell.store_pc]
-                    .get_or_insert_with(Default::default)
-                    .consumers
-                    .entry(pc)
-                    .or_insert(0) += 1;
-                if cell.node == NIL {
+                if !cell.read() {
+                    self.mem_prov.set(addr, cell.mark_read().0);
+                }
+                count_flow(&mut self.flows[pc], cell.store_pc());
+                if cell.node() == NIL {
                     site.mark_unswappable(Unswappable::NoProducer);
                 }
-                cell.node
+                cell.node()
             }
             None => {
                 let why = if self.program.is_read_only(addr) {
@@ -290,18 +335,12 @@ impl<'p> Profiler<'p> {
         store.count += 1;
         let node = self.reg_prov[src_reg.index()];
         self.arena.retain(node);
-        let previous = self.mem_prov.insert(
-            addr,
-            MemCell {
-                node,
-                store_pc: event.pc,
-                read: false,
-            },
-        );
+        let previous = MemCell::at(self.mem_prov.get(addr));
+        self.mem_prov.set(addr, MemCell::new(node, event.pc).0);
         if let Some(prev) = previous {
-            self.arena.release(prev.node);
-            if !prev.read {
-                self.stores[prev.store_pc]
+            self.arena.release(prev.node());
+            if !prev.read() {
+                self.stores[prev.store_pc()]
                     .get_or_insert_with(Default::default)
                     .unread += 1;
             }
@@ -324,11 +363,19 @@ impl<'p> Profiler<'p> {
     /// dynamic instructions.
     pub fn finish(mut self, instructions: u64) -> ProgramProfile {
         // words never read before halt count as unread for their last store
-        for cell in self.mem_prov.values() {
-            if !cell.read {
-                self.stores[cell.store_pc]
+        for cell in self.mem_prov.words().filter_map(MemCell::at) {
+            if !cell.read() {
+                self.stores[cell.store_pc()]
                     .get_or_insert_with(Default::default)
                     .unread += 1;
+            }
+        }
+        for (load_pc, flows) in self.flows.into_iter().enumerate() {
+            for (store_pc, count) in flows {
+                self.stores[store_pc as usize]
+                    .get_or_insert_with(Default::default)
+                    .consumers
+                    .insert(load_pc, count);
             }
         }
         let loads = self
@@ -350,6 +397,17 @@ impl<'p> Profiler<'p> {
             instructions,
             pc_counts: self.pc_counts,
         }
+    }
+}
+
+/// Counts one load, whose pc's flows are `flows`, of a value stored at
+/// `store_pc`.
+#[inline]
+fn count_flow(flows: &mut Vec<(u32, u64)>, store_pc: usize) {
+    let store_pc = narrow_pc(store_pc);
+    match flows.iter_mut().find(|(pc, _)| *pc == store_pc) {
+        Some((_, count)) => *count += 1,
+        None => flows.push((store_pc, 1)),
     }
 }
 
@@ -645,10 +703,44 @@ mod tests {
             "{} slots for a handful of live values",
             profiler.arena.high_water()
         );
+        let cells = profiler.mem_prov.words().filter_map(MemCell::at);
         let roots = profiler.reg_prov.iter().copied();
         profiler
             .arena
-            .check_accounting(roots.chain(profiler.mem_prov.values().map(|c| c.node)));
+            .check_accounting(roots.chain(cells.map(MemCell::node)));
+        // dropping every register's and memory word's reference frees
+        // every slot: nothing else holds a node
+        for reg in profiler.reg_prov {
+            profiler.arena.release(reg);
+        }
+        for word in profiler.mem_prov.words_mut() {
+            if let Some(cell) = MemCell::at(std::mem::take(word)) {
+                profiler.arena.release(cell.node());
+            }
+        }
+        profiler.arena.check_accounting([]);
+    }
+
+    #[test]
+    fn memory_cells_pack_their_edges() {
+        let largest_pc = u32::MAX as usize;
+        let largest_node = MAX_NODES - 1;
+        for node in [NIL, 0, 1, largest_node] {
+            for store_pc in [0, 1, largest_pc] {
+                let cell = MemCell::new(node, store_pc);
+                assert_ne!(cell.0, 0, "a written word is never the unwritten 0");
+                assert_eq!(MemCell::at(cell.0), Some(cell));
+                for (cell, read) in [(cell, false), (cell.mark_read(), true)] {
+                    assert_eq!(
+                        (cell.node(), cell.store_pc(), cell.read()),
+                        (node, store_pc, read),
+                        "node {node}, store pc {store_pc}, read {read}"
+                    );
+                }
+                assert_eq!(cell.mark_read().mark_read(), cell.mark_read());
+            }
+        }
+        assert_eq!(MemCell::at(0), None, "a word no store wrote is untracked");
     }
 
     #[test]

@@ -10,6 +10,12 @@
 //! drops to zero to the free list and releases its children, iteratively,
 //! so the slab's size tracks the live DAG rather than the run length.
 //!
+//! Every retirement allocates a node and releases the register value it
+//! overwrites, so the common paths are kept short: [`Arena::compute`] and
+//! [`Arena::load`] read a child's pc, depth and links in place and bump
+//! its count there, and [`Arena::release`] is an inlined decrement whose
+//! rare zero case calls the out-of-line cascade.
+//!
 //! The DAG is depth-capped: when a new node would exceed
 //! [`TRACK_DEPTH_CAP`], its deep operands are replaced by childless
 //! copies, bounding both memory and later extraction work. The amnesic
@@ -25,6 +31,10 @@ pub(crate) type NodeId = u32;
 /// The absent link: a never-written register, an untracked operand, or a
 /// child dropped by the depth cap.
 pub(crate) const NIL: NodeId = NodeId::MAX;
+
+/// Slots the arena can hold. Ids stay below 2^31 - 2, so a memory cell
+/// packs a node id or [`NIL`] into 31 bits beside a full 32-bit store pc.
+pub(crate) const MAX_NODES: u32 = (1 << 31) - 2;
 
 /// The node is a load's pass-through to the value it read.
 const LOAD: u8 = 1;
@@ -72,7 +82,7 @@ impl Node {
     }
 }
 
-fn narrow_pc(pc: usize) -> u32 {
+pub(crate) fn narrow_pc(pc: usize) -> u32 {
     u32::try_from(pc).expect("pcs fit in 32 bits")
 }
 
@@ -91,6 +101,7 @@ impl Arena {
         &self.nodes[id as usize]
     }
 
+    #[inline]
     fn alloc(&mut self, node: Node) -> NodeId {
         debug_assert_eq!(node.refs, 1, "a new node has its creator's reference");
         match self.free.pop() {
@@ -98,15 +109,19 @@ impl Arena {
                 self.nodes[id as usize] = node;
                 id
             }
-            None => {
-                let id = NodeId::try_from(self.nodes.len())
-                    .ok()
-                    .filter(|&id| id != NIL)
-                    .expect("fewer than 2^32 - 1 live provenance nodes");
-                self.nodes.push(node);
-                id
-            }
+            None => self.push(node),
         }
+    }
+
+    /// Grows the slab by one slot holding `node`.
+    #[inline(never)]
+    fn push(&mut self, node: Node) -> NodeId {
+        let id = NodeId::try_from(self.nodes.len())
+            .ok()
+            .filter(|&id| id < MAX_NODES)
+            .expect("fewer than 2^31 - 2 live provenance nodes");
+        self.nodes.push(node);
+        id
     }
 
     /// Takes one more reference to `id` ([`NIL`] is a no-op).
@@ -119,19 +134,37 @@ impl Arena {
     /// Drops one reference to `id` ([`NIL`] is a no-op). A node left
     /// unreferenced goes to the free list and drops its children's
     /// references in turn.
+    #[inline]
     pub(crate) fn release(&mut self, id: NodeId) {
         if id == NIL {
             return;
         }
-        self.pending.push(id);
-        while let Some(id) = self.pending.pop() {
-            let node = &mut self.nodes[id as usize];
-            node.refs -= 1;
-            if node.refs == 0 {
-                let children = node.srcs;
-                self.free.push(id);
-                self.pending
-                    .extend(children.into_iter().filter(|&c| c != NIL));
+        let node = &mut self.nodes[id as usize];
+        node.refs -= 1;
+        if node.refs == 0 {
+            self.free_cascade(id);
+        }
+    }
+
+    /// Frees `id`, whose count just reached zero, and every node that its
+    /// release leaves unreferenced. `pending` holds only nodes already at
+    /// zero, so a child that keeps other holders costs one decrement.
+    #[inline(never)]
+    fn free_cascade(&mut self, mut id: NodeId) {
+        loop {
+            self.free.push(id);
+            for child in self.nodes[id as usize].srcs {
+                if child != NIL {
+                    let node = &mut self.nodes[child as usize];
+                    node.refs -= 1;
+                    if node.refs == 0 {
+                        self.pending.push(child);
+                    }
+                }
+            }
+            match self.pending.pop() {
+                Some(next) => id = next,
+                None => return,
             }
         }
     }
@@ -139,6 +172,7 @@ impl Arena {
     /// A childless, truncated copy of `id` at depth 0, holding one
     /// reference: the immediate producer survives the cut, its operand
     /// producers become unknown.
+    #[inline(never)]
     fn shallow_clone(&mut self, id: NodeId) -> NodeId {
         let node = *self.node(id);
         self.alloc(Node {
@@ -148,17 +182,6 @@ impl Arena {
             flags: node.flags | TRUNCATED,
             ..node
         })
-    }
-
-    /// A link from a new parent to `child`: `child` itself (retained), or
-    /// its shallow clone when the parent must cut it.
-    fn link(&mut self, child: NodeId, cut: bool) -> NodeId {
-        if cut {
-            self.shallow_clone(child)
-        } else {
-            self.retain(child);
-            child
-        }
     }
 
     /// A compute node for `pc` whose operands (in [`Instruction::srcs`]
@@ -172,6 +195,7 @@ impl Arena {
     /// bounded.
     ///
     /// [`Instruction::srcs`]: amnesiac_isa::Instruction::srcs
+    #[inline]
     pub(crate) fn compute(&mut self, pc: usize, srcs: [NodeId; 3], src_values: [u64; 3]) -> NodeId {
         let pc = narrow_pc(pc);
         let mut links = [NIL; 3];
@@ -180,21 +204,25 @@ impl Arena {
             if child == NIL {
                 continue;
             }
-            let node = *self.node(child);
-            if node.pc == pc {
-                // self-recurrences (loop counters `i ← i+1`, accumulators)
-                // grow without bound and are never recomputable as chains —
-                // the merge prunes them anyway. Cut them at one level so
-                // they cannot blow the depth cap and truncate unrelated
-                // structure around them.
-                *link = self.link(child, !node.is_leaf());
-                depth = depth.max(1);
-            } else if u32::from(node.depth) + 1 >= TRACK_DEPTH_CAP {
-                *link = self.link(child, true);
+            let node = &mut self.nodes[child as usize];
+            // self-recurrences (loop counters `i ← i+1`, accumulators) grow
+            // without bound and are never recomputable as chains — the
+            // merge prunes them anyway. Cut them at one level so they
+            // cannot blow the depth cap and truncate unrelated structure
+            // around them.
+            let recurrence = node.pc == pc;
+            let cut = if recurrence {
+                !node.is_leaf()
+            } else {
+                u32::from(node.depth) + 1 >= TRACK_DEPTH_CAP
+            };
+            if cut {
+                *link = self.shallow_clone(child);
                 depth = depth.max(1);
             } else {
-                *link = self.link(child, false);
-                depth = depth.max(node.depth + 1);
+                node.refs += 1;
+                *link = child;
+                depth = depth.max(if recurrence { 1 } else { node.depth + 1 });
             }
         }
         self.alloc(Node {
@@ -210,14 +238,19 @@ impl Arena {
     /// A load node for `pc` wrapping `source`, the provenance of the value
     /// it read ([`NIL`] when untracked), holding one reference. `source`
     /// stays owned by the caller.
+    #[inline]
     pub(crate) fn load(&mut self, pc: usize, source: NodeId) -> NodeId {
         let (srcs, depth) = if source == NIL {
             ([NIL; 3], 0)
         } else {
-            let cut = u32::from(self.node(source).depth) + 1 >= TRACK_DEPTH_CAP;
-            let link = self.link(source, cut);
-            // see-through: loads add no slice depth
-            ([link, NIL, NIL], self.node(link).depth)
+            let node = &mut self.nodes[source as usize];
+            if u32::from(node.depth) + 1 >= TRACK_DEPTH_CAP {
+                ([self.shallow_clone(source), NIL, NIL], 0)
+            } else {
+                node.refs += 1;
+                // see-through: loads add no slice depth
+                ([source, NIL, NIL], node.depth)
+            }
         };
         self.alloc(Node {
             src_values: [0; 3],

@@ -7,10 +7,12 @@
 //! The reference shares only the output types ([`ProgramProfile`] and what
 //! it holds) and the [`RetireEvent`] stream with the profiler under test.
 //! It covers every workload at test scale, seeded random loop programs and
-//! hand-built edge cases of the depth caps and the merge; an ignored test
-//! runs the focal kernels at paper scale (run it in release).
+//! hand-built edge cases of the depth caps and the merge; two ignored tests
+//! run the focal kernels and the serve benchmark's compile sweep at paper
+//! scale (run them in release).
 
 use amnesiac_isa::{AluOp, BranchCond, FpOp, Instruction, Program, ProgramBuilder, Reg};
+use amnesiac_loadgen::PAPER_SWEEP;
 use amnesiac_profile::{
     profile_program, LoadSiteProfile, ProgramProfile, ProvNode, ProvOperand, Unswappable,
 };
@@ -570,6 +572,23 @@ fn focal_kernels_match_the_reference_at_paper_scale() {
     let focal = focal_workloads(Scale::Paper);
     assert_eq!(focal.len(), 11);
     for workload in &focal {
+        assert_matches(&workload.program, &CoreConfig::paper());
+    }
+}
+
+/// The kernels a serve-miss compile profiles: the `compile` sweep of the
+/// serve benchmark's seeded arrival schedule (two focal, four control and
+/// eleven extended kernels).
+#[test]
+#[ignore = "paper scale: minutes in a debug build; run with --release"]
+fn serve_sweep_kernels_match_the_reference_at_paper_scale() {
+    let sweep: Vec<_> = all_workloads(Scale::Paper)
+        .into_iter()
+        .filter(|w| PAPER_SWEEP.contains(&w.name))
+        .collect();
+    assert_eq!(sweep.len(), PAPER_SWEEP.len());
+    assert_eq!(sweep.len(), 17);
+    for workload in &sweep {
         assert_matches(&workload.program, &CoreConfig::paper());
     }
 }

@@ -6,11 +6,16 @@
 //! memory must therefore leave every encoded image byte-identical. This
 //! test pins the `hash128` digest of `encode_program` for all 33 built-in
 //! workloads at both scales, and checks that decoding each image and
-//! encoding it again gives back the same bytes.
+//! encoding it again gives back the same bytes. The cache's byte budget
+//! counts images by `encoded_len` without building them, so that length is
+//! checked against the image here too.
 
-use amnesiac::isa::{decode_program, encode_program};
+use amnesiac::compiler::{compile, CompileOptions, SliceSetPolicy};
+use amnesiac::isa::{decode_program, encode_program, encoded_len};
 use amnesiac::mem::hash128;
-use amnesiac::workloads::{all_workloads, Scale};
+use amnesiac::profile::profile_program;
+use amnesiac::sim::CoreConfig;
+use amnesiac::workloads::{all_workloads, focal_workloads, Scale};
 
 /// `(name, test-scale digest, paper-scale digest)`, in `all_workloads`
 /// order.
@@ -83,4 +88,35 @@ fn every_built_in_image_keeps_its_bytes() {
         "images differ from their pinned digests:\n{}",
         mismatches.join("\n")
     );
+}
+
+#[test]
+fn encoded_len_is_the_image_length() {
+    for scale in [Scale::Test, Scale::Paper] {
+        for w in all_workloads(scale) {
+            let image = encode_program(&w.program);
+            assert_eq!(encoded_len(&w.program), image.len(), "{} {scale:?}", w.name);
+        }
+    }
+    // annotated binaries add slice bodies, operand plans and leaves
+    let mut slices = 0;
+    for w in focal_workloads(Scale::Test) {
+        let (profile, _) = profile_program(&w.program, &CoreConfig::paper()).unwrap();
+        for slice_set in [SliceSetPolicy::Probabilistic, SliceSetPolicy::Oracle] {
+            let options = CompileOptions {
+                slice_set,
+                ..CompileOptions::default()
+            };
+            let (binary, _) = compile(&w.program, &profile, &options).unwrap();
+            slices += binary.slices.len();
+            let image = encode_program(&binary);
+            assert_eq!(
+                encoded_len(&binary),
+                image.len(),
+                "{} {slice_set:?}",
+                w.name
+            );
+        }
+    }
+    assert!(slices > 0, "some annotated binary carries slices");
 }

@@ -254,6 +254,7 @@ fn binary_image_roundtrip_is_identity() {
         let (annotated, _) =
             compile(&program, &profile, &CompileOptions::default()).expect("compiles");
         let bytes = amnesiac::isa::encode_program(&annotated);
+        assert_eq!(amnesiac::isa::encoded_len(&annotated), bytes.len());
         let decoded = amnesiac::isa::decode_program(&bytes).expect("decodes annotated");
         assert_eq!(&decoded, &annotated);
         // and the decoded annotated binary runs identically
