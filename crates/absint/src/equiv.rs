@@ -325,15 +325,6 @@ impl<'a> Equivalence<'a> {
             .all(|&t| self.single_valued_token(t))
     }
 
-    /// Hist keys used by `meta` that no reachable `REC` site ever records
-    /// (the hist lookup can never succeed, so the slice always misses).
-    pub fn missing_rec_keys(&self, meta: &SliceMeta) -> Vec<u16> {
-        meta.hist_keys()
-            .into_iter()
-            .filter(|k| !self.rec.contains_key(k))
-            .collect()
-    }
-
     /// `true` if every path reaching `b_pc` executed `a_pc` first.
     fn executes_before(&self, a_pc: usize, b_pc: usize) -> bool {
         let (Some(ab), Some(bb)) = (self.cfg.block_of_pc(a_pc), self.cfg.block_of_pc(b_pc)) else {
@@ -349,9 +340,6 @@ impl<'a> Equivalence<'a> {
             .state_at(self.decoded, self.cfg, meta.rcmp_pc)
             .ok_or_else(|| "rcmp is unreachable".to_string())?;
         let n = meta.compute_len();
-        if n == 0 {
-            return Err("empty slice body".to_string());
-        }
         let mut values: Vec<ExprId> = Vec::with_capacity(n);
         for k in 0..n {
             let d = self
@@ -383,7 +371,10 @@ impl<'a> Equivalence<'a> {
             }
             values.push(compute_expr(&mut self.sym.arena, d, vals)?);
         }
-        Ok(*values.last().expect("n > 0"))
+        values
+            .last()
+            .copied()
+            .ok_or_else(|| "empty slice body".to_string())
     }
 
     /// The value a `Hist` operand is guaranteed to hold: all reachable

@@ -1,12 +1,12 @@
 //! Abstract interpretation over the decoded AMNESIAC instruction stream.
 //!
-//! Four cooperating analyses on the main-code CFG, plus a prover that ties
-//! them together:
+//! Cooperating analyses on the main-code CFG and over slice bodies, plus a
+//! prover that ties them together:
 //!
 //! * [`ValueAnalysis`] — forward constant/interval domain with widening at
 //!   loop heads and branch refinement on edges;
-//! * [`Liveness`] / [`SliceLiveness`] — backward liveness over
-//!   architectural registers and `SFile` slots;
+//! * [`SliceLiveness`] — backward liveness over a slice body's `SFile`
+//!   slots;
 //! * [`Footprint`] — interval bounds on every load/store/`RCMP` address
 //!   and on the values a loaded range can hold;
 //! * [`SymbolicAnalysis`] + [`ZeroTrip`] + [`equiv`] — the static
@@ -16,7 +16,10 @@
 //!   differential oracle).
 //!
 //! [`Analysis::of_program`] runs everything; [`Analysis::slice_reports`]
-//! yields per-slice facts for the verifier and the `lint` verb.
+//! yields per-slice facts for the verifier and the `lint` verb. The compile
+//! gate builds one `Analysis` per annotated binary: the verifier reads its
+//! CFG, zero-trip facts and slice reports, and the static skip reads the
+//! same reports' verdicts.
 
 #![deny(unsafe_code)]
 #![warn(missing_docs)]
@@ -38,7 +41,7 @@ use amnesiac_isa::{predecode, DecodedInst, Program};
 pub use domain::Interval;
 pub use equiv::{Equivalence, ProofKind, SliceVerdict};
 pub use footprint::{initial_value_interval, Access, AccessKind, Footprint};
-pub use liveness::{Liveness, SliceLiveness};
+pub use liveness::SliceLiveness;
 pub use symbolic::{ExprArena, ExprId, Node, SymbolicAnalysis};
 pub use values::ValueAnalysis;
 pub use zerotrip::ZeroTrip;
@@ -52,8 +55,6 @@ pub struct Analysis {
     pub cfg: Cfg,
     /// Forward interval analysis.
     pub values: ValueAnalysis,
-    /// Backward register liveness.
-    pub liveness: Liveness,
     /// Memory access bounds.
     pub footprint: Footprint,
     /// First-visit / must-pass facts.
@@ -79,8 +80,6 @@ pub struct SliceReport {
     /// provably outside the loaded-value bound `[lo, hi]` — the slice
     /// diverges at every firing.
     pub divergent: Option<(u64, u64, u64)>,
-    /// Hist keys the plans read that no reachable `REC` site records.
-    pub missing_rec_keys: Vec<u16>,
 }
 
 impl Analysis {
@@ -90,7 +89,6 @@ impl Analysis {
         let code_len = program.code_len.min(decoded.len());
         let cfg = Cfg::build(&decoded, code_len, program.entry);
         let values = ValueAnalysis::run(&decoded, &cfg);
-        let liveness = Liveness::run(&decoded, &cfg);
         let footprint = Footprint::analyze(&decoded, &cfg, &values);
         let zerotrip = ZeroTrip::analyze(&decoded, &cfg);
         let sym = SymbolicAnalysis::run(&decoded, &cfg);
@@ -98,7 +96,6 @@ impl Analysis {
             decoded,
             cfg,
             values,
-            liveness,
             footprint,
             zerotrip,
             sym,
@@ -119,7 +116,6 @@ impl Analysis {
         for (i, meta) in program.slices.iter().enumerate() {
             let verdict = eq.prove(program, meta);
             let recomputed_const = eq.slice_const(meta);
-            let missing_rec_keys = eq.missing_rec_keys(meta);
             let sl = SliceLiveness::analyze(meta);
             let divergent = recomputed_const.and_then(|c| {
                 let acc = self.footprint.at(meta.rcmp_pc)?;
@@ -136,7 +132,6 @@ impl Analysis {
                 peak_sfile: sl.peak_sfile,
                 recomputed_const,
                 divergent,
-                missing_rec_keys,
             });
         }
         out
@@ -284,7 +279,6 @@ mod tests {
         assert_eq!(r.peak_sfile, 1);
         assert!(r.recomputed_const.is_none(), "value varies per iteration");
         assert!(r.divergent.is_none());
-        assert!(r.missing_rec_keys.is_empty());
     }
 
     /// Straight-line store/load of a constant: the ground proof fires and
@@ -375,6 +369,5 @@ mod tests {
         let mut a = Analysis::of_program(&p);
         let r = &a.slice_reports(&p)[0];
         assert!(!r.verdict.is_proven());
-        assert_eq!(r.missing_rec_keys, vec![7]);
     }
 }

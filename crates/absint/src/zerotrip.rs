@@ -146,7 +146,7 @@ impl ZeroTrip {
         let mut exit: Vec<Option<ConstState>> = vec![None; n];
         for &b in cfg.rpo() {
             // merge any-visit states over non-back-edge predecessors
-            let mut state: Option<ConstState> = if b == e {
+            let merged: Option<ConstState> = if b == e {
                 Some(vec![Some(0); NUM_REGS])
             } else {
                 let mut merged: Option<ConstState> = None;
@@ -166,7 +166,7 @@ impl ZeroTrip {
                 }
                 merged
             };
-            let Some(first_visit) = state.clone() else {
+            let Some(mut state) = merged else {
                 continue;
             };
             // evaluate the block's terminating branch on the first-visit
@@ -174,7 +174,7 @@ impl ZeroTrip {
             // the kill below)
             let last = cfg.blocks[b].end - 1;
             if let DecodedOp::Branch { cond, target } = decoded[last].op {
-                let mut fv = first_visit.clone();
+                let mut fv = state.clone();
                 for pc in cfg.blocks[b].start..last {
                     const_transfer(&decoded[pc], &mut fv);
                 }
@@ -202,23 +202,20 @@ impl ZeroTrip {
                 }
             }
             // any-visit state: at a loop head, kill loop-defined registers
-            if let Some(st) = &mut state {
-                for (h, _, defs) in &loops {
-                    if *h == b {
-                        for r in 0..NUM_REGS {
-                            if defs & (1 << r) != 0 {
-                                st[r] = None;
-                            }
+            for (h, _, defs) in &loops {
+                if *h == b {
+                    for r in 0..NUM_REGS {
+                        if defs & (1 << r) != 0 {
+                            state[r] = None;
                         }
                     }
                 }
             }
             // transfer to block exit
-            let mut st = state.expect("checked above");
             for pc in cfg.blocks[b].start..cfg.blocks[b].end {
-                const_transfer(&decoded[pc], &mut st);
+                const_transfer(&decoded[pc], &mut state);
             }
-            exit[b] = Some(st);
+            exit[b] = Some(state);
         }
         out
     }

@@ -2,8 +2,9 @@
 
 use std::collections::BTreeSet;
 
+use amnesiac_absint::Analysis;
 use amnesiac_energy::EnergyModel;
-use amnesiac_isa::{predecode, DecodedInst, IsaError, Program};
+use amnesiac_isa::{DecodedInst, IsaError, Program};
 use amnesiac_mem::ServiceLevel;
 use amnesiac_profile::{ProgramProfile, Unswappable};
 use amnesiac_sim::RunError;
@@ -433,45 +434,46 @@ struct ValidationSummary {
     verify: VerifyReport,
 }
 
-/// Runs the static verifier on an annotated binary and hard-fails the
-/// compile on any Error-severity diagnostic. This is the pre-replay gate:
-/// the §3.2 slice invariants are proven for *all* inputs before the dynamic
-/// replay (which only exercises the profiled ones) is allowed to run.
-fn gate_verify(annotated: &Program, decoded: &[DecodedInst]) -> Result<VerifyReport, CompileError> {
-    let report = amnesiac_verify::verify_decoded(
-        annotated,
-        decoded,
-        &amnesiac_verify::VerifyOptions::default(),
-    );
-    if !report.is_clean() {
-        return Err(CompileError::Verify(report));
+/// The static half of validating one annotated binary: one predecode, one
+/// CFG, one run of every `amnesiac-absint` analysis and one proof per slice.
+#[derive(Debug)]
+struct StaticPass {
+    /// The binary's predecode, which the round's validation replay
+    /// dispatches on.
+    decoded: Vec<DecodedInst>,
+    /// The verifier's report; clean, since the gate fails on errors.
+    verify: VerifyReport,
+    /// `true` when the prover certifies every slice replay-equivalent
+    /// (`false` without slices), so a validation replay cannot drop
+    /// anything. This *static pre-pass* only ever skips a replay round
+    /// wholesale, never drops or keeps a slice, so a prover bug can cost a
+    /// wasted replay but never changes which slices ship; the differential
+    /// oracle `statically_approved_skips_are_replay_exact` replays what it
+    /// skips.
+    all_proven: bool,
+}
+
+/// Analyses an annotated binary, runs the static verifier on the analysis
+/// and hard-fails the compile on any Error-severity diagnostic. This is the
+/// pre-replay gate: the §3.2 slice invariants are proven for *all* inputs
+/// before the dynamic replay (which only exercises the profiled ones) is
+/// allowed to run.
+fn gate_verify(annotated: &Program) -> Result<StaticPass, CompileError> {
+    let mut analysis = Analysis::of_program(annotated);
+    let reports = analysis.slice_reports(annotated);
+    let verify = amnesiac_verify::verify_analyzed(annotated, &analysis, &reports);
+    if !verify.is_clean() {
+        return Err(CompileError::Verify(verify));
     }
-    Ok(report)
+    Ok(StaticPass {
+        decoded: analysis.decoded,
+        verify,
+        all_proven: !reports.is_empty() && reports.iter().all(|r| r.verdict.is_proven()),
+    })
 }
 
 /// Cap on whole-program validation replays per compile.
 const MAX_VALIDATION_ROUNDS: u32 = 8;
-
-/// `true` when the abstract-interpretation prover certifies every slice of
-/// `annotated` replay-equivalent: each recomputation provably yields the
-/// loaded value on all inputs, so a validation replay cannot drop anything.
-///
-/// This is the *static pre-pass* of the validator. It is only ever used to
-/// skip a replay round wholesale, never to pre-drop or keep individual
-/// slices, so a prover bug can cost a wasted replay but can never change
-/// which slices ship. The dynamic replay remains the differential oracle:
-/// `amnesiac-verify`'s mutation suite asserts that whenever this returns
-/// `true`, the replay is exact.
-fn all_slices_proven_static(annotated: &Program) -> bool {
-    if annotated.slices.is_empty() {
-        return false;
-    }
-    let mut analysis = amnesiac_absint::Analysis::of_program(annotated);
-    analysis
-        .slice_reports(annotated)
-        .iter()
-        .all(|r| r.verdict.is_proven())
-}
 
 /// Load pcs whose slices fail one validation replay of `annotated`, the
 /// annotation of `specs` (`decoded` is its predecode).
@@ -511,11 +513,9 @@ fn validate_specs(
     options: &CompileOptions,
 ) -> Result<ValidationSummary, CompileError> {
     let (mut annotated, mut pc_map) = annotate_with_map(program, &specs)?;
-    // One predecode per annotated binary, shared by the static verify gate
-    // and the round's validation replay (decoding it twice per round showed
-    // up in compile timings).
-    let mut decoded = predecode(&annotated);
-    let mut verify_report = gate_verify(&annotated, &decoded)?;
+    // One static pass per annotated binary, shared by the verify gate, the
+    // static skip and the round's validation replay.
+    let mut checked = gate_verify(&annotated)?;
     let mut rounds = 0;
     let mut rounds_saved = 0;
     let mut rounds_saved_static = 0;
@@ -523,17 +523,15 @@ fn validate_specs(
     let mut dropped_pcs: BTreeSet<usize> = BTreeSet::new();
     // Static pre-pass: when every slice is proven replay-equivalent the
     // discovery round cannot drop anything, so it is skipped outright.
-    let statically_proven = options.validate
-        && !specs.is_empty()
-        && options.static_equivalence
-        && all_slices_proven_static(&annotated);
+    let statically_proven =
+        options.validate && !specs.is_empty() && options.static_equivalence && checked.all_proven;
     if statically_proven {
         rounds_saved_static += 1;
     } else if options.validate && !specs.is_empty() {
         loop {
             rounds += 1;
             let round_dropped =
-                failing_load_pcs(&annotated, &decoded, &specs, options.replay_fuse)?;
+                failing_load_pcs(&annotated, &checked.decoded, &specs, options.replay_fuse)?;
             if round_dropped.is_empty() {
                 break;
             }
@@ -549,8 +547,7 @@ fn validate_specs(
             specs.retain(|s| !round_dropped.contains(&s.load_pc));
             dropped_pcs.extend(round_dropped);
             (annotated, pc_map) = annotate_with_map(program, &specs)?;
-            decoded = predecode(&annotated);
-            verify_report = gate_verify(&annotated, &decoded)?;
+            checked = gate_verify(&annotated)?;
             if specs.is_empty() {
                 break;
             }
@@ -566,7 +563,7 @@ fn validate_specs(
             // The drops shared REC origins with survivors, so a
             // confirmatory replay is normally owed — unless the prover
             // certifies every survivor under the re-annotation.
-            if options.static_equivalence && all_slices_proven_static(&annotated) {
+            if options.static_equivalence && checked.all_proven {
                 rounds_saved_static += 1;
                 break;
             }
@@ -580,7 +577,7 @@ fn validate_specs(
         rounds_saved_static,
         capped,
         dropped_pcs,
-        verify: verify_report,
+        verify: checked.verify,
     })
 }
 
@@ -985,7 +982,7 @@ mod tests {
             base: Reg(1),
             offset: 0,
         };
-        match gate_verify(&annotated, &predecode(&annotated)) {
+        match gate_verify(&annotated) {
             Err(CompileError::Verify(report)) => {
                 assert!(report
                     .diagnostics

@@ -4,10 +4,10 @@
 //! `Hist` keys that have *definitely* been checkpointed by a `REC` on every
 //! path from the entry (intersection meet, ⊤-initialised, to fixpoint). The
 //! verifier uses it to decide whether an `RCMP`'s `Hist`-sourced operands are
-//! covered on all static paths; for keys with a single `REC` site the result
-//! coincides with dominance of that site over the `RCMP` (the basic-block
-//! dominator query in [`crate::cfg`]), which the verifier uses as a fast
-//! path — this analysis is the general case for multiple sites per key.
+//! covered on all static paths, for every key: with a single `REC` site the
+//! result is exactly dominance of that site over the `RCMP`, with several
+//! it is the general must-reach answer. It runs over the CFG of the
+//! program's `amnesiac_absint::Analysis` ([`crate::cfg`]).
 
 use std::collections::BTreeMap;
 
