@@ -45,7 +45,7 @@ pub struct LintedBinary {
     /// over every surviving slice.
     pub validation_rounds_saved_static: u32,
     /// The verifier's findings for the final binary (the pipeline's own
-    /// post-drop gate report, computed with static analysis enabled).
+    /// post-drop gate report, on the analysis its static skip also read).
     pub report: VerifyReport,
 }
 
