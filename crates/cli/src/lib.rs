@@ -767,12 +767,10 @@ fn run_experiments(command: &Command) -> Result<Response, CliError> {
     use amnesiac_experiments::{export, EvalSuite};
 
     let suite = EvalSuite::compute(command.effective_scale());
-    let mut artifacts: Vec<(String, amnesiac_telemetry::Json)> = export::suite_artifacts(&suite)
+    let artifacts = export::artifacts(&suite)
         .into_iter()
         .map(|(name, json)| (name.to_string(), json))
         .collect();
-    artifacts.push(("table1.json".to_string(), export::table1_json()));
-    artifacts.push(("table2.json".to_string(), export::table2_json()));
     Ok(Response::Experiments {
         dir: command.json_dir.as_deref().map(PathBuf::from),
         n_benches: suite.benches.len(),

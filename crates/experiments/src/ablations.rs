@@ -8,7 +8,7 @@ use amnesiac_core::{AmnesicConfig, AmnesicCore, Policy};
 use amnesiac_energy::EnergyModel;
 use amnesiac_sim::CoreConfig;
 
-use crate::pipeline::{BenchEval, EvalSuite};
+use crate::pipeline::{pct_gain, BenchEval, EvalSuite, PolicyOutcome};
 use crate::report::Table;
 
 /// Re-runs one benchmark's Compiler-policy run with custom structure
@@ -36,7 +36,7 @@ fn run_with_structures(
         "{} diverged under reduced structures",
         bench.name
     );
-    let gain = 100.0 * (1.0 - result.edp() / bench.classic.edp());
+    let gain = pct_gain(result.edp(), bench.classic.edp());
     let forced = result.stats.per_slice.iter().map(|s| s.forced_loads).sum();
     (gain, forced, result.stats.fired_total())
 }
@@ -107,7 +107,7 @@ pub fn probe_cost(suite: &EvalSuite) -> String {
                 let result = AmnesicCore::new(config)
                     .run(&bench.prob_binary)
                     .expect("run succeeds");
-                let gain = 100.0 * (1.0 - result.edp() / bench.classic.edp());
+                let gain = pct_gain(result.edp(), bench.classic.edp());
                 cells.push(format!("{gain:+.1}"));
             }
         }
@@ -143,8 +143,7 @@ pub fn predictor_policy(suite: &EvalSuite) -> String {
             "{}: Predictor diverged",
             bench.name
         );
-        let gain =
-            |r: &amnesiac_core::AmnesicRunResult| 100.0 * (1.0 - r.edp() / bench.classic.edp());
+        let gain = |r: &amnesiac_core::AmnesicRunResult| pct_gain(r.edp(), bench.classic.edp());
         let mispredict = if pred.stats.predictions == 0 {
             0.0
         } else {
@@ -220,14 +219,8 @@ pub fn store_elision_applied(suite: &EvalSuite) -> String {
                     .stores
                     .saturating_sub(elided_run.run.stores)
             ),
-            format!(
-                "{:+.1}",
-                100.0 * (1.0 - annotated_run.edp() / bench.classic.edp())
-            ),
-            format!(
-                "{:+.1}",
-                100.0 * (1.0 - elided_run.edp() / bench.classic.edp())
-            ),
+            format!("{:+.1}", pct_gain(annotated_run.edp(), bench.classic.edp())),
+            format!("{:+.1}", pct_gain(elided_run.edp(), bench.classic.edp())),
         ]);
     }
     format!(
@@ -316,12 +309,12 @@ pub fn prefetch_interaction(suite: &EvalSuite) -> String {
             "{}: prefetch pipeline diverged",
             bench.name
         );
-        let amnesic = bench.run(crate::pipeline::PolicyOutcome::Compiler);
+        let amnesic = bench.run(PolicyOutcome::Compiler);
         t.row(vec![
             bench.name.to_string(),
-            format!("{:+.1}", 100.0 * (1.0 - amnesic.edp() / classic.edp())),
-            format!("{:+.1}", 100.0 * (1.0 - classic_pf.edp() / classic.edp())),
-            format!("{:+.1}", 100.0 * (1.0 - amnesic_pf.edp() / classic.edp())),
+            format!("{:+.1}", pct_gain(amnesic.edp(), classic.edp())),
+            format!("{:+.1}", pct_gain(classic_pf.edp(), classic.edp())),
+            format!("{:+.1}", pct_gain(amnesic_pf.edp(), classic.edp())),
         ]);
     }
     format!(
@@ -351,7 +344,7 @@ pub fn offload(suite: &EvalSuite) -> String {
                 "{}: offload diverged",
                 bench.name
             );
-            100.0 * (1.0 - result.edp() / bench.classic.edp())
+            pct_gain(result.edp(), bench.classic.edp())
         };
         t.row(vec![
             bench.name.to_string(),
@@ -388,7 +381,7 @@ pub fn technology_trend(suite: &EvalSuite) -> String {
             let result = AmnesicCore::new(config)
                 .run(&bench.prob_binary)
                 .expect("run succeeds");
-            let gain = 100.0 * (1.0 - result.edp() / classic.edp());
+            let gain = pct_gain(result.edp(), classic.edp());
             cells.push(format!("{gain:+.1}"));
         }
         t.row(cells);
@@ -403,34 +396,24 @@ pub fn technology_trend(suite: &EvalSuite) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amnesiac_workloads::{build_focal, Scale};
-
-    fn tiny_suite() -> EvalSuite {
-        EvalSuite {
-            benches: vec![BenchEval::compute(
-                build_focal("is", Scale::Test),
-                &EnergyModel::paper(),
-            )],
-            energy: EnergyModel::paper(),
-        }
-    }
+    use crate::pipeline::tiny_suite;
 
     #[test]
     fn structure_sizing_preserves_correctness_at_every_size() {
         // run_with_structures asserts output equality internally
-        let text = structure_sizing(&tiny_suite());
+        let text = structure_sizing(&tiny_suite("is"));
         assert!(text.contains("is"));
     }
 
     #[test]
     fn hist_sizing_renders() {
-        let text = hist_sizing(&tiny_suite());
+        let text = hist_sizing(&tiny_suite("is"));
         assert!(text.contains("forced@0"));
     }
 
     #[test]
     fn store_elision_reports_is_buckets() {
-        let text = store_elision(&tiny_suite());
+        let text = store_elision(&tiny_suite("is"));
         assert!(text.contains("elidable"));
     }
 }

@@ -1,9 +1,11 @@
 //! Regenerates every table and figure of the paper in one run. Pass
-//! `--json <dir>` to also write the machine-readable twins.
+//! `--test-scale` for a quick run and `--json <dir>` to also write the
+//! machine-readable twins.
 use amnesiac_experiments::{
     ablations, export, fig3, fig6, fig7, fig8, table1, table2, table3, table4, table5, table6,
     EvalSuite,
 };
+use amnesiac_telemetry::JsonSink;
 use amnesiac_workloads::Scale;
 
 fn main() {
@@ -13,41 +15,27 @@ fn main() {
     } else {
         Scale::Paper
     };
-    let json_dir = export::json_dir_from_args(&args);
     println!("{}", table1::render());
     println!("{}", table2::render());
     println!("{}", table3::render());
     let suite = EvalSuite::compute(scale);
-    println!("{}", fig3::render(&suite));
-    println!("{}", fig3::render_energy(&suite));
-    println!("{}", fig3::render_time(&suite));
+    for gain in [fig3::FIG3, fig3::FIG4, fig3::FIG5] {
+        println!("{}", fig3::render(&suite, gain));
+    }
     println!("{}", table4::render(&suite));
     println!("{}", table5::render(&suite));
     println!("{}", fig6::render(&suite));
     println!("{}", fig7::render(&suite));
     println!("{}", fig8::render(&suite));
     println!("{}", ablations::store_elision(&suite));
-    let table6_rows = table6::compute(scale);
-    println!("{}", table6::render_rows(&table6_rows));
-    let controls = EvalSuite::compute_controls(scale);
-    println!("Controls (the paper's non-responders):");
-    println!("{}", fig3::render(&controls));
-    if let Some(dir) = json_dir {
-        export::write_suite_artifacts(&dir, &suite).expect("results dir is writable");
-        export::write_json(&dir.join("table1.json"), &export::table1_json())
-            .expect("results dir is writable");
-        export::write_json(&dir.join("table2.json"), &export::table2_json())
-            .expect("results dir is writable");
-        export::write_json(
-            &dir.join("table6.json"),
-            &export::table6_rows_json(&table6_rows),
-        )
-        .expect("results dir is writable");
-        export::write_json(
-            &dir.join("controls.json"),
-            &export::controls_json(&controls),
-        )
-        .expect("results dir is writable");
+    let table6_rows = table6::rows(scale);
+    println!("{}", table6::render(&table6_rows));
+    if let Some(dir) = export::json_dir_from_args(&args) {
+        let sink = JsonSink::new(&dir);
+        let table6 = ("table6.json", table6::json(&table6_rows));
+        for (name, json) in export::artifacts(&suite).into_iter().chain([table6]) {
+            sink.write(name, &json).expect("results dir is writable");
+        }
         println!("machine-readable results written to {}", dir.display());
     }
 }

@@ -2,6 +2,7 @@
 //! (5 compute-bound controls + the 17 Table 2 remainder kernels). Pass
 //! `--json <dir>` for the machine-readable twin.
 use amnesiac_experiments::{export, fig3, EvalSuite};
+use amnesiac_telemetry::JsonSink;
 use amnesiac_workloads::Scale;
 
 fn main() {
@@ -11,16 +12,11 @@ fn main() {
     } else {
         Scale::Paper
     };
-    let suite = EvalSuite::compute_rest(scale);
-    println!("{}", fig3::render(&suite));
-    println!(
-        "{} of {} non-focal benchmarks clear 5% EDP gain under their best \
-         policy (paper: \"only 4 provided more than 5% gain\")",
-        suite.responders(5.0),
-        suite.benches.len()
-    );
+    let rest = EvalSuite::compute_rest(scale);
+    println!("{}", fig3::render_controls(&rest));
     if let Some(dir) = export::json_dir_from_args(&args) {
-        export::write_json(&dir.join("controls.json"), &export::controls_json(&suite))
+        JsonSink::new(&dir)
+            .write("controls.json", &fig3::controls_json(&rest))
             .expect("results dir is writable");
         println!("machine-readable results written to {}", dir.display());
     }

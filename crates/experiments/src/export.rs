@@ -1,302 +1,35 @@
-//! Machine-readable twins of the paper artifacts.
+//! The JSON twins of the paper artifacts that `all` and the CLI
+//! `experiments` verb both write.
 //!
-//! Every table/figure driver in this crate renders plain text for the
-//! terminal; the emitters here produce the same numbers as JSON so results
-//! can be diffed, plotted, and regression-checked by tooling. The schema
-//! follows the telemetry conventions: ordered objects, `*_pct`/`*_nj`/
-//! `*_ms` unit suffixes, non-finite floats as `null`.
+//! Each artifact module renders its text and its twin from the same rows;
+//! this module only lists the twins. The schema follows the telemetry
+//! conventions: ordered objects, `*_pct`/`*_nj`/`*_ms` unit suffixes,
+//! non-finite floats as `null`.
 
-use std::io;
-use std::path::{Path, PathBuf};
+use std::path::PathBuf;
 
-use amnesiac_mem::ServiceLevel;
-use amnesiac_telemetry::{Json, JsonSink, ToJson};
-use amnesiac_workloads::{all_workloads, Scale, Suite};
+use amnesiac_telemetry::{Json, ToJson};
 
-use crate::pipeline::{BenchEval, EvalSuite, PolicyOutcome};
-use crate::table6;
+use crate::pipeline::EvalSuite;
+use crate::{fig3, fig6, fig7, fig8, table1, table2, table4, table5};
 
-fn gains_json(
-    suite: &EvalSuite,
-    artifact: &str,
-    metric: &str,
-    gain: impl Fn(&BenchEval, PolicyOutcome) -> f64,
-) -> Json {
-    let mut benches = Json::obj();
-    for bench in &suite.benches {
-        let mut per_policy = Json::obj();
-        for &p in &PolicyOutcome::ALL {
-            per_policy.set(p.label(), gain(bench, p));
-        }
-        benches.set(bench.name, per_policy);
-    }
-    Json::obj()
-        .with("artifact", artifact)
-        .with("metric", metric)
-        .with("benches", benches)
-}
-
-/// Fig. 3 twin: % EDP gain per benchmark and policy.
-pub fn fig3_json(suite: &EvalSuite) -> Json {
-    gains_json(suite, "fig3", "edp_gain_pct", BenchEval::edp_gain)
-}
-
-/// Fig. 4 twin: % energy gain per benchmark and policy.
-pub fn fig4_json(suite: &EvalSuite) -> Json {
-    gains_json(suite, "fig4", "energy_gain_pct", BenchEval::energy_gain)
-}
-
-/// Fig. 5 twin: % execution-time gain per benchmark and policy.
-pub fn fig5_json(suite: &EvalSuite) -> Json {
-    gains_json(suite, "fig5", "time_gain_pct", BenchEval::time_gain)
-}
-
-/// Table 1 twin: communication vs computation energy across nodes.
-pub fn table1_json() -> Json {
-    let model = amnesiac_energy::TechnologyModel::paper();
-    let labels = ["40nm", "10nm_hp", "10nm_lp"];
-    let mut nodes = Json::obj();
-    for (label, point) in labels.iter().zip(model.table1()) {
-        nodes.set(
-            label,
-            Json::obj()
-                .with("voltage_v", point.voltage)
-                .with("load_over_fma", point.ratio),
-        );
-    }
-    Json::obj().with("artifact", "table1").with("nodes", nodes)
-}
-
-/// Table 2 twin: the 33-kernel deployment at paper scale.
-pub fn table2_json() -> Json {
-    let mut benches = Json::Arr(Vec::new());
-    if let Json::Arr(rows) = &mut benches {
-        for w in all_workloads(Scale::Paper) {
-            let suite = match w.suite {
-                Suite::Spec => "SPEC",
-                Suite::Nas => "NAS",
-                Suite::Parsec => "PARSEC",
-                Suite::Rodinia => "Rodinia",
-                Suite::Control => "control",
-            };
-            rows.push(
-                Json::obj()
-                    .with("name", w.name)
-                    .with("suite", suite)
-                    .with("static_insts", w.program.code_len)
-                    .with("data_words", w.program.data.len()),
-            );
-        }
-    }
-    Json::obj()
-        .with("artifact", "table2")
-        .with("benches", benches)
-}
-
-/// Table 4 twin: dynamic instruction mix and energy breakdown (Compiler
-/// policy vs classic), per benchmark.
-pub fn table4_json(suite: &EvalSuite) -> Json {
-    let mut benches = Json::obj();
-    for bench in &suite.benches {
-        let amnesic = bench.run(PolicyOutcome::Compiler);
-        let inst_increase = 100.0
-            * (amnesic.run.instructions as f64 / bench.classic.instructions.max(1) as f64 - 1.0);
-        let load_decrease =
-            100.0 * (1.0 - amnesic.run.loads as f64 / bench.classic.loads.max(1) as f64);
-        benches.set(
-            bench.name,
-            Json::obj()
-                .with("inst_increase_pct", inst_increase)
-                .with("load_decrease_pct", load_decrease)
-                .with(
-                    "classic_breakdown",
-                    bench.classic.account.breakdown().to_json(),
-                )
-                .with(
-                    "amnesic_breakdown",
-                    amnesic.run.account.breakdown().to_json(),
-                ),
-        );
-    }
-    Json::obj()
-        .with("artifact", "table4")
-        .with("benches", benches)
-}
-
-/// Table 5 twin: residency profile of swapped loads under the Compiler,
-/// FLC, and LLC policies.
-pub fn table5_json(suite: &EvalSuite) -> Json {
-    const POLICIES: [PolicyOutcome; 3] = [
-        PolicyOutcome::Compiler,
-        PolicyOutcome::Flc,
-        PolicyOutcome::Llc,
-    ];
-    let mut benches = Json::obj();
-    for bench in &suite.benches {
-        let mut per_policy = Json::obj();
-        for policy in POLICIES {
-            let swapped = &bench.run(policy).stats.swapped_levels;
-            let mut mix = Json::obj();
-            for level in ServiceLevel::ALL {
-                mix.set(
-                    &format!("{level:?}").to_lowercase(),
-                    100.0 * swapped.fraction(level),
-                );
-            }
-            per_policy.set(policy.label(), mix);
-        }
-        benches.set(bench.name, per_policy);
-    }
-    Json::obj()
-        .with("artifact", "table5")
-        .with("benches", benches)
-}
-
-/// Fig. 6 twin: instruction count per recomputed RSlice (Compiler policy)
-/// as `{length: slice count}` per benchmark, plus the aggregate shares the
-/// paper quotes (§5.4).
-pub fn fig6_json(suite: &EvalSuite) -> Json {
-    let mut benches = Json::obj();
-    let mut all_lengths: Vec<(usize, usize)> = Vec::new();
-    for bench in &suite.benches {
-        let lengths: Vec<usize> = bench
-            .prob_binary
-            .slices
-            .iter()
-            .map(|s| s.compute_len())
-            .collect();
-        let hist = bench
-            .run(PolicyOutcome::Compiler)
-            .stats
-            .recomputed_length_histogram(&lengths);
-        let mut bins = Json::obj();
-        for (&len, &count) in &hist {
-            bins.set(&len.to_string(), count);
-            all_lengths.push((len, count));
-        }
-        benches.set(bench.name, bins);
-    }
-    let total: usize = all_lengths.iter().map(|&(_, c)| c).sum();
-    let short: usize = all_lengths
-        .iter()
-        .filter(|&&(l, _)| l < 10)
-        .map(|&(_, c)| c)
-        .sum();
-    let long: usize = all_lengths
-        .iter()
-        .filter(|&&(l, _)| l > 50)
-        .map(|&(_, c)| c)
-        .sum();
-    let pct = |n: usize| {
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * n as f64 / total as f64
-        }
-    };
-    Json::obj()
-        .with("artifact", "fig6")
-        .with("benches", benches)
-        .with(
-            "aggregate",
-            Json::obj()
-                .with("recomputed_slices", total)
-                .with("under_10_insts_pct", pct(short))
-                .with("over_50_insts_pct", pct(long)),
-        )
-}
-
-/// Fig. 7 twin: share of RSlices with non-recomputable leaf inputs, plus
-/// the observed `Hist` high-water mark, per benchmark.
-pub fn fig7_json(suite: &EvalSuite) -> Json {
-    let mut benches = Json::obj();
-    let mut worst_hist = 0usize;
-    for bench in &suite.benches {
-        let total = bench.prob_binary.slices.len();
-        let with_nc = bench
-            .prob_binary
-            .slices
-            .iter()
-            .filter(|s| s.has_nonrecomputable)
-            .count();
-        let hist_hw = bench
-            .runs
-            .iter()
-            .map(|(_, r)| r.stats.hist_high_water)
-            .max()
-            .unwrap_or(0);
-        worst_hist = worst_hist.max(hist_hw);
-        let nc_pct = if total == 0 {
-            0.0
-        } else {
-            100.0 * with_nc as f64 / total as f64
-        };
-        benches.set(
-            bench.name,
-            Json::obj()
-                .with("slices", total)
-                .with("with_nc_pct", nc_pct)
-                .with("hist_high_water", hist_hw),
-        );
-    }
-    Json::obj()
-        .with("artifact", "fig7")
-        .with("benches", benches)
-        .with("worst_hist_high_water", worst_hist)
-}
-
-/// Fig. 8 twin: value locality of swapped loads as `(locality %, dynamic
-/// count)` pairs per benchmark.
-pub fn fig8_json(suite: &EvalSuite) -> Json {
-    let mut benches = Json::obj();
-    for bench in &suite.benches {
-        let selected = bench.prob_report.selected_load_pcs();
-        let sites = Json::Arr(
-            bench
-                .profile
-                .loads
-                .values()
-                .filter(|site| selected.contains(&site.pc))
-                .map(|site| {
-                    Json::obj()
-                        .with("pc", site.pc)
-                        .with("locality_pct", 100.0 * site.value_locality())
-                        .with("dyn_count", site.count)
-                })
-                .collect(),
-        );
-        benches.set(bench.name, sites);
-    }
-    Json::obj()
-        .with("artifact", "fig8")
-        .with("benches", benches)
-}
-
-/// Table 6 twin: break-even `R` factor per focal benchmark. `null` means
-/// the benchmark still gains at [`table6::MAX_FACTOR`].
-pub fn table6_json(scale: Scale) -> Json {
-    table6_rows_json(&table6::compute(scale))
-}
-
-/// [`table6_json`] over precomputed [`table6::compute`] rows.
-pub fn table6_rows_json(rows: &[(String, Option<f64>)]) -> Json {
-    let mut benches = Json::obj();
-    for (name, factor) in rows {
-        benches.set(name, factor.map_or(Json::Null, Json::from));
-    }
-    Json::obj()
-        .with("artifact", "table6")
-        .with("r_default", amnesiac_energy::R_DEFAULT)
-        .with("max_factor", table6::MAX_FACTOR)
-        .with("benches", benches)
-}
-
-/// Controls twin: EDP gains of the non-focal suite plus the responder
-/// count the paper quotes.
-pub fn controls_json(suite: &EvalSuite) -> Json {
-    gains_json(suite, "controls", "edp_gain_pct", BenchEval::edp_gain)
-        .with("responders_over_5pct", suite.responders(5.0))
-        .with("n_benches", suite.benches.len())
+/// The twins of the focal suite's artifacts, then of Tables 1–2, as
+/// `(file name, document)` pairs in write order. `suite.json` is the raw
+/// dump: both compile reports and every policy's run stats per benchmark.
+pub fn artifacts(suite: &EvalSuite) -> Vec<(&'static str, Json)> {
+    vec![
+        ("fig3.json", fig3::json(suite, fig3::FIG3)),
+        ("fig4.json", fig3::json(suite, fig3::FIG4)),
+        ("fig5.json", fig3::json(suite, fig3::FIG5)),
+        ("table4.json", table4::json(suite)),
+        ("table5.json", table5::json(suite)),
+        ("fig6.json", fig6::json(suite)),
+        ("fig7.json", fig7::json(suite)),
+        ("fig8.json", fig8::json(suite)),
+        ("suite.json", suite.to_json()),
+        ("table1.json", table1::json()),
+        ("table2.json", table2::json()),
+    ]
 }
 
 /// Extracts `--json <dir>` from an argument list (the experiment drivers'
@@ -308,80 +41,19 @@ pub fn json_dir_from_args(args: &[String]) -> Option<PathBuf> {
         .map(PathBuf::from)
 }
 
-/// Writes one JSON document to `path` (pretty-printed, trailing newline),
-/// creating parent directories as needed. Thin wrapper over the canonical
-/// [`amnesiac_telemetry::write_json_file`] so every artifact writer in the
-/// workspace shares one on-disk format.
-pub fn write_json(path: &Path, json: &Json) -> io::Result<()> {
-    amnesiac_telemetry::write_json_file(path, json)
-}
-
-/// The suite-derived artifacts (Figs. 3–8, Tables 4–5) plus the full raw
-/// dump (`suite.json`, which includes per-policy run stats and pipeline
-/// stage timings), as `(file name, document)` pairs in the order
-/// [`write_suite_artifacts`] writes them.
-pub fn suite_artifacts(suite: &EvalSuite) -> Vec<(&'static str, Json)> {
-    vec![
-        ("fig3.json", fig3_json(suite)),
-        ("fig4.json", fig4_json(suite)),
-        ("fig5.json", fig5_json(suite)),
-        ("table4.json", table4_json(suite)),
-        ("table5.json", table5_json(suite)),
-        ("fig6.json", fig6_json(suite)),
-        ("fig7.json", fig7_json(suite)),
-        ("fig8.json", fig8_json(suite)),
-        ("suite.json", suite.to_json()),
-    ]
-}
-
-/// Writes the machine-readable twins of every suite-derived artifact (see
-/// [`suite_artifacts`]) into `dir` through one [`JsonSink`]. Returns the
-/// paths written.
-pub fn write_suite_artifacts(dir: &Path, suite: &EvalSuite) -> io::Result<Vec<PathBuf>> {
-    let sink = JsonSink::new(dir);
-    let mut written = Vec::new();
-    for (name, json) in suite_artifacts(suite) {
-        written.push(sink.write(name, &json)?);
-    }
-    Ok(written)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::fs;
-
-    use amnesiac_energy::EnergyModel;
+    use crate::pipeline::tiny_suite;
+    use crate::{table6, PolicyOutcome};
     use amnesiac_telemetry::parse;
-    use amnesiac_workloads::build_focal;
-
-    fn tiny_suite() -> EvalSuite {
-        EvalSuite {
-            benches: vec![BenchEval::compute(
-                build_focal("is", Scale::Test),
-                &EnergyModel::paper(),
-            )],
-            energy: EnergyModel::paper(),
-        }
-    }
 
     #[test]
     fn every_artifact_round_trips_through_the_parser() {
-        let suite = tiny_suite();
-        for json in [
-            fig3_json(&suite),
-            fig4_json(&suite),
-            fig5_json(&suite),
-            table1_json(),
-            table2_json(),
-            table4_json(&suite),
-            table5_json(&suite),
-            fig6_json(&suite),
-            fig7_json(&suite),
-            fig8_json(&suite),
-            controls_json(&suite),
-            suite.to_json(),
-        ] {
+        let suite = tiny_suite("is");
+        let rows = [("is", Some(2.5)), ("mcf", None)];
+        let extra = [table6::json(&rows), fig3::controls_json(&suite)];
+        for json in artifacts(&suite).into_iter().map(|(_, j)| j).chain(extra) {
             let reparsed = parse(&json.pretty()).expect("emitted JSON parses");
             assert_eq!(reparsed, json, "emit → parse is the identity");
             let compact = parse(&json.compact()).expect("compact JSON parses");
@@ -390,27 +62,34 @@ mod tests {
     }
 
     #[test]
-    fn gains_twin_matches_the_text_table() {
-        let suite = tiny_suite();
-        let json = fig3_json(&suite);
-        let bench = &suite.benches[0];
-        for &p in &PolicyOutcome::ALL {
-            let path = format!("benches.is.{}", p.label());
-            let from_json = json.get_path(&path).and_then(Json::as_f64).unwrap();
-            assert!((from_json - bench.edp_gain(p)).abs() < 1e-12);
-        }
+    fn the_artifact_list_is_eleven_files_in_write_order() {
+        let names: Vec<&str> = artifacts(&tiny_suite("is"))
+            .into_iter()
+            .map(|(name, _)| name)
+            .collect();
+        assert_eq!(
+            names,
+            [
+                "fig3.json",
+                "fig4.json",
+                "fig5.json",
+                "table4.json",
+                "table5.json",
+                "fig6.json",
+                "fig7.json",
+                "fig8.json",
+                "suite.json",
+                "table1.json",
+                "table2.json"
+            ]
+        );
     }
 
     #[test]
-    fn suite_dump_carries_stage_timings_and_policies() {
-        let suite = tiny_suite();
-        let json = suite.to_json();
+    fn suite_dump_carries_every_policy() {
+        let json = tiny_suite("is").to_json();
         let bench = json.get("benches").and_then(Json::as_arr).unwrap()[0].clone();
         assert_eq!(bench.get("name").and_then(Json::as_str), Some("is"));
-        assert!(bench
-            .get_path("stages.profile_ms")
-            .and_then(Json::as_f64)
-            .is_some_and(|ms| ms >= 0.0));
         for &p in &PolicyOutcome::ALL {
             assert!(
                 bench
@@ -423,19 +102,5 @@ mod tests {
                 p.label()
             );
         }
-    }
-
-    #[test]
-    fn write_suite_artifacts_creates_the_results_dir() {
-        let suite = tiny_suite();
-        let dir = std::env::temp_dir().join("amnesiac-export-test");
-        let _ = fs::remove_dir_all(&dir);
-        let written = write_suite_artifacts(&dir, &suite).expect("write succeeds");
-        assert_eq!(written.len(), 9);
-        for path in &written {
-            let text = fs::read_to_string(path).expect("file exists");
-            parse(&text).expect("file is valid JSON");
-        }
-        let _ = fs::remove_dir_all(&dir);
     }
 }

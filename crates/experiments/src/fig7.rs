@@ -1,43 +1,63 @@
 //! Fig. 7: share of RSlices with non-recomputable leaf inputs, and the
 //! accompanying `Hist` sizing analysis (§5.4).
 
+use amnesiac_telemetry::Json;
+
 use crate::pipeline::EvalSuite;
 use crate::report::Table;
+
+/// One benchmark's row: embedded slices, how many of them have
+/// non-recomputable inputs, and the `Hist` high-water mark over every
+/// policy's run.
+struct Row {
+    name: &'static str,
+    slices: usize,
+    with_nc: usize,
+    hist_high_water: usize,
+}
+
+/// `100 × n / total`, or 0 when `total` is 0.
+fn pct(n: usize, total: usize) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        100.0 * n as f64 / total as f64
+    }
+}
+
+fn rows(suite: &EvalSuite) -> Vec<Row> {
+    suite
+        .benches
+        .iter()
+        .map(|bench| {
+            let slices = &bench.prob_binary.slices;
+            Row {
+                name: bench.name,
+                slices: slices.len(),
+                with_nc: slices.iter().filter(|s| s.has_nonrecomputable).count(),
+                hist_high_water: bench
+                    .runs
+                    .iter()
+                    .map(|(_, r)| r.stats.hist_high_water)
+                    .max()
+                    .unwrap_or(0),
+            }
+        })
+        .collect()
+}
 
 /// Renders the paper's Fig. 7 as a table, plus observed `Hist` occupancy
 /// against the ≤600-entry design point the paper derives.
 pub fn render(suite: &EvalSuite) -> String {
+    let rows = rows(suite);
     let mut t = Table::new(&["bench", "slices", "w/ nc %", "w/o nc %", "Hist high-water"]);
-    let mut worst_hist = 0usize;
-    for bench in &suite.benches {
-        let total = bench.prob_binary.slices.len();
-        let with_nc = bench
-            .prob_binary
-            .slices
-            .iter()
-            .filter(|s| s.has_nonrecomputable)
-            .count();
-        let hist_hw = bench
-            .runs
-            .iter()
-            .map(|(_, r)| r.stats.hist_high_water)
-            .max()
-            .unwrap_or(0);
-        worst_hist = worst_hist.max(hist_hw);
-        let (w, wo) = if total == 0 {
-            (0.0, 0.0)
-        } else {
-            (
-                100.0 * with_nc as f64 / total as f64,
-                100.0 * (total - with_nc) as f64 / total as f64,
-            )
-        };
+    for row in &rows {
         t.row(vec![
-            bench.name.to_string(),
-            total.to_string(),
-            format!("{w:.1}"),
-            format!("{wo:.1}"),
-            hist_hw.to_string(),
+            row.name.to_string(),
+            row.slices.to_string(),
+            format!("{:.1}", pct(row.with_nc, row.slices)),
+            format!("{:.1}", pct(row.slices - row.with_nc, row.slices)),
+            row.hist_high_water.to_string(),
         ]);
     }
     format!(
@@ -45,27 +65,41 @@ pub fn render(suite: &EvalSuite) -> String {
          Worst-case Hist occupancy observed: {} entries \
          (paper sizes Hist at no more than 600 entries)\n",
         t.render(),
-        worst_hist
+        worst_hist(&rows)
     )
+}
+
+fn worst_hist(rows: &[Row]) -> usize {
+    rows.iter().map(|r| r.hist_high_water).max().unwrap_or(0)
+}
+
+/// The twin of [`render`].
+pub fn json(suite: &EvalSuite) -> Json {
+    let rows = rows(suite);
+    let mut benches = Json::obj();
+    for row in &rows {
+        benches.set(
+            row.name,
+            Json::obj()
+                .with("slices", row.slices)
+                .with("with_nc_pct", pct(row.with_nc, row.slices))
+                .with("hist_high_water", row.hist_high_water),
+        );
+    }
+    Json::obj()
+        .with("artifact", "fig7")
+        .with("benches", benches)
+        .with("worst_hist_high_water", worst_hist(&rows))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::BenchEval;
-    use amnesiac_energy::EnergyModel;
-    use amnesiac_workloads::{build_focal, Scale};
+    use crate::pipeline::tiny_suite;
 
     #[test]
     fn shares_sum_to_100_for_annotated_binaries() {
-        let suite = EvalSuite {
-            benches: vec![BenchEval::compute(
-                build_focal("is", Scale::Test),
-                &EnergyModel::paper(),
-            )],
-            energy: EnergyModel::paper(),
-        };
-        let text = render(&suite);
+        let text = render(&tiny_suite("is"));
         assert!(text.contains("w/ nc"));
         assert!(text.contains("Hist"));
     }

@@ -1,28 +1,45 @@
 //! Fig. 8: value locality of the loads swapped for recomputation by the
 //! Compiler policy, and the memoization-orthogonality argument of §5.6.
 
+use amnesiac_telemetry::Json;
+
 use crate::pipeline::EvalSuite;
 use crate::report::{bucketize, histogram, Table};
+
+/// A swapped load site: `(pc, value locality %, dynamic count)`.
+type Site = (usize, f64, u64);
+
+/// Per benchmark, each swapped load site.
+fn rows(suite: &EvalSuite) -> Vec<(&'static str, Vec<Site>)> {
+    suite
+        .benches
+        .iter()
+        .map(|bench| {
+            let selected = bench.prob_report.selected_load_pcs();
+            let sites = bench
+                .profile
+                .loads
+                .values()
+                .filter(|site| selected.contains(&site.pc))
+                .map(|site| (site.pc, 100.0 * site.value_locality(), site.count))
+                .collect();
+            (bench.name, sites)
+        })
+        .collect()
+}
 
 /// Renders per-benchmark locality histograms over the swapped load sites
 /// (weighted by dynamic instance count, as the paper plots "% loads").
 pub fn render(suite: &EvalSuite) -> String {
     let mut out = String::new();
-    for bench in &suite.benches {
-        let selected = bench.prob_report.selected_load_pcs();
-        let values: Vec<(f64, u64)> = bench
-            .profile
-            .loads
-            .values()
-            .filter(|site| selected.contains(&site.pc))
-            .map(|site| (100.0 * site.value_locality(), site.count))
+    for (name, sites) in rows(suite) {
+        let values: Vec<(f64, u64)> = sites
+            .iter()
+            .map(|&(_, locality, count)| (locality, count))
             .collect();
         let bins = bucketize(&values, 10.0, 100.0);
         out.push_str(&histogram(
-            &format!(
-                "Fig. 8 ({}): value locality of swapped loads (% of dynamic loads)",
-                bench.name
-            ),
+            &format!("Fig. 8 ({name}): value locality of swapped loads (% of dynamic loads)"),
             &bins,
         ));
         out.push('\n');
@@ -33,6 +50,26 @@ pub fn render(suite: &EvalSuite) -> String {
     );
     out.push_str(&memoization_comparison(suite));
     out
+}
+
+/// The twin of [`render`]'s histograms: the swapped sites per benchmark.
+pub fn json(suite: &EvalSuite) -> Json {
+    let mut benches = Json::obj();
+    for (name, sites) in rows(suite) {
+        let sites = sites
+            .into_iter()
+            .map(|(pc, locality, count)| {
+                Json::obj()
+                    .with("pc", pc)
+                    .with("locality_pct", locality)
+                    .with("dyn_count", count)
+            })
+            .collect();
+        benches.set(name, Json::Arr(sites));
+    }
+    Json::obj()
+        .with("artifact", "fig8")
+        .with("benches", benches)
 }
 
 /// §5.6's duality, made quantitative: estimated per-swapped-load energy
@@ -101,20 +138,11 @@ pub fn memoization_comparison(suite: &EvalSuite) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::BenchEval;
-    use amnesiac_energy::EnergyModel;
-    use amnesiac_workloads::{build_focal, Scale};
+    use crate::pipeline::tiny_suite;
 
     #[test]
     fn srad_locality_lands_in_top_bins() {
-        let suite = EvalSuite {
-            benches: vec![BenchEval::compute(
-                build_focal("sr", Scale::Test),
-                &EnergyModel::paper(),
-            )],
-            energy: EnergyModel::paper(),
-        };
-        let text = render(&suite);
+        let text = render(&tiny_suite("sr"));
         assert!(text.contains("Fig. 8 (sr)"));
     }
 }

@@ -9,18 +9,18 @@
 //! The shared machinery lives in [`pipeline`]: one [`BenchEval`] per
 //! benchmark bundles the classic baseline, the compiled binaries
 //! (probabilistic and oracle slice sets), and the amnesic runs under every
-//! runtime policy. Each `table*`/`fig*` module renders one paper artifact
-//! from that data; the `all` binary computes the suite once and renders
-//! everything (this is what EXPERIMENTS.md records).
+//! runtime policy. Each `table*`/`fig*` module computes one paper
+//! artifact's rows from that data once, and renders both its text and its
+//! JSON twin from those rows; [`export`] lists the twins. The `all` binary
+//! computes the suite once and renders everything (this is what
+//! EXPERIMENTS.md records).
 //!
 //! | module | paper artifact |
 //! |---|---|
 //! | [`table1`] | Table 1 — communication vs computation energy across nodes |
 //! | [`table2`] | Table 2 — the 33-benchmark deployment |
 //! | [`table3`] | Table 3 — the simulated architecture |
-//! | [`fig3`]   | Fig. 3 — EDP gain per policy |
-//! | [`fig4`]   | Fig. 4 — energy gain per policy |
-//! | [`fig5`]   | Fig. 5 — execution-time gain per policy |
+//! | [`fig3`]   | Figs. 3–5 — EDP, energy and execution-time gain per policy, and the 22 non-focal kernels |
 //! | [`table4`] | Table 4 — dynamic instruction mix & energy breakdown |
 //! | [`table5`] | Table 5 — residency profile of swapped loads |
 //! | [`fig6`]   | Fig. 6 — instruction count per recomputed RSlice |
@@ -51,13 +51,3 @@ pub mod verification;
 pub use lint::LintSweep;
 pub use pipeline::{BenchEval, EvalSuite, PolicyOutcome};
 pub use verification::VerifySweep;
-
-/// Re-exported figure modules 4 and 5 share fig3's machinery.
-pub mod fig4 {
-    pub use crate::fig3::render_energy as render;
-}
-
-/// See [`fig4`].
-pub mod fig5 {
-    pub use crate::fig3::render_time as render;
-}

@@ -12,7 +12,7 @@ use amnesiac_energy::EnergyModel;
 use amnesiac_isa::Program;
 use amnesiac_profile::{profile_program, ProgramProfile};
 use amnesiac_sim::{CoreConfig, RunResult};
-use amnesiac_telemetry::{Json, StageTimings, Stopwatch, ToJson};
+use amnesiac_telemetry::{Json, ToJson};
 use amnesiac_workloads::{
     build_control, build_extended, build_focal, Scale, Workload, CONTROL_NAMES, EXTENDED_NAMES,
     FOCAL_NAMES,
@@ -76,8 +76,6 @@ pub struct BenchEval {
     pub oracle_report: CompileReport,
     /// Amnesic runs, indexed per [`PolicyOutcome::ALL`].
     pub runs: Vec<(PolicyOutcome, AmnesicRunResult)>,
-    /// Wall-clock timings of each pipeline stage.
-    pub stages: StageTimings,
 }
 
 impl BenchEval {
@@ -88,31 +86,23 @@ impl BenchEval {
     /// Panics if any stage fails — the suite is deterministic, so a failure
     /// is a bug, not an input condition.
     pub fn compute(workload: Workload, energy: &EnergyModel) -> Self {
-        let mut stages = StageTimings::default();
         let config = CoreConfig::with_energy(energy.clone());
-
-        let sw = Stopwatch::start();
         let (profile, classic) =
             profile_program(&workload.program, &config).expect("profiling run succeeds");
-        stages.profile_ms = sw.elapsed_ms();
 
         let prob_options = CompileOptions {
             energy: energy.clone(),
             ..CompileOptions::default()
         };
-        let sw = Stopwatch::start();
         let (prob_binary, prob_report) =
             compile(&workload.program, &profile, &prob_options).expect("compile succeeds");
-        stages.compile_prob_ms = sw.elapsed_ms();
 
         let oracle_options = CompileOptions {
             energy: energy.clone(),
             ..CompileOptions::oracle()
         };
-        let sw = Stopwatch::start();
         let (oracle_binary, oracle_report) =
             compile(&workload.program, &profile, &oracle_options).expect("compile succeeds");
-        stages.compile_oracle_ms = sw.elapsed_ms();
 
         let runs = PolicyOutcome::ALL
             .iter()
@@ -128,13 +118,9 @@ impl BenchEval {
                     core: config.clone(),
                     ..AmnesicConfig::paper(policy)
                 };
-                let sw = Stopwatch::start();
                 let result = AmnesicCore::new(amnesic_config)
                     .run(binary)
                     .expect("amnesic run succeeds");
-                stages
-                    .policy_run_ms
-                    .push((outcome.label().to_string(), sw.elapsed_ms()));
                 assert_eq!(
                     result.run.final_memory,
                     classic.final_memory,
@@ -156,7 +142,6 @@ impl BenchEval {
             oracle_binary,
             oracle_report,
             runs,
-            stages,
         }
     }
 
@@ -195,7 +180,8 @@ impl BenchEval {
 /// `100 × (1 − amnesic/classic)`, guarded against a degenerate classic
 /// baseline: a zero (or non-finite) denominator yields 0% instead of a
 /// NaN/∞ that would poison aggregates like [`EvalSuite::responders`].
-fn pct_gain(amnesic: f64, classic: f64) -> f64 {
+/// Every gain and reduction the artifacts report goes through it.
+pub(crate) fn pct_gain(amnesic: f64, classic: f64) -> f64 {
     if classic == 0.0 || !classic.is_finite() || !amnesic.is_finite() {
         0.0
     } else {
@@ -205,8 +191,7 @@ fn pct_gain(amnesic: f64, classic: f64) -> f64 {
 
 impl ToJson for BenchEval {
     /// One benchmark's machine-readable record: classic baseline, both
-    /// compile reports, per-policy gains + full run stats, and the
-    /// pipeline stage timings.
+    /// compile reports, and per-policy gains + full run stats.
     fn to_json(&self) -> Json {
         let mut policies = Json::obj();
         for &(outcome, ref result) in &self.runs {
@@ -225,12 +210,11 @@ impl ToJson for BenchEval {
             .with("compile_prob", self.prob_report.to_json())
             .with("compile_oracle", self.oracle_report.to_json())
             .with("policies", policies)
-            .with("stages", self.stages.to_json())
     }
 }
 
-/// The whole evaluation: one [`BenchEval`] per focal benchmark (and,
-/// optionally, the compute-bound controls).
+/// The whole evaluation: one [`BenchEval`] per benchmark of a suite (the
+/// focal kernels, or the 22 non-focal ones).
 #[derive(Debug)]
 pub struct EvalSuite {
     /// Focal benchmarks, in the paper's order.
@@ -271,61 +255,41 @@ pub(crate) fn fan_out<T: Send, R: Send>(items: Vec<T>, f: impl Fn(T) -> R + Sync
     done.into_iter().map(|(_, r)| r).collect()
 }
 
-/// Runs the full pipeline for every workload, fanned out with
-/// [`fan_out`]. Suite composition is the caller's workload list. Results
-/// keep input order, so suite records are identical to a sequential pass.
-fn compute_workloads(workloads: Vec<Workload>, energy: &EnergyModel) -> Vec<BenchEval> {
-    fan_out(workloads, |w| BenchEval::compute(w, energy))
-}
-
 impl EvalSuite {
     /// Computes the suite for the 11 focal benchmarks (in parallel, one
     /// task per benchmark).
     pub fn compute(scale: Scale) -> Self {
-        Self::compute_with(scale, &EnergyModel::paper())
-    }
-
-    /// Computes the suite under a custom energy model.
-    pub fn compute_with(scale: Scale, energy: &EnergyModel) -> Self {
-        let workloads = FOCAL_NAMES
-            .iter()
-            .map(|name| build_focal(name, scale))
-            .collect();
-        EvalSuite {
-            benches: compute_workloads(workloads, energy),
-            energy: energy.clone(),
-        }
-    }
-
-    /// Computes the control (compute-bound) benchmarks (in parallel, like
-    /// [`EvalSuite::compute`]).
-    pub fn compute_controls(scale: Scale) -> Self {
-        let energy = EnergyModel::paper();
-        let workloads = CONTROL_NAMES
-            .iter()
-            .map(|name| build_control(name, scale))
-            .collect();
-        EvalSuite {
-            benches: compute_workloads(workloads, &energy),
-            energy,
-        }
+        Self::of(
+            FOCAL_NAMES
+                .iter()
+                .map(|name| build_focal(name, scale))
+                .collect(),
+        )
     }
 
     /// Computes "the rest": the 22 non-focal benchmarks of Table 2
     /// (5 controls + 17 extended), in parallel.
     pub fn compute_rest(scale: Scale) -> Self {
+        Self::of(
+            CONTROL_NAMES
+                .iter()
+                .map(|name| build_control(name, scale))
+                .chain(
+                    EXTENDED_NAMES
+                        .iter()
+                        .map(|name| build_extended(name, scale)),
+                )
+                .collect(),
+        )
+    }
+
+    /// Runs the full pipeline for every workload under the paper's energy
+    /// model, fanned out with [`fan_out`]. Results keep input order, so
+    /// suite records are identical to a sequential pass.
+    fn of(workloads: Vec<Workload>) -> Self {
         let energy = EnergyModel::paper();
-        let workloads = CONTROL_NAMES
-            .iter()
-            .map(|name| build_control(name, scale))
-            .chain(
-                EXTENDED_NAMES
-                    .iter()
-                    .map(|name| build_extended(name, scale)),
-            )
-            .collect();
         EvalSuite {
-            benches: compute_workloads(workloads, &energy),
+            benches: fan_out(workloads, |w| BenchEval::compute(w, &energy)),
             energy,
         }
     }
@@ -353,6 +317,12 @@ impl ToJson for EvalSuite {
             Json::Arr(self.benches.iter().map(|b| b.to_json()).collect()),
         )
     }
+}
+
+/// A one-benchmark suite at test scale, for the artifact modules' tests.
+#[cfg(test)]
+pub(crate) fn tiny_suite(name: &str) -> EvalSuite {
+    EvalSuite::of(vec![build_focal(name, Scale::Test)])
 }
 
 #[cfg(test)]
@@ -463,55 +433,16 @@ mod tests {
     #[test]
     fn pooled_fanout_matches_sequential_byte_for_byte() {
         // the suite must be bitwise independent of how it was scheduled:
-        // same binaries, same run records, same gains — only wall-clock
-        // stage timings may differ between the two arms
-        let energy = EnergyModel::paper();
-        let names: Vec<_> = FOCAL_NAMES.iter().take(2).collect();
-        let fanned = compute_workloads(
-            names.iter().map(|n| build_focal(n, Scale::Test)).collect(),
-            &energy,
-        );
-        let sequential: Vec<BenchEval> = names
-            .iter()
-            .map(|n| BenchEval::compute(build_focal(n, Scale::Test), &energy))
-            .collect();
-        assert_eq!(fanned.len(), sequential.len());
-        for (p, s) in fanned.iter().zip(&sequential) {
+        // same binaries, same records
+        let names = &FOCAL_NAMES[..2];
+        let fanned = EvalSuite::of(names.iter().map(|n| build_focal(n, Scale::Test)).collect());
+        assert_eq!(fanned.benches.len(), names.len());
+        for (p, name) in fanned.benches.iter().zip(names) {
+            let s = BenchEval::compute(build_focal(name, Scale::Test), &EnergyModel::paper());
             assert_eq!(p.name, s.name, "fan_out must preserve input order");
             assert_eq!(p.prob_binary.instructions, s.prob_binary.instructions);
             assert_eq!(p.oracle_binary.instructions, s.oracle_binary.instructions);
-            assert_eq!(p.classic.to_json().compact(), s.classic.to_json().compact());
-            for (outcome, result) in &p.runs {
-                assert_eq!(
-                    result.to_json().compact(),
-                    s.run(*outcome).to_json().compact(),
-                    "{} diverged between fanned-out and sequential runs",
-                    outcome.label()
-                );
-            }
+            assert_eq!(p.to_json().compact(), s.to_json().compact());
         }
-    }
-
-    #[test]
-    fn stage_timings_are_populated_and_sane() {
-        let eval = BenchEval::compute(build_focal("is", Scale::Test), &EnergyModel::paper());
-        assert!(eval.stages.is_sane());
-        // one timing per policy, in run order
-        let labels: Vec<_> = eval
-            .stages
-            .policy_run_ms
-            .iter()
-            .map(|(l, _)| l.as_str())
-            .collect();
-        assert_eq!(labels, ["Oracle", "C-Oracle", "Compiler", "FLC", "LLC"]);
-        assert!(eval.stages.total_ms() >= 0.0);
-        // the JSON record carries the timings
-        let json = eval.to_json();
-        assert!(
-            json.get_path("stages.total_ms")
-                .and_then(Json::as_f64)
-                .is_some_and(|ms| ms >= 0.0),
-            "stage timings must survive into the JSON record"
-        );
     }
 }

@@ -1,27 +1,39 @@
 //! Table 2: the benchmark deployment — suites, names, and inputs.
 
+use amnesiac_telemetry::Json;
 use amnesiac_workloads::{all_workloads, Scale, Suite};
 
 use crate::report::Table;
+
+/// One deployed kernel: name, suite, static instructions and data words
+/// at paper scale.
+fn rows() -> Vec<(&'static str, &'static str, usize, usize)> {
+    all_workloads(Scale::Paper)
+        .into_iter()
+        .map(|w| {
+            let suite = match w.suite {
+                Suite::Spec => "SPEC",
+                Suite::Nas => "NAS",
+                Suite::Parsec => "PARSEC",
+                Suite::Rodinia => "Rodinia",
+                Suite::Control => "control",
+            };
+            (w.name, suite, w.program.code_len, w.program.data.len())
+        })
+        .collect()
+}
 
 /// Renders the paper's Table 2 analogue: the full 33-kernel deployment
 /// with this reproduction's input sizes (static instructions and data
 /// words at paper scale).
 pub fn render() -> String {
     let mut t = Table::new(&["bench", "suite", "static insts", "data words"]);
-    for w in all_workloads(Scale::Paper) {
-        let suite = match w.suite {
-            Suite::Spec => "SPEC",
-            Suite::Nas => "NAS",
-            Suite::Parsec => "PARSEC",
-            Suite::Rodinia => "Rodinia",
-            Suite::Control => "control",
-        };
+    for (name, suite, static_insts, data_words) in rows() {
         t.row(vec![
-            w.name.to_string(),
+            name.to_string(),
             suite.to_string(),
-            w.program.code_len.to_string(),
-            w.program.data.len().to_string(),
+            static_insts.to_string(),
+            data_words.to_string(),
         ]);
     }
     format!(
@@ -29,6 +41,23 @@ pub fn render() -> String {
          implemented here (paper-scale inputs)\n\n{}",
         t.render()
     )
+}
+
+/// The twin of [`render`].
+pub fn json() -> Json {
+    let benches = rows()
+        .into_iter()
+        .map(|(name, suite, static_insts, data_words)| {
+            Json::obj()
+                .with("name", name)
+                .with("suite", suite)
+                .with("static_insts", static_insts)
+                .with("data_words", data_words)
+        })
+        .collect();
+    Json::obj()
+        .with("artifact", "table2")
+        .with("benches", Json::Arr(benches))
 }
 
 #[cfg(test)]

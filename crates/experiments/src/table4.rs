@@ -2,8 +2,40 @@
 //! execution (Compiler policy — the maximum possible number of
 //! recomputations, as in the paper).
 
-use crate::pipeline::{EvalSuite, PolicyOutcome};
+use amnesiac_energy::EnergyBreakdown;
+use amnesiac_telemetry::{Json, ToJson};
+
+use crate::pipeline::{pct_gain, EvalSuite, PolicyOutcome};
 use crate::report::Table;
+
+/// One benchmark's row: % instruction increase and % load decrease of the
+/// Compiler run over classic, then both energy breakdowns.
+struct Row {
+    name: &'static str,
+    inst_increase_pct: f64,
+    load_decrease_pct: f64,
+    classic: EnergyBreakdown,
+    amnesic: EnergyBreakdown,
+}
+
+fn rows(suite: &EvalSuite) -> Vec<Row> {
+    suite
+        .benches
+        .iter()
+        .map(|bench| {
+            let amnesic = &bench.run(PolicyOutcome::Compiler).run;
+            Row {
+                name: bench.name,
+                inst_increase_pct: 100.0
+                    * (amnesic.instructions as f64 / bench.classic.instructions.max(1) as f64
+                        - 1.0),
+                load_decrease_pct: pct_gain(amnesic.loads as f64, bench.classic.loads as f64),
+                classic: bench.classic.account.breakdown(),
+                amnesic: amnesic.account.breakdown(),
+            }
+        })
+        .collect()
+}
 
 /// Renders the paper's Table 4.
 pub fn render(suite: &EvalSuite) -> String {
@@ -19,18 +51,18 @@ pub fn render(suite: &EvalSuite) -> String {
         "am Nonmem%",
         "am Hist%",
     ]);
-    for bench in &suite.benches {
-        let amnesic = bench.run(PolicyOutcome::Compiler);
-        let inst_increase =
-            100.0 * (amnesic.run.instructions as f64 / bench.classic.instructions as f64 - 1.0);
-        let load_decrease =
-            100.0 * (1.0 - amnesic.run.loads as f64 / bench.classic.loads.max(1) as f64);
-        let cl = bench.classic.account.breakdown();
-        let am = amnesic.run.account.breakdown();
+    for Row {
+        name,
+        inst_increase_pct,
+        load_decrease_pct,
+        classic: cl,
+        amnesic: am,
+    } in rows(suite)
+    {
         t.row(vec![
-            bench.name.to_string(),
-            format!("{inst_increase:+.2}"),
-            format!("{load_decrease:+.2}"),
+            name.to_string(),
+            format!("{inst_increase_pct:+.2}"),
+            format!("{load_decrease_pct:+.2}"),
             format!("{:.2}", cl.load_pct),
             format!("{:.2}", cl.store_pct),
             format!("{:.2}", cl.non_mem_pct),
@@ -47,23 +79,32 @@ pub fn render(suite: &EvalSuite) -> String {
     )
 }
 
+/// The twin of [`render`].
+pub fn json(suite: &EvalSuite) -> Json {
+    let mut benches = Json::obj();
+    for row in rows(suite) {
+        benches.set(
+            row.name,
+            Json::obj()
+                .with("inst_increase_pct", row.inst_increase_pct)
+                .with("load_decrease_pct", row.load_decrease_pct)
+                .with("classic_breakdown", row.classic.to_json())
+                .with("amnesic_breakdown", row.amnesic.to_json()),
+        );
+    }
+    Json::obj()
+        .with("artifact", "table4")
+        .with("benches", benches)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::BenchEval;
-    use amnesiac_energy::EnergyModel;
-    use amnesiac_workloads::{build_focal, Scale};
+    use crate::pipeline::tiny_suite;
 
     #[test]
     fn breakdown_row_renders() {
-        let suite = EvalSuite {
-            benches: vec![BenchEval::compute(
-                build_focal("is", Scale::Test),
-                &EnergyModel::paper(),
-            )],
-            energy: EnergyModel::paper(),
-        };
-        let text = render(&suite);
+        let text = render(&tiny_suite("is"));
         assert!(text.contains("Δinst"));
         assert!(text.contains("is"));
     }

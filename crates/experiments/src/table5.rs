@@ -2,6 +2,7 @@
 //! under the Compiler, FLC, and LLC policies.
 
 use amnesiac_mem::ServiceLevel;
+use amnesiac_telemetry::Json;
 
 use crate::pipeline::{EvalSuite, PolicyOutcome};
 use crate::report::Table;
@@ -12,6 +13,22 @@ const POLICIES: [PolicyOutcome; 3] = [
     PolicyOutcome::Llc,
 ];
 
+/// Per benchmark and policy of [`POLICIES`], the % of swapped loads that
+/// each [`ServiceLevel`] would have serviced.
+fn rows(suite: &EvalSuite) -> Vec<(&'static str, [[f64; 3]; 3])> {
+    suite
+        .benches
+        .iter()
+        .map(|bench| {
+            let shares = POLICIES.map(|policy| {
+                let swapped = &bench.run(policy).stats.swapped_levels;
+                ServiceLevel::ALL.map(|level| 100.0 * swapped.fraction(level))
+            });
+            (bench.name, shares)
+        })
+        .collect()
+}
+
 /// Renders the paper's Table 5: for each policy, where the swapped loads
 /// (the `RCMP` instances that fired) would have been serviced.
 pub fn render(suite: &EvalSuite) -> String {
@@ -19,15 +36,12 @@ pub fn render(suite: &EvalSuite) -> String {
         "bench", "Cmp L1%", "Cmp L2%", "Cmp Mem%", "FLC L1%", "FLC L2%", "FLC Mem%", "LLC L1%",
         "LLC L2%", "LLC Mem%",
     ]);
-    for bench in &suite.benches {
-        let mut cells = vec![bench.name.to_string()];
-        for policy in POLICIES {
-            let swapped = &bench.run(policy).stats.swapped_levels;
-            for level in ServiceLevel::ALL {
-                cells.push(format!("{:.2}", 100.0 * swapped.fraction(level)));
-            }
-        }
-        t.row(cells);
+    for (name, shares) in rows(suite) {
+        t.row(
+            std::iter::once(name.to_string())
+                .chain(shares.iter().flatten().map(|pct| format!("{pct:.2}")))
+                .collect(),
+        );
     }
     format!(
         "Table 5: Memory access profile of load instructions swapped for \
@@ -36,22 +50,33 @@ pub fn render(suite: &EvalSuite) -> String {
     )
 }
 
+/// The twin of [`render`].
+pub fn json(suite: &EvalSuite) -> Json {
+    let mut benches = Json::obj();
+    for (name, shares) in rows(suite) {
+        let mut per_policy = Json::obj();
+        for (policy, levels) in POLICIES.iter().zip(shares) {
+            let mut mix = Json::obj();
+            for (level, pct) in ServiceLevel::ALL.iter().zip(levels) {
+                mix.set(&format!("{level:?}").to_lowercase(), pct);
+            }
+            per_policy.set(policy.label(), mix);
+        }
+        benches.set(name, per_policy);
+    }
+    Json::obj()
+        .with("artifact", "table5")
+        .with("benches", benches)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pipeline::BenchEval;
-    use amnesiac_energy::EnergyModel;
-    use amnesiac_workloads::{build_focal, Scale};
+    use crate::pipeline::tiny_suite;
 
     #[test]
     fn flc_column_shows_no_l1_swaps() {
-        let suite = EvalSuite {
-            benches: vec![BenchEval::compute(
-                build_focal("is", Scale::Test),
-                &EnergyModel::paper(),
-            )],
-            energy: EnergyModel::paper(),
-        };
+        let suite = tiny_suite("is");
         let bench = &suite.benches[0];
         let flc = &bench.run(PolicyOutcome::Flc).stats.swapped_levels;
         assert_eq!(

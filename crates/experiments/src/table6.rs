@@ -7,9 +7,10 @@ use amnesiac_core::{AmnesicConfig, AmnesicCore, Policy};
 use amnesiac_energy::EnergyModel;
 use amnesiac_profile::{profile_program, ProgramProfile};
 use amnesiac_sim::{ClassicCore, CoreConfig};
+use amnesiac_telemetry::Json;
 use amnesiac_workloads::{build_focal, Scale, FOCAL_NAMES};
 
-use crate::pipeline::fan_out;
+use crate::pipeline::{fan_out, pct_gain};
 use crate::report::Table;
 
 /// Upper limit of the sweep; benchmarks still winning here report `> MAX`.
@@ -37,7 +38,7 @@ fn gain_at(program: &amnesiac_isa::Program, profile: &ProgramProfile, factor: f6
     let amnesic = AmnesicCore::new(amnesic_config)
         .run(&binary)
         .expect("amnesic run succeeds");
-    100.0 * (1.0 - amnesic.edp() / classic.edp())
+    pct_gain(amnesic.edp(), classic.edp())
 }
 
 /// Finds the break-even `R` factor (relative to `R_default`) by bisection.
@@ -64,27 +65,21 @@ pub fn break_even(program: &amnesiac_isa::Program, profile: &ProgramProfile) -> 
 
 /// Computes the break-even factors for all focal benchmarks (in parallel):
 /// `(name, Some(factor))`, or `(name, None)` when the benchmark still gains
-/// at [`MAX_FACTOR`].
-pub fn compute(scale: Scale) -> Vec<(String, Option<f64>)> {
+/// at [`MAX_FACTOR`]. [`render`] and [`json`] read these rows.
+pub fn rows(scale: Scale) -> Vec<(&'static str, Option<f64>)> {
     fan_out(FOCAL_NAMES.to_vec(), |name| {
         let w = build_focal(name, scale);
         let (profile, _) = profile_program(&w.program, &CoreConfig::paper()).expect("profiles");
-        (name.to_string(), break_even(&w.program, &profile))
+        (name, break_even(&w.program, &profile))
     })
 }
 
-/// Computes and renders the paper's Table 6 for all focal benchmarks.
-pub fn render(scale: Scale) -> String {
-    render_rows(&compute(scale))
-}
-
-/// Renders precomputed [`compute`] rows (lets callers reuse one sweep for
-/// both the text table and the JSON twin).
-pub fn render_rows(rows: &[(String, Option<f64>)]) -> String {
+/// Renders the paper's Table 6 from [`rows`].
+pub fn render(rows: &[(&str, Option<f64>)]) -> String {
     let mut t = Table::new(&["bench", "R_breakeven (normalized to R_default)"]);
     for (name, factor) in rows {
         t.row(vec![
-            name.clone(),
+            name.to_string(),
             match factor {
                 Some(f) => format!("{f:.2}"),
                 None => format!("> {MAX_FACTOR:.0}"),
@@ -98,6 +93,20 @@ pub fn render_rows(rows: &[(String, Option<f64>)]) -> String {
         amnesiac_energy::R_DEFAULT,
         t.render()
     )
+}
+
+/// The twin of [`render`]: `null` means the benchmark still gains at
+/// [`MAX_FACTOR`].
+pub fn json(rows: &[(&str, Option<f64>)]) -> Json {
+    let mut benches = Json::obj();
+    for (name, factor) in rows {
+        benches.set(name, factor.map_or(Json::Null, Json::from));
+    }
+    Json::obj()
+        .with("artifact", "table6")
+        .with("r_default", amnesiac_energy::R_DEFAULT)
+        .with("max_factor", MAX_FACTOR)
+        .with("benches", benches)
 }
 
 #[cfg(test)]

@@ -6,7 +6,7 @@
 //! raw `suite.json` dump, the 22 non-focal kernels (`controls.json`) and the
 //! eight ablation tables. Every twin is a pure function of the code and the
 //! scale, so these digests hold the text and its twin fixed from one change
-//! to the next. Everything runs at test scale; an ignored test covers the
+//! to the next. The focal twins are the ones [`export::artifacts`] lists. Everything runs at test scale; an ignored test covers the
 //! focal-suite artifacts and Table 6 at paper scale (run it in release).
 
 use amnesiac_experiments::{
@@ -67,106 +67,51 @@ const PAPER_SCALE: [Pin; 11] = [
     ("table6", [0x4048dc6e6cf89c478538ca06ad00b449, 0xea6c4dd7af5aedd62435a00302d63a85]),
 ];
 
-/// `suite.json` without its wall-clock `stages` records.
-fn suite_json(suite: &EvalSuite) -> Json {
-    let mut json = amnesiac_telemetry::ToJson::to_json(suite);
-    if let Some(Json::Arr(benches)) = json.get_mut("benches") {
-        for bench in benches {
-            if let Json::Obj(fields) = bench {
-                fields.retain(|(key, _)| key != "stages");
-            }
-        }
-    }
-    json
-}
-
-/// The artifacts computed from the focal suite at `scale`, then Table 6.
+/// The artifacts computed from the focal suite at `scale`, then Table 6,
+/// each with the twin `all` writes for it.
 fn focal_outputs(scale: Scale) -> Vec<Output> {
     let suite = EvalSuite::compute(scale);
-    let table6_rows = table6::compute(scale);
-    vec![
-        (
-            "fig3",
-            Some(fig3::render(&suite)),
-            Some(export::fig3_json(&suite)),
-        ),
-        (
-            "fig4",
-            Some(fig3::render_energy(&suite)),
-            Some(export::fig4_json(&suite)),
-        ),
-        (
-            "fig5",
-            Some(fig3::render_time(&suite)),
-            Some(export::fig5_json(&suite)),
-        ),
-        (
-            "table4",
-            Some(table4::render(&suite)),
-            Some(export::table4_json(&suite)),
-        ),
-        (
-            "table5",
-            Some(table5::render(&suite)),
-            Some(export::table5_json(&suite)),
-        ),
-        (
-            "fig6",
-            Some(fig6::render(&suite)),
-            Some(export::fig6_json(&suite)),
-        ),
-        (
-            "fig7",
-            Some(fig7::render(&suite)),
-            Some(export::fig7_json(&suite)),
-        ),
-        (
-            "fig8",
-            Some(fig8::render(&suite)),
-            Some(export::fig8_json(&suite)),
-        ),
-        (
-            "store_elision",
-            Some(ablations::store_elision(&suite)),
-            None,
-        ),
-        ("suite", None, Some(suite_json(&suite))),
-        (
-            "table6",
-            Some(table6::render_rows(&table6_rows)),
-            Some(export::table6_rows_json(&table6_rows)),
-        ),
+    let table6_rows = table6::rows(scale);
+    let mut twins = export::artifacts(&suite);
+    twins.push(("table6.json", table6::json(&table6_rows)));
+    let twin = |name: &str| {
+        let file = format!("{name}.json");
+        twins
+            .iter()
+            .find(|(f, _)| *f == file)
+            .map(|(_, j)| j.clone())
+    };
+    [
+        ("fig3", Some(fig3::render(&suite, fig3::FIG3))),
+        ("fig4", Some(fig3::render(&suite, fig3::FIG4))),
+        ("fig5", Some(fig3::render(&suite, fig3::FIG5))),
+        ("table4", Some(table4::render(&suite))),
+        ("table5", Some(table5::render(&suite))),
+        ("fig6", Some(fig6::render(&suite))),
+        ("fig7", Some(fig7::render(&suite))),
+        ("fig8", Some(fig8::render(&suite))),
+        ("store_elision", Some(ablations::store_elision(&suite))),
+        ("suite", None),
+        ("table6", Some(table6::render(&table6_rows))),
     ]
+    .into_iter()
+    .map(|(name, text)| (name, text, twin(name)))
+    .collect()
 }
 
 /// Every artifact at test scale.
 fn outputs() -> Vec<Output> {
     let mut outputs: Vec<Output> = vec![
-        (
-            "table1",
-            Some(table1::render()),
-            Some(export::table1_json()),
-        ),
-        (
-            "table2",
-            Some(table2::render()),
-            Some(export::table2_json()),
-        ),
+        ("table1", Some(table1::render()), Some(table1::json())),
+        ("table2", Some(table2::render()), Some(table2::json())),
         ("table3", Some(table3::render()), None),
     ];
     outputs.extend(focal_outputs(Scale::Test));
     let rest = EvalSuite::compute_rest(Scale::Test);
-    let rest_text = format!(
-        "{}\n{} of {} non-focal benchmarks clear 5% EDP gain under their best \
-         policy (paper: \"only 4 provided more than 5% gain\")",
-        fig3::render(&rest),
-        rest.responders(5.0),
-        rest.benches.len()
-    );
     outputs.push((
         "controls",
-        Some(rest_text),
-        Some(export::controls_json(&rest)),
+        Some(fig3::render_controls(&rest)),
+        Some(fig3::controls_json(&rest)),
     ));
     let suite = EvalSuite::compute(Scale::Test);
     for (name, text) in [

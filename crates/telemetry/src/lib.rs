@@ -7,9 +7,8 @@
 //! external dependencies: a tiny JSON value model ([`Json`]), a
 //! deterministic pretty-printing writer, a strict parser (for round-trip
 //! tests and baseline comparison), the [`ToJson`] conversion trait that
-//! every stats-bearing crate implements, the [`JsonSink`] artifact writer
-//! that every `--json <dir>` flag funnels through, and wall-clock stage
-//! timing ([`StageTimings`], [`Stopwatch`]).
+//! every stats-bearing crate implements, and the [`JsonSink`] artifact
+//! writer that every `--json <dir>` flag funnels through.
 //!
 //! The JSON schema conventions used across the workspace:
 //!
@@ -21,11 +20,9 @@
 
 mod json;
 mod sink;
-mod timing;
 
 pub use json::{parse, Json, ParseError};
 pub use sink::{write_json_file, JsonSink};
-pub use timing::{StageTimings, Stopwatch};
 
 /// Conversion into the telemetry JSON value model.
 ///
