@@ -49,7 +49,7 @@ pub use store::CompileCache;
 /// entries — in memory and on disk — at once. Bump whenever the compile
 /// pipeline's output for a fixed input can change, or when the report
 /// codec or disk framing changes shape.
-pub const CACHE_SCHEMA_VERSION: u32 = 2;
+pub const CACHE_SCHEMA_VERSION: u32 = 3;
 
 /// A compiled artifact: the annotated binary and its per-site report.
 #[derive(Debug, Clone, PartialEq)]
@@ -261,7 +261,7 @@ mod tests {
         let k = artifact_key(&p, &base);
 
         let mut o = base.clone();
-        o.max_height += 1;
+        o.energy.probe_nj[0] *= 2.0;
         assert_ne!(k, artifact_key(&p, &o));
 
         let mut o = base.clone();
@@ -269,11 +269,7 @@ mod tests {
         assert_ne!(k, artifact_key(&p, &o));
 
         let mut o = base.clone();
-        o.validate = false;
-        assert_ne!(k, artifact_key(&p, &o));
-
-        let mut o = base.clone();
-        o.replay_fuse += 1;
+        o.static_equivalence = false;
         assert_ne!(k, artifact_key(&p, &o));
     }
 
@@ -289,24 +285,24 @@ mod tests {
         assert_eq!(fingerprint.as_str(), format!("{options:?}"));
         assert_eq!(
             artifact_key(&p, &options),
-            0xad4a79f48d12a432a2d9cae5813dd04d
+            0xce338bd43b3490f5462a3d6df1ad5475
         );
         assert_eq!(
             artifact_key_for(&p, &fingerprint),
             artifact_key(&p, &options)
         );
-        assert_eq!(listing_key(&p), 0xb8f0fd5a93ecd3cb7ca80a3f7f9df99d);
+        assert_eq!(listing_key(&p), 0xb326a995284621edd0576f1aac47af4b);
         let source = Source::Bench {
             name: "is",
             paper: false,
         };
         assert_eq!(
             source.artifact_key(&fingerprint),
-            Some(0x95922c22b8bfff69b9bd3979f67f4b0d)
+            Some(0x9f8dba68ee428a1f12ac35f2f219458f)
         );
         assert_eq!(
             source.listing_key(),
-            Some(0xf155bf2f132a85b30ef38f0a8aa91c44)
+            Some(0xe22cd7953d3c8a5060ba89420c782cf4)
         );
     }
 

@@ -34,6 +34,15 @@ pub enum SliceSetPolicy {
     Oracle,
 }
 
+/// Maximum slice tree height `h` (§3.4: the compiler caps `h`).
+const MAX_HEIGHT: u32 = 48;
+
+/// Maximum compute instructions per slice (ties `SFile`/`IBuff` sizing).
+const MAX_SLICE_INSTS: usize = 64;
+
+/// Dynamic-instruction fuse for the validation replay.
+const REPLAY_FUSE: u64 = 400_000_000;
+
 /// Compiler configuration.
 #[derive(Debug, Clone)]
 pub struct CompileOptions {
@@ -41,15 +50,6 @@ pub struct CompileOptions {
     pub energy: EnergyModel,
     /// Slice-set selection policy.
     pub slice_set: SliceSetPolicy,
-    /// Maximum slice tree height `h` (§3.4: the compiler caps `h`).
-    pub max_height: u32,
-    /// Maximum compute instructions per slice (ties `SFile`/`IBuff` sizing).
-    pub max_slice_insts: usize,
-    /// Run the validation replay and drop any slice that ever fails to
-    /// reproduce the loaded value. Disable only in tests.
-    pub validate: bool,
-    /// Dynamic-instruction fuse for the validation replay.
-    pub replay_fuse: u64,
     /// Let the abstract-interpretation prover (`amnesiac-absint`) skip a
     /// whole-program replay round when every embedded slice is statically
     /// proven replay-equivalent. Never changes the drop set — a proof only
@@ -62,10 +62,6 @@ impl Default for CompileOptions {
         CompileOptions {
             energy: EnergyModel::paper(),
             slice_set: SliceSetPolicy::Probabilistic,
-            max_height: 48,
-            max_slice_insts: 64,
-            validate: true,
-            replay_fuse: 400_000_000,
             static_equivalence: true,
         }
     }
@@ -288,7 +284,7 @@ pub fn compile(
         let plan = if site.unswappable.is_some() {
             None
         } else {
-            estimator.plan_site(site, options.max_height, options.max_slice_insts)
+            estimator.plan_site(site, MAX_HEIGHT, MAX_SLICE_INSTS)
         };
         (site, plan)
     });
@@ -481,9 +477,8 @@ fn failing_load_pcs(
     annotated: &Program,
     decoded: &[DecodedInst],
     specs: &[SliceSpec],
-    fuse: u64,
 ) -> Result<BTreeSet<usize>, CompileError> {
-    let outcome = replay_decoded(annotated, decoded, fuse)?;
+    let outcome = replay_decoded(annotated, decoded, REPLAY_FUSE)?;
     // slice ids are assigned in load-pc order by annotate()
     let mut by_pc: Vec<usize> = specs.iter().map(|s| s.load_pc).collect();
     by_pc.sort_unstable();
@@ -523,15 +518,13 @@ fn validate_specs(
     let mut dropped_pcs: BTreeSet<usize> = BTreeSet::new();
     // Static pre-pass: when every slice is proven replay-equivalent the
     // discovery round cannot drop anything, so it is skipped outright.
-    let statically_proven =
-        options.validate && !specs.is_empty() && options.static_equivalence && checked.all_proven;
+    let statically_proven = !specs.is_empty() && options.static_equivalence && checked.all_proven;
     if statically_proven {
         rounds_saved_static += 1;
-    } else if options.validate && !specs.is_empty() {
+    } else if !specs.is_empty() {
         loop {
             rounds += 1;
-            let round_dropped =
-                failing_load_pcs(&annotated, &checked.decoded, &specs, options.replay_fuse)?;
+            let round_dropped = failing_load_pcs(&annotated, &checked.decoded, &specs)?;
             if round_dropped.is_empty() {
                 break;
             }
