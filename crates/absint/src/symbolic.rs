@@ -148,16 +148,6 @@ impl ExprArena {
         self.intern(Node::Pure { kind, args })
     }
 
-    /// `true` if the expression contains any token (Join or Load) node.
-    pub fn has_token(&self, id: ExprId) -> bool {
-        match self.node(id) {
-            Node::Const(_) => false,
-            Node::Join { .. } | Node::Load { .. } => true,
-            Node::Alu { lhs, rhs, .. } => self.has_token(lhs) || self.has_token(rhs),
-            Node::Pure { args, .. } => args.iter().any(|&a| self.has_token(a)),
-        }
-    }
-
     /// Collects the distinct token ids occurring in the expression.
     pub fn tokens(&self, id: ExprId) -> Vec<ExprId> {
         let mut out = Vec::new();
@@ -412,8 +402,6 @@ mod tests {
         let z = a.constant(0);
         assert_eq!(a.alu(AluOp::Add, t, z), t, "x + 0 = x");
         assert_eq!(a.alu(AluOp::Mul, t, z), z, "x * 0 = 0");
-        assert!(a.has_token(e1));
-        assert!(!a.has_token(s1));
         assert_eq!(a.tokens(e1), vec![t]);
     }
 

@@ -253,11 +253,6 @@ impl Cfg {
         }
     }
 
-    /// Returns `true` if block `b` is reachable from the entry block.
-    pub fn is_reachable_block(&self, b: usize) -> bool {
-        self.reachable.get(b).copied().unwrap_or(false)
-    }
-
     /// Returns `true` if the edge `from → to` is a retreating (back) edge
     /// in the depth-first ordering: it closes a cycle, so `to` is a loop
     /// head for any analysis that widens there.
@@ -420,7 +415,6 @@ mod tests {
         assert_eq!(cfg.rpo().len(), cfg.len());
         assert_eq!(cfg.rpo()[0], cfg.entry_block.unwrap());
         assert_eq!(cfg.rpo_number(cfg.rpo()[0]), Some(0));
-        assert!(cfg.is_reachable_block(body));
     }
 
     #[test]
@@ -430,7 +424,6 @@ mod tests {
         let cfg = Cfg::build(&predecode(&p), p.code_len, 0);
         let dead = cfg.block_of_pc(1).unwrap();
         assert_eq!(cfg.rpo_number(dead), None);
-        assert!(!cfg.is_reachable_block(dead));
         assert!(cfg.loop_heads().is_empty());
     }
 

@@ -65,15 +65,6 @@ impl MissPredictor {
     pub fn mispredictions(&self) -> u64 {
         self.mispredictions
     }
-
-    /// Misprediction rate in `[0, 1]`.
-    pub fn misprediction_rate(&self) -> f64 {
-        if self.predictions == 0 {
-            0.0
-        } else {
-            self.mispredictions as f64 / self.predictions as f64
-        }
-    }
 }
 
 #[cfg(test)]
@@ -111,7 +102,6 @@ mod tests {
         p.train(1, false); // counter now 1 → predicted hit, was hit → correct
         assert_eq!(p.mispredictions(), 1);
         assert_eq!(p.predictions(), 2);
-        assert!((p.misprediction_rate() - 0.5).abs() < 1e-12);
     }
 
     #[test]

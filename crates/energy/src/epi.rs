@@ -175,32 +175,6 @@ impl EnergyModel {
     pub fn probabilistic_load_energy(&self, pr: [f64; 3]) -> f64 {
         pr.iter().zip(self.load_nj.iter()).map(|(p, e)| p * e).sum()
     }
-
-    /// The probabilistic per-load latency `Σ PrLi × latency_Li` (cycles).
-    pub fn probabilistic_load_latency(&self, pr: [f64; 3]) -> f64 {
-        pr.iter()
-            .zip(self.mem_cycles.iter())
-            .map(|(p, &c)| p * c as f64)
-            .sum()
-    }
-
-    /// Mean non-memory EPI of a given instruction mix (counts per
-    /// category), used for §5.5 reporting.
-    pub fn mean_non_mem_epi(&self, mix: &[(Category, u64)]) -> f64 {
-        let mut energy = 0.0;
-        let mut count = 0u64;
-        for &(cat, n) in mix {
-            if cat.is_non_mem() && !matches!(cat, Category::Rec) {
-                energy += self.epi(cat) * n as f64;
-                count += n;
-            }
-        }
-        if count == 0 {
-            EPI_NON_MEM_DEFAULT
-        } else {
-            energy / count as f64
-        }
-    }
 }
 
 impl Default for EnergyModel {
@@ -259,35 +233,11 @@ mod tests {
         let e = m.probabilistic_load_energy([0.5, 0.25, 0.25]);
         assert!((e - (0.5 * 0.88 + 0.25 * 7.72 + 0.25 * 52.14)).abs() < 1e-12);
         assert_eq!(m.probabilistic_load_energy([1.0, 0.0, 0.0]), 0.88);
-        let lat = m.probabilistic_load_latency([0.0, 0.0, 1.0]);
-        assert_eq!(lat, 109.0);
     }
 
     #[test]
     #[should_panic(expected = "per service level")]
     fn load_epi_panics() {
         EnergyModel::paper().epi(Category::Load);
-    }
-
-    #[test]
-    fn mean_non_mem_epi_near_paper_value() {
-        let m = EnergyModel::paper();
-        // a representative dynamic mix: mostly int-alu with some fp and
-        // branches, as in the evaluated benchmarks
-        let mix = [
-            (Category::IntAlu, 55u64),
-            (Category::IntMul, 5),
-            (Category::FpAdd, 10),
-            (Category::FpMul, 8),
-            (Category::Fma, 4),
-            (Category::Branch, 15),
-            (Category::Jump, 3),
-            (Category::Load, 100), // ignored
-        ];
-        let mean = m.mean_non_mem_epi(&mix);
-        assert!(
-            (mean - EPI_NON_MEM_DEFAULT).abs() < 0.08,
-            "mix-weighted mean {mean} should be near 0.45"
-        );
     }
 }

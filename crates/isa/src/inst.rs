@@ -511,26 +511,6 @@ impl Instruction {
                 | Instruction::Cvt { .. }
         )
     }
-
-    /// Returns `true` for the amnesic-extension instructions.
-    pub fn is_amnesic(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Rcmp { .. } | Instruction::Rtn { .. } | Instruction::Rec { .. }
-        )
-    }
-
-    /// Returns `true` if this instruction may redirect control flow.
-    pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Instruction::Branch { .. }
-                | Instruction::Jump { .. }
-                | Instruction::Halt
-                | Instruction::Rcmp { .. }
-                | Instruction::Rtn { .. }
-        )
-    }
 }
 
 #[cfg(test)]
@@ -626,7 +606,6 @@ mod tests {
         assert_eq!(i.srcs(), [Some(Reg(2)), Some(Reg(3)), Some(Reg(4))]);
         assert_eq!(i.dst(), Some(Reg(1)));
         assert!(i.is_slice_compute());
-        assert!(!i.is_control());
 
         let s = Instruction::Store {
             src: Reg(5),
@@ -643,8 +622,6 @@ mod tests {
             offset: 0,
             slice: SliceId(0),
         };
-        assert!(r.is_amnesic());
-        assert!(r.is_control());
         assert_eq!(r.dst(), Some(Reg(1)));
     }
 

@@ -1,7 +1,6 @@
 //! Program representation: instruction stream, data image, and the slice
 //! annotations produced by the amnesic compiler.
 
-use std::collections::BTreeMap;
 use std::fmt;
 
 use crate::inst::{Instruction, MAX_SRC_OPERANDS};
@@ -452,21 +451,11 @@ impl Program {
     pub fn is_read_only(&self, addr: u64) -> bool {
         self.read_only.iter().any(|r| r.contains(addr))
     }
-
-    /// Static count of instructions per category in the main code region.
-    pub fn static_mix(&self) -> BTreeMap<crate::Category, usize> {
-        let mut mix = BTreeMap::new();
-        for inst in &self.instructions[..self.code_len] {
-            *mix.entry(inst.category()).or_insert(0) += 1;
-        }
-        mix
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::inst::AluOp;
 
     #[test]
     fn data_image_roundtrip() {
@@ -547,30 +536,6 @@ mod tests {
         assert!(!interior.reads_hist());
 
         assert!(OperandPlan::empty().is_leaf());
-    }
-
-    #[test]
-    fn program_static_mix() {
-        let mut p = Program::new("t");
-        p.instructions = vec![
-            Instruction::Li {
-                dst: Reg(1),
-                imm: 0,
-            },
-            Instruction::Alu {
-                op: AluOp::Mul,
-                dst: Reg(2),
-                lhs: Reg(1),
-                rhs: Reg(1),
-            },
-            Instruction::Halt,
-        ];
-        p.code_len = 3;
-        let mix = p.static_mix();
-        assert_eq!(mix[&crate::Category::IntAlu], 1);
-        assert_eq!(mix[&crate::Category::IntMul], 1);
-        assert_eq!(mix[&crate::Category::Jump], 1);
-        assert!(!p.is_annotated());
     }
 
     #[test]

@@ -120,12 +120,6 @@ impl MemoryHierarchy {
         &self.stats
     }
 
-    /// Resets statistics without disturbing cache contents (used to exclude
-    /// warm-up from measurement).
-    pub fn reset_stats(&mut self) {
-        self.stats = HierarchyStats::default();
-    }
-
     /// Data read at `byte_addr`; walks L1-D → L2 → memory, filling on the
     /// way back. With the next-line prefetcher enabled, an L1 miss also
     /// pulls the following line into L1 (its fill source is reported in
@@ -420,7 +414,7 @@ mod tests {
     }
 
     #[test]
-    fn stats_accumulate_and_reset() {
+    fn stats_accumulate_per_level() {
         let mut m = small();
         m.read_data(0);
         m.read_data(0);
@@ -432,9 +426,5 @@ mod tests {
         assert_eq!(s.fetches.total(), 1);
         assert_eq!(s.loads.by_level[ServiceLevel::Mem.index()], 1);
         assert_eq!(s.loads.by_level[ServiceLevel::L1.index()], 1);
-        m.reset_stats();
-        assert_eq!(m.stats().loads.total(), 0);
-        // contents survive the reset
-        assert_eq!(m.read_data(0).level, ServiceLevel::L1);
     }
 }

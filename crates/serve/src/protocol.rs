@@ -162,15 +162,6 @@ impl WireVerb {
     pub fn parse(name: &str) -> Option<WireVerb> {
         WireVerb::ALL.into_iter().find(|v| v.name() == name)
     }
-
-    /// `true` for verbs the server or router answers inline instead of
-    /// forwarding to a handler/worker.
-    pub fn is_admin(self) -> bool {
-        matches!(
-            self,
-            WireVerb::Stats | WireVerb::Shutdown | WireVerb::Drain | WireVerb::Cluster
-        )
-    }
 }
 
 impl std::fmt::Display for WireVerb {
@@ -774,9 +765,6 @@ mod tests {
             assert_eq!(WireVerb::parse(verb.name()), Some(verb));
         }
         assert_eq!(WireVerb::parse("frobnicate"), None);
-        assert!(WireVerb::Stats.is_admin());
-        assert!(WireVerb::Drain.is_admin());
-        assert!(!WireVerb::Compile.is_admin());
         assert_eq!(Request::new("compile").wire_verb(), Some(WireVerb::Compile));
         assert_eq!(Request::new("nope").wire_verb(), None);
     }

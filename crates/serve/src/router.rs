@@ -677,11 +677,6 @@ impl Router {
         self.shared.stats_payload(false)
     }
 
-    /// The generation-numbered membership view.
-    pub fn membership_json(&self) -> Json {
-        lock(&self.shared.membership).to_json()
-    }
-
     /// The current membership generation.
     pub fn generation(&self) -> u64 {
         lock(&self.shared.membership).generation()
