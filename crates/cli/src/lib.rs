@@ -88,11 +88,10 @@ pub struct Command {
     pub target: Option<String>,
     /// Output path (for `encode`).
     pub output: Option<String>,
-    /// Use paper-scale inputs for built-in benchmarks.
-    pub paper_scale: bool,
-    /// Explicit workload scale (`--scale <test|paper>`); conflicts with
-    /// the `--paper-scale` shorthand (parse rejects both together).
-    pub scale: Option<Scale>,
+    /// Workload scale for built-in benchmarks: `--scale <test|paper>`, or
+    /// the `--paper-scale` shorthand (parse rejects both together); test
+    /// scale when neither is given.
+    pub scale: Scale,
     /// Results directory for machine-readable output (`--json <dir>`).
     pub json_dir: Option<String>,
     /// TCP port for the serve verbs (`--port <p>`; 0 = ephemeral).
@@ -389,8 +388,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         verb,
         target,
         output,
-        paper_scale,
-        scale,
+        scale: scale.unwrap_or(if paper_scale {
+            Scale::Paper
+        } else {
+            Scale::Test
+        }),
         json_dir,
         port,
         workers,
@@ -398,19 +400,6 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
         timeout_ms,
         cache_dir,
     })
-}
-
-impl Command {
-    /// The workload scale to run at: the explicit `--scale`, or the
-    /// `--paper-scale` shorthand, or the test-scale default (the parser
-    /// rejects the flag pair, so at most one is ever set).
-    pub fn effective_scale(&self) -> Scale {
-        self.scale.unwrap_or(if self.paper_scale {
-            Scale::Paper
-        } else {
-            Scale::Test
-        })
-    }
 }
 
 /// Loads the target program (an `.asm` file or a built-in benchmark).
@@ -496,7 +485,7 @@ pub(crate) fn run_with_cache(
     command: &Command,
     cache: Option<&CompileCache>,
 ) -> Result<Response, CliError> {
-    let paper_scale = command.effective_scale() == Scale::Paper;
+    let paper_scale = command.scale == Scale::Paper;
     let target = || {
         command
             .target
@@ -589,12 +578,8 @@ fn run_compile(
     target: &str,
     cache: Option<&CompileCache>,
 ) -> Result<Response, CliError> {
-    let (program, artifact) = compile_maybe_cached(
-        cache,
-        target,
-        command.effective_scale() == Scale::Paper,
-        None,
-    )?;
+    let (program, artifact) =
+        compile_maybe_cached(cache, target, command.scale == Scale::Paper, None)?;
     // counters ride along only on the one-shot `--cache-dir` path;
     // served responses must stay byte-identical hit vs cold
     let cache_stats = match (cache, &command.cache_dir) {
@@ -718,19 +703,15 @@ fn run_verify(command: &Command, cache: Option<&CompileCache>) -> Result<Respons
         Some(target) => {
             // `compile` gated the binary with the verifier's default
             // options, so its report is the verdict; a cache hit carries it.
-            let (_, artifact) = compile_maybe_cached(
-                cache,
-                target,
-                command.effective_scale() == Scale::Paper,
-                None,
-            )?;
+            let (_, artifact) =
+                compile_maybe_cached(cache, target, command.scale == Scale::Paper, None)?;
             Ok(Response::VerifyTarget {
                 target: target.to_string(),
                 report: artifact.report.verify.clone(),
             })
         }
         None => Ok(Response::VerifySweep {
-            sweep: VerifySweep::compute(command.effective_scale()),
+            sweep: VerifySweep::compute(command.scale),
         }),
     }
 }
@@ -745,19 +726,15 @@ fn run_lint(command: &Command, cache: Option<&CompileCache>) -> Result<Response,
         Some(target) => {
             // the compile's report carries the verifier's findings and the
             // replay-validation counters, so a cache hit carries the lint
-            let (_, artifact) = compile_maybe_cached(
-                cache,
-                target,
-                command.effective_scale() == Scale::Paper,
-                None,
-            )?;
+            let (_, artifact) =
+                compile_maybe_cached(cache, target, command.scale == Scale::Paper, None)?;
             Ok(Response::LintTarget {
                 target: target.to_string(),
                 report: artifact.report.clone(),
             })
         }
         None => Ok(Response::LintSweep {
-            sweep: LintSweep::compute(command.effective_scale()),
+            sweep: LintSweep::compute(command.scale),
         }),
     }
 }
@@ -766,7 +743,7 @@ fn run_lint(command: &Command, cache: Option<&CompileCache>) -> Result<Response,
 fn run_experiments(command: &Command) -> Result<Response, CliError> {
     use amnesiac_experiments::{export, EvalSuite};
 
-    let suite = EvalSuite::compute(command.effective_scale());
+    let suite = EvalSuite::compute(command.scale);
     let artifacts = export::artifacts(&suite)
         .into_iter()
         .map(|(name, json)| (name.to_string(), json))
@@ -843,7 +820,7 @@ mod tests {
         let c = parse_args(&args(&["compare", "bench:is", "--paper-scale"])).unwrap();
         assert_eq!(c.verb, Verb::Compare);
         assert_eq!(c.target.as_deref(), Some("bench:is"));
-        assert!(c.paper_scale);
+        assert_eq!(c.scale, Scale::Paper);
     }
 
     #[test]
@@ -1063,15 +1040,14 @@ mod tests {
     #[test]
     fn parses_and_resolves_the_scale_flag() {
         let c = parse_args(&args(&["verify", "--scale", "paper"])).unwrap();
-        assert_eq!(c.scale, Some(Scale::Paper));
-        assert_eq!(c.effective_scale(), Scale::Paper);
+        assert_eq!(c.scale, Scale::Paper);
         let c = parse_args(&args(&["lint", "--scale", "test"])).unwrap();
-        assert_eq!(c.effective_scale(), Scale::Test);
+        assert_eq!(c.scale, Scale::Test);
         // --paper-scale alone still works, and neither flag means test scale
         let c = parse_args(&args(&["experiments", "--json", "d", "--paper-scale"])).unwrap();
-        assert_eq!(c.effective_scale(), Scale::Paper);
+        assert_eq!(c.scale, Scale::Paper);
         let c = parse_args(&args(&["verify"])).unwrap();
-        assert_eq!(c.effective_scale(), Scale::Test);
+        assert_eq!(c.scale, Scale::Test);
         assert!(matches!(
             parse_args(&args(&["verify", "--scale", "huge"])),
             Err(CliError::Usage(_))

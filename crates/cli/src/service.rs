@@ -91,9 +91,8 @@ fn request_command(request: &Request) -> Result<Command, ServeError> {
         }
     };
     let scale = match request.scale.as_deref() {
-        None => None,
-        Some("test") => Some(Scale::Test),
-        Some("paper") => Some(Scale::Paper),
+        None | Some("test") => Scale::Test,
+        Some("paper") => Scale::Paper,
         Some(other) => {
             return Err(ServeError::bad_request(format!(
                 "scale `{other}` is neither `test` nor `paper`"
@@ -111,7 +110,6 @@ fn request_command(request: &Request) -> Result<Command, ServeError> {
         verb,
         target,
         output: None,
-        paper_scale: false,
         scale,
         json_dir: None,
         port: None,
