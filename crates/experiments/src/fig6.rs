@@ -5,7 +5,7 @@ use std::collections::BTreeMap;
 
 use amnesiac_telemetry::Json;
 
-use crate::pipeline::{EvalSuite, PolicyOutcome};
+use crate::pipeline::{share_pct, EvalSuite, PolicyOutcome};
 use crate::report::{bucketize, histogram};
 
 /// Per benchmark, how many of the slices the Compiler run recomputed have
@@ -30,22 +30,19 @@ fn rows(suite: &EvalSuite) -> Vec<(&'static str, BTreeMap<usize, usize>)> {
 /// The aggregate the paper quotes: recomputed slices, and the % of them
 /// under 10 and over 50 instructions (0 when none was recomputed).
 fn aggregate(rows: &[(&'static str, BTreeMap<usize, usize>)]) -> (usize, f64, f64) {
-    let hists = || rows.iter().flat_map(|(_, hist)| hist);
     let count = |keep: fn(usize) -> bool| -> usize {
-        hists()
+        rows.iter()
+            .flat_map(|(_, hist)| hist)
             .filter(|&(&len, _)| keep(len))
             .map(|(_, &n)| n)
             .sum()
     };
     let total = count(|_| true);
-    let pct = |n: usize| {
-        if total == 0 {
-            0.0
-        } else {
-            100.0 * n as f64 / total as f64
-        }
-    };
-    (total, pct(count(|l| l < 10)), pct(count(|l| l > 50)))
+    (
+        total,
+        share_pct(count(|l| l < 10), total),
+        share_pct(count(|l| l > 50), total),
+    )
 }
 
 /// Renders one histogram per benchmark, plus the aggregate statistics the

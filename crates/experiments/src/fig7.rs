@@ -3,7 +3,7 @@
 
 use amnesiac_telemetry::Json;
 
-use crate::pipeline::EvalSuite;
+use crate::pipeline::{share_pct as pct, EvalSuite};
 use crate::report::Table;
 
 /// One benchmark's row: embedded slices, how many of them have
@@ -14,15 +14,6 @@ struct Row {
     slices: usize,
     with_nc: usize,
     hist_high_water: usize,
-}
-
-/// `100 × n / total`, or 0 when `total` is 0.
-fn pct(n: usize, total: usize) -> f64 {
-    if total == 0 {
-        0.0
-    } else {
-        100.0 * n as f64 / total as f64
-    }
 }
 
 fn rows(suite: &EvalSuite) -> Vec<Row> {

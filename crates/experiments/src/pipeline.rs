@@ -189,6 +189,15 @@ pub(crate) fn pct_gain(amnesic: f64, classic: f64) -> f64 {
     }
 }
 
+/// `100 × n / total`, or 0 when `total` is 0: the share of a count.
+pub(crate) fn share_pct(n: usize, total: usize) -> f64 {
+    if total == 0 {
+        0.0
+    } else {
+        100.0 * n as f64 / total as f64
+    }
+}
+
 impl ToJson for BenchEval {
     /// One benchmark's machine-readable record: classic baseline, both
     /// compile reports, and per-policy gains + full run stats.

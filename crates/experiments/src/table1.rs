@@ -5,23 +5,23 @@ use amnesiac_telemetry::Json;
 
 use crate::report::Table;
 
-/// The twin's key for each operating point, in the paper's column order.
-const NODES: [&str; 3] = ["40nm", "10nm_hp", "10nm_lp"];
-
 /// Renders the paper's Table 1 from the technology model.
 pub fn render() -> String {
-    let points = TechnologyModel::paper().table1();
+    let model = TechnologyModel::paper();
+    let points = model.table1();
     let mut t = Table::new(&["Technology Node", "40nm", "10nm (HP)", "10nm (LP)"]);
-    t.row(
-        std::iter::once("Operating Voltage".into())
-            .chain(points.iter().map(|p| format!("{:.2}V", p.voltage)))
-            .collect(),
-    );
-    t.row(
-        std::iter::once("64-bit SRAM load / 64-bit FMA".into())
-            .chain(points.iter().map(|p| format!("{:.2}", p.ratio)))
-            .collect(),
-    );
+    t.row(vec![
+        "Operating Voltage".into(),
+        format!("{:.2}V", points[0].voltage),
+        format!("{:.2}V", points[1].voltage),
+        format!("{:.2}V", points[2].voltage),
+    ]);
+    t.row(vec![
+        "64-bit SRAM load / 64-bit FMA".into(),
+        format!("{:.2}", points[0].ratio),
+        format!("{:.2}", points[1].ratio),
+        format!("{:.2}", points[2].ratio),
+    ]);
     format!(
         "Table 1: Communication vs. computation energy (paper: 1.55 / 5.75 / 5.77)\n\n{}",
         t.render()
@@ -30,8 +30,10 @@ pub fn render() -> String {
 
 /// The twin of [`render`]: voltage and load/FMA ratio per node.
 pub fn json() -> Json {
+    let model = TechnologyModel::paper();
+    let labels = ["40nm", "10nm_hp", "10nm_lp"];
     let mut nodes = Json::obj();
-    for (label, point) in NODES.iter().zip(TechnologyModel::paper().table1()) {
+    for (label, point) in labels.iter().zip(model.table1()) {
         nodes.set(
             label,
             Json::obj()
