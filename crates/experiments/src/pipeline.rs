@@ -226,7 +226,7 @@ impl ToJson for BenchEval {
 /// focal kernels, or the 22 non-focal ones).
 #[derive(Debug)]
 pub struct EvalSuite {
-    /// Focal benchmarks, in the paper's order.
+    /// The suite's benchmarks, in the paper's order.
     pub benches: Vec<BenchEval>,
     /// The energy model used.
     pub energy: EnergyModel,
