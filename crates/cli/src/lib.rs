@@ -68,9 +68,7 @@ use amnesiac_isa::{disassemble, parse_asm, Program};
 use amnesiac_profile::profile_program;
 use amnesiac_sim::{ClassicCore, CoreConfig};
 use amnesiac_telemetry::JsonSink;
-use amnesiac_workloads::{
-    build_control, build_extended, build_focal, Scale, CONTROL_NAMES, EXTENDED_NAMES, FOCAL_NAMES,
-};
+use amnesiac_workloads::{workload, Scale};
 
 mod cluster;
 mod response;
@@ -98,7 +96,7 @@ pub struct Command {
     pub port: Option<u16>,
     /// Worker-pool size for the serve verbs (`--workers <n>`).
     pub workers: Option<usize>,
-    /// Admission-control bound for the serve verbs (`--backlog <n>`).
+    /// Admission-control bound of `serve` (`--backlog <n>`).
     pub backlog: Option<usize>,
     /// Per-request deadline for the serve verbs (`--timeout-ms <ms>`).
     pub timeout_ms: Option<u64>,
@@ -226,7 +224,8 @@ fn flag_value<'a>(
 ///
 /// Returns [`CliError::Usage`] on unknown verbs, missing targets,
 /// unknown flags, duplicated flags, or conflicting flags (`--scale`
-/// with `--paper-scale`, serve-only flags on non-serve verbs).
+/// with `--paper-scale`, serve-only flags on non-serve verbs, `--backlog`
+/// on `cluster`).
 pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
     let mut verb = None;
     let mut target = None;
@@ -358,6 +357,11 @@ pub fn parse_args(args: &[String]) -> Result<Command, CliError> {
             }
         }
     }
+    if verb == Verb::Cluster && backlog.is_some() {
+        return Err(CliError::Usage(
+            "--backlog only applies to serve, not cluster".into(),
+        ));
+    }
     let cacheable = matches!(verb, Verb::Compile | Verb::Disasm | Verb::Verify) || serve_verb;
     if cache_dir.is_some() && !cacheable {
         return Err(CliError::Usage(
@@ -415,16 +419,9 @@ pub fn load_program(target: &str, paper_scale: bool) -> Result<Program, CliError
         } else {
             Scale::Test
         };
-        let workload = if FOCAL_NAMES.contains(&name) {
-            build_focal(name, scale)
-        } else if CONTROL_NAMES.contains(&name) {
-            build_control(name, scale)
-        } else if EXTENDED_NAMES.contains(&name) {
-            build_extended(name, scale)
-        } else {
-            return Err(CliError::Tool(format!("unknown benchmark `{name}`")));
-        };
-        return Ok(workload.program);
+        return workload(name, scale)
+            .map(|w| w.program)
+            .ok_or_else(|| CliError::Tool(format!("unknown benchmark `{name}`")));
     }
     let bytes = std::fs::read(target)
         .map_err(|e| CliError::Tool(format!("cannot read `{target}`: {e}")))?;
@@ -945,6 +942,13 @@ mod tests {
                 }
                 other => panic!("{flag}: expected usage error, got {other:?}"),
             }
+        }
+        // the router has no admission backlog of its own
+        match parse_args(&args(&["cluster", "--backlog", "4"])) {
+            Err(CliError::Usage(msg)) => {
+                assert_eq!(msg, "--backlog only applies to serve, not cluster")
+            }
+            other => panic!("expected usage error, got {other:?}"),
         }
         // a flag in a value position is a missing value, not a value
         match parse_args(&args(&["verify", "--json", "--scale", "test"])) {

@@ -15,14 +15,11 @@ use crate::report::Table;
 /// capacities; returns `(EDP gain %, forced loads, fired)`.
 fn run_with_structures(
     bench: &BenchEval,
-    energy: &EnergyModel,
     sfile: usize,
     hist: usize,
     ibuff: usize,
 ) -> (f64, u64, u64) {
     let config = AmnesicConfig {
-        core: CoreConfig::with_energy(energy.clone()),
-        policy: Policy::Compiler,
         sfile_capacity: sfile,
         hist_capacity: hist,
         ibuff_capacity: ibuff,
@@ -49,7 +46,7 @@ pub fn structure_sizing(suite: &EvalSuite) -> String {
     for bench in &suite.benches {
         let mut cells = vec![bench.name.to_string()];
         for &size in &sizes {
-            let (gain, _, _) = run_with_structures(bench, &suite.energy, size, 600, size);
+            let (gain, _, _) = run_with_structures(bench, size, 600, size);
             cells.push(format!("{gain:+.1}"));
         }
         t.row(cells);
@@ -71,7 +68,7 @@ pub fn hist_sizing(suite: &EvalSuite) -> String {
         let mut cells = vec![bench.name.to_string()];
         let mut forced_at_zero = 0;
         for &size in &sizes {
-            let (gain, forced, _) = run_with_structures(bench, &suite.energy, 256, size, 256);
+            let (gain, forced, _) = run_with_structures(bench, 256, size, 256);
             if size == 0 {
                 forced_at_zero = forced;
             }
@@ -98,7 +95,7 @@ pub fn probe_cost(suite: &EvalSuite) -> String {
         let mut cells = vec![bench.name.to_string()];
         for &factor in &factors {
             for policy in [Policy::Flc, Policy::Llc] {
-                let mut energy = suite.energy.clone();
+                let mut energy = EnergyModel::paper();
                 energy.probe_nj = [energy.probe_nj[0] * factor, energy.probe_nj[1] * factor];
                 let config = AmnesicConfig {
                     core: CoreConfig::with_energy(energy),
@@ -127,11 +124,7 @@ pub fn predictor_policy(suite: &EvalSuite) -> String {
     let mut t = Table::new(&["bench", "FLC EDP%", "LLC EDP%", "Pred EDP%", "mispredict %"]);
     for bench in &suite.benches {
         let run_policy = |policy| {
-            let config = AmnesicConfig {
-                core: CoreConfig::with_energy(suite.energy.clone()),
-                ..AmnesicConfig::paper(policy)
-            };
-            AmnesicCore::new(config)
+            AmnesicCore::new(AmnesicConfig::paper(policy))
                 .run(&bench.prob_binary)
                 .expect("run succeeds")
         };
@@ -190,7 +183,6 @@ pub fn store_elision_applied(suite: &EvalSuite) -> String {
             .expect("elision succeeds");
         let run = |binary: &amnesiac_isa::Program| {
             let config = AmnesicConfig {
-                core: CoreConfig::with_energy(suite.energy.clone()),
                 check_values: false,
                 ..AmnesicConfig::paper(Policy::Compiler)
             };
@@ -283,7 +275,7 @@ pub fn prefetch_interaction(suite: &EvalSuite) -> String {
         "EDP% amnesic+prefetch",
     ]);
     for bench in &suite.benches {
-        let mut config = CoreConfig::with_energy(suite.energy.clone());
+        let mut config = CoreConfig::paper();
         config.hierarchy = HierarchyConfig::paper_with_prefetch();
         // baseline without prefetch is the suite's classic run
         let classic = &bench.classic;
@@ -292,12 +284,8 @@ pub fn prefetch_interaction(suite: &EvalSuite) -> String {
             .expect("classic+prefetch runs");
         let (profile_pf, _) =
             profile_program(&bench.program, &config).expect("profiles under prefetch");
-        let options = CompileOptions {
-            energy: suite.energy.clone(),
-            ..CompileOptions::default()
-        };
-        let (binary_pf, _) =
-            compile(&bench.program, &profile_pf, &options).expect("compiles under prefetch");
+        let (binary_pf, _) = compile(&bench.program, &profile_pf, &CompileOptions::default())
+            .expect("compiles under prefetch");
         let amnesic_pf = AmnesicCore::new(AmnesicConfig {
             core: config,
             ..AmnesicConfig::paper(Policy::Compiler)
@@ -332,7 +320,6 @@ pub fn offload(suite: &EvalSuite) -> String {
     for bench in &suite.benches {
         let run = |offload: bool| {
             let config = AmnesicConfig {
-                core: CoreConfig::with_energy(suite.energy.clone()),
                 offload,
                 ..AmnesicConfig::paper(Policy::Compiler)
             };

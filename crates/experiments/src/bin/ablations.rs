@@ -1,15 +1,11 @@
 //! Runs the ablation studies (structure sizing, Hist capacity, probe cost,
-//! technology trend).
-use amnesiac_experiments::{ablations, EvalSuite};
-use amnesiac_workloads::Scale;
+//! technology trend). Pass `--test-scale` for a quick run; any other
+//! argument is a usage error (exit 2).
+use amnesiac_experiments::{ablations, DriverArgs, EvalSuite};
 
 fn main() {
-    let scale = if std::env::args().any(|a| a == "--test-scale") {
-        Scale::Test
-    } else {
-        Scale::Paper
-    };
-    let suite = EvalSuite::compute(scale);
+    let args = DriverArgs::from_env("ablations", false);
+    let suite = EvalSuite::compute(args.scale);
     println!("{}", ablations::predictor_policy(&suite));
     println!("{}", ablations::store_elision_applied(&suite));
     println!("{}", ablations::offload(&suite));

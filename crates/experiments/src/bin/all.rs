@@ -1,20 +1,14 @@
 //! Regenerates every table and figure of the paper in one run. Pass
 //! `--test-scale` for a quick run and `--json <dir>` to also write the
-//! machine-readable twins.
+//! machine-readable twins; any other argument is a usage error (exit 2).
 use amnesiac_experiments::{
     ablations, export, fig3, fig6, fig7, fig8, table1, table2, table3, table4, table5, table6,
-    EvalSuite,
+    DriverArgs, EvalSuite,
 };
 use amnesiac_telemetry::JsonSink;
-use amnesiac_workloads::Scale;
 
 fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let scale = if args.iter().any(|a| a == "--test-scale") {
-        Scale::Test
-    } else {
-        Scale::Paper
-    };
+    let DriverArgs { scale, json_dir } = DriverArgs::from_env("all", true);
     println!("{}", table1::render());
     println!("{}", table2::render());
     println!("{}", table3::render());
@@ -30,7 +24,7 @@ fn main() {
     println!("{}", ablations::store_elision(&suite));
     let table6_rows = table6::rows(scale);
     println!("{}", table6::render(&table6_rows));
-    if let Some(dir) = export::json_dir_from_args(&args) {
+    if let Some(dir) = json_dir {
         let sink = JsonSink::new(&dir);
         let table6 = ("table6.json", table6::json(&table6_rows));
         for (name, json) in export::artifacts(&suite).into_iter().chain([table6]) {

@@ -6,8 +6,6 @@
 //! conventions: ordered objects, `*_pct`/`*_nj`/`*_ms` unit suffixes,
 //! non-finite floats as `null`.
 
-use std::path::PathBuf;
-
 use amnesiac_telemetry::{Json, ToJson};
 
 use crate::pipeline::EvalSuite;
@@ -30,15 +28,6 @@ pub fn artifacts(suite: &EvalSuite) -> Vec<(&'static str, Json)> {
         ("table1.json", table1::json()),
         ("table2.json", table2::json()),
     ]
-}
-
-/// Extracts `--json <dir>` from an argument list (the experiment drivers'
-/// shared flag for machine-readable twins). Returns `None` when absent.
-pub fn json_dir_from_args(args: &[String]) -> Option<PathBuf> {
-    args.iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from)
 }
 
 #[cfg(test)]

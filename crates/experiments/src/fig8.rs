@@ -1,6 +1,7 @@
 //! Fig. 8: value locality of the loads swapped for recomputation by the
 //! Compiler policy, and the memoization-orthogonality argument of §5.6.
 
+use amnesiac_energy::EnergyModel;
 use amnesiac_telemetry::Json;
 
 use crate::pipeline::EvalSuite;
@@ -77,7 +78,8 @@ pub fn json(suite: &EvalSuite) -> Json {
 /// L1-D lookup cost, hitting at the measured value-locality rate), and
 /// under recomputation (the slice's fire cost).
 pub fn memoization_comparison(suite: &EvalSuite) -> String {
-    let lookup_nj = suite.energy.hist_read_nj; // a table lookup ≈ L1-D
+    let energy = EnergyModel::paper();
+    let lookup_nj = energy.hist_read_nj; // a table lookup ≈ L1-D
     let mut t = Table::new(&[
         "bench",
         "locality %",
@@ -95,7 +97,7 @@ pub fn memoization_comparison(suite: &EvalSuite) -> String {
             if !selected.contains(&site.pc) {
                 continue;
             }
-            let e = suite.energy.probabilistic_load_energy(site.probabilities());
+            let e = energy.probabilistic_load_energy(site.probabilities());
             locality += site.value_locality() * site.count as f64;
             classic_nj += e * site.count as f64;
             weight += site.count;

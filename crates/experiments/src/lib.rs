@@ -13,7 +13,8 @@
 //! artifact's rows from that data once, and renders both its text and its
 //! JSON twin from those rows; [`export`] lists the twins. The `all` binary
 //! computes the suite once and renders everything (this is what
-//! EXPERIMENTS.md records).
+//! EXPERIMENTS.md records); [`DriverArgs`] is the command line the `all`,
+//! `ablations` and `controls` drivers share.
 //!
 //! | module | paper artifact |
 //! |---|---|
@@ -32,6 +33,7 @@
 //! | [`lint`] | abstract-interpretation lint sweep (`amnesiac lint`) |
 
 pub mod ablations;
+pub mod args;
 pub mod export;
 pub mod fig3;
 pub mod fig6;
@@ -48,6 +50,7 @@ pub mod table5;
 pub mod table6;
 pub mod verification;
 
+pub use args::DriverArgs;
 pub use lint::LintSweep;
 pub use pipeline::{BenchEval, EvalSuite, PolicyOutcome};
 pub use verification::VerifySweep;

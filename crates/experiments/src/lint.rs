@@ -16,15 +16,11 @@
 //! The `verify` sweep ([`crate::VerifySweep`]) reads this same
 //! computation with the looser pass condition of zero Errors.
 
-use amnesiac_energy::EnergyModel;
 use amnesiac_profile::profile_program;
 use amnesiac_sim::CoreConfig;
 use amnesiac_telemetry::{Json, ToJson};
 use amnesiac_verify::VerifyReport;
-use amnesiac_workloads::{
-    build_control, build_extended, build_focal, Scale, Workload, CONTROL_NAMES, EXTENDED_NAMES,
-    FOCAL_NAMES,
-};
+use amnesiac_workloads::{all_workloads, Scale, Workload, FOCAL_NAMES};
 
 use amnesiac_compiler::{compile, CompileOptions};
 
@@ -118,13 +114,7 @@ impl LintSweep {
     /// Compiles and lints all 33 built-in workloads at `scale`, one task
     /// per workload, in Table-2 order.
     pub fn compute(scale: Scale) -> Self {
-        let workloads: Vec<Workload> = FOCAL_NAMES
-            .iter()
-            .map(|n| build_focal(n, scale))
-            .chain(CONTROL_NAMES.iter().map(|n| build_control(n, scale)))
-            .chain(EXTENDED_NAMES.iter().map(|n| build_extended(n, scale)))
-            .collect();
-        let results = fan_out(workloads, |w| Self::lint_workload(&w));
+        let results = fan_out(all_workloads(scale), |w| Self::lint_workload(&w));
         LintSweep { workloads: results }
     }
 
@@ -142,10 +132,6 @@ impl LintSweep {
                 ("probabilistic", CompileOptions::default()),
                 ("oracle", CompileOptions::oracle()),
             ] {
-                let options = CompileOptions {
-                    energy: EnergyModel::paper(),
-                    ..options
-                };
                 let (binary, report) = compile(&workload.program, &profile, &options)
                     .map_err(|e| format!("{slice_set} compile failed: {e}"))?;
                 binaries.push(LintedBinary {
@@ -324,6 +310,7 @@ impl ToJson for LintSweep {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amnesiac_workloads::build_focal;
 
     #[test]
     fn focal_workload_lints_clean() {

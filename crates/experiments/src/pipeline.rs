@@ -8,15 +8,11 @@ use std::thread;
 
 use amnesiac_compiler::{compile, CompileOptions, CompileReport};
 use amnesiac_core::{AmnesicConfig, AmnesicCore, AmnesicRunResult, Policy};
-use amnesiac_energy::EnergyModel;
 use amnesiac_isa::Program;
 use amnesiac_profile::{profile_program, ProgramProfile};
 use amnesiac_sim::{CoreConfig, RunResult};
 use amnesiac_telemetry::{Json, ToJson};
-use amnesiac_workloads::{
-    build_control, build_extended, build_focal, Scale, Workload, CONTROL_NAMES, EXTENDED_NAMES,
-    FOCAL_NAMES,
-};
+use amnesiac_workloads::{Kernel, Scale, Workload, FOCAL_NAMES, KERNELS};
 
 /// The paper's five evaluated configurations, in Fig. 3 legend order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -79,30 +75,22 @@ pub struct BenchEval {
 }
 
 impl BenchEval {
-    /// Runs the full pipeline for one benchmark under an energy model.
+    /// Runs the full pipeline for one benchmark on the paper's machine and
+    /// energy model.
     ///
     /// # Panics
     ///
     /// Panics if any stage fails — the suite is deterministic, so a failure
     /// is a bug, not an input condition.
-    pub fn compute(workload: Workload, energy: &EnergyModel) -> Self {
-        let config = CoreConfig::with_energy(energy.clone());
-        let (profile, classic) =
-            profile_program(&workload.program, &config).expect("profiling run succeeds");
-
-        let prob_options = CompileOptions {
-            energy: energy.clone(),
-            ..CompileOptions::default()
-        };
+    pub fn compute(workload: Workload) -> Self {
+        let (profile, classic) = profile_program(&workload.program, &CoreConfig::paper())
+            .expect("profiling run succeeds");
         let (prob_binary, prob_report) =
-            compile(&workload.program, &profile, &prob_options).expect("compile succeeds");
-
-        let oracle_options = CompileOptions {
-            energy: energy.clone(),
-            ..CompileOptions::oracle()
-        };
+            compile(&workload.program, &profile, &CompileOptions::default())
+                .expect("compile succeeds");
         let (oracle_binary, oracle_report) =
-            compile(&workload.program, &profile, &oracle_options).expect("compile succeeds");
+            compile(&workload.program, &profile, &CompileOptions::oracle())
+                .expect("compile succeeds");
 
         let runs = PolicyOutcome::ALL
             .iter()
@@ -114,11 +102,7 @@ impl BenchEval {
                     PolicyOutcome::Flc => (Policy::Flc, &prob_binary),
                     PolicyOutcome::Llc => (Policy::Llc, &prob_binary),
                 };
-                let amnesic_config = AmnesicConfig {
-                    core: config.clone(),
-                    ..AmnesicConfig::paper(policy)
-                };
-                let result = AmnesicCore::new(amnesic_config)
+                let result = AmnesicCore::new(AmnesicConfig::paper(policy))
                     .run(binary)
                     .expect("amnesic run succeeds");
                 assert_eq!(
@@ -223,13 +207,12 @@ impl ToJson for BenchEval {
 }
 
 /// The whole evaluation: one [`BenchEval`] per benchmark of a suite (the
-/// focal kernels, or the 22 non-focal ones).
+/// focal kernels, or the 22 non-focal ones), all on the paper's machine
+/// and energy model.
 #[derive(Debug)]
 pub struct EvalSuite {
     /// The suite's benchmarks, in the paper's order.
     pub benches: Vec<BenchEval>,
-    /// The energy model used.
-    pub energy: EnergyModel,
 }
 
 /// Maps `f` over `items` on scoped threads and returns the results in
@@ -268,38 +251,22 @@ impl EvalSuite {
     /// Computes the suite for the 11 focal benchmarks (in parallel, one
     /// task per benchmark).
     pub fn compute(scale: Scale) -> Self {
-        Self::of(
-            FOCAL_NAMES
-                .iter()
-                .map(|name| build_focal(name, scale))
-                .collect(),
-        )
+        Self::of(&KERNELS[..FOCAL_NAMES.len()], scale)
     }
 
     /// Computes "the rest": the 22 non-focal benchmarks of Table 2
     /// (5 controls + 17 extended), in parallel.
     pub fn compute_rest(scale: Scale) -> Self {
-        Self::of(
-            CONTROL_NAMES
-                .iter()
-                .map(|name| build_control(name, scale))
-                .chain(
-                    EXTENDED_NAMES
-                        .iter()
-                        .map(|name| build_extended(name, scale)),
-                )
-                .collect(),
-        )
+        Self::of(&KERNELS[FOCAL_NAMES.len()..], scale)
     }
 
-    /// Runs the full pipeline for every workload under the paper's energy
-    /// model, fanned out with [`fan_out`]. Results keep input order, so
-    /// suite records are identical to a sequential pass.
-    fn of(workloads: Vec<Workload>) -> Self {
-        let energy = EnergyModel::paper();
+    /// Builds `kernels` at `scale` and runs the full pipeline for each,
+    /// fanned out with [`fan_out`]. Results keep input order, so suite
+    /// records are identical to a sequential pass.
+    fn of(kernels: &[Kernel], scale: Scale) -> Self {
+        let workloads = kernels.iter().map(|k| k.build(scale)).collect();
         EvalSuite {
-            benches: fan_out(workloads, |w| BenchEval::compute(w, &energy)),
-            energy,
+            benches: fan_out(workloads, BenchEval::compute),
         }
     }
 
@@ -331,16 +298,20 @@ impl ToJson for EvalSuite {
 /// A one-benchmark suite at test scale, for the artifact modules' tests.
 #[cfg(test)]
 pub(crate) fn tiny_suite(name: &str) -> EvalSuite {
-    EvalSuite::of(vec![build_focal(name, Scale::Test)])
+    let workload = amnesiac_workloads::build_focal(name, Scale::Test);
+    EvalSuite {
+        benches: vec![BenchEval::compute(workload)],
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amnesiac_workloads::{build_focal, workload};
 
     #[test]
     fn pipeline_runs_one_benchmark_end_to_end() {
-        let eval = BenchEval::compute(build_focal("is", Scale::Test), &EnergyModel::paper());
+        let eval = BenchEval::compute(build_focal("is", Scale::Test));
         assert_eq!(eval.runs.len(), 5);
         // all runs agree with classic on output (asserted inside compute);
         // gains are finite numbers
@@ -351,10 +322,7 @@ mod tests {
 
     #[test]
     fn controls_do_not_explode() {
-        let eval = BenchEval::compute(
-            build_control("swaptions", Scale::Test),
-            &EnergyModel::paper(),
-        );
+        let eval = BenchEval::compute(workload("swaptions", Scale::Test).unwrap());
         // a compute-bound kernel gains (or loses) next to nothing
         let gain = eval.edp_gain(PolicyOutcome::Compiler);
         assert!(gain.abs() < 10.0, "swaptions moved {gain}%");
@@ -370,7 +338,7 @@ mod tests {
     fn zero_classic_baseline_yields_zero_gain_not_nan() {
         // A degenerate baseline (0 nJ, 0 cycles ⇒ 0 EDP) must not poison
         // gains with NaN/∞ — responders() compares them against thresholds.
-        let mut eval = BenchEval::compute(build_focal("is", Scale::Test), &EnergyModel::paper());
+        let mut eval = BenchEval::compute(build_focal("is", Scale::Test));
         eval.classic.account = amnesiac_energy::EnergyAccount::new();
         for outcome in PolicyOutcome::ALL {
             assert_eq!(eval.edp_gain(outcome), 0.0);
@@ -379,7 +347,6 @@ mod tests {
         }
         let suite = EvalSuite {
             benches: vec![eval],
-            energy: EnergyModel::paper(),
         };
         assert_eq!(suite.responders(5.0), 0);
     }
@@ -443,11 +410,11 @@ mod tests {
     fn pooled_fanout_matches_sequential_byte_for_byte() {
         // the suite must be bitwise independent of how it was scheduled:
         // same binaries, same records
-        let names = &FOCAL_NAMES[..2];
-        let fanned = EvalSuite::of(names.iter().map(|n| build_focal(n, Scale::Test)).collect());
-        assert_eq!(fanned.benches.len(), names.len());
-        for (p, name) in fanned.benches.iter().zip(names) {
-            let s = BenchEval::compute(build_focal(name, Scale::Test), &EnergyModel::paper());
+        let kernels = &KERNELS[..2];
+        let fanned = EvalSuite::of(kernels, Scale::Test);
+        assert_eq!(fanned.benches.len(), kernels.len());
+        for (p, kernel) in fanned.benches.iter().zip(kernels) {
+            let s = BenchEval::compute(kernel.build(Scale::Test));
             assert_eq!(p.name, s.name, "fan_out must preserve input order");
             assert_eq!(p.prob_binary.instructions, s.prob_binary.instructions);
             assert_eq!(p.oracle_binary.instructions, s.oracle_binary.instructions);

@@ -8,7 +8,7 @@ use amnesiac_energy::EnergyModel;
 use amnesiac_profile::{profile_program, ProgramProfile};
 use amnesiac_sim::{ClassicCore, CoreConfig};
 use amnesiac_telemetry::Json;
-use amnesiac_workloads::{build_focal, Scale, FOCAL_NAMES};
+use amnesiac_workloads::{Scale, FOCAL_NAMES, KERNELS};
 
 use crate::pipeline::{fan_out, pct_gain};
 use crate::report::Table;
@@ -67,10 +67,10 @@ pub fn break_even(program: &amnesiac_isa::Program, profile: &ProgramProfile) -> 
 /// `(name, Some(factor))`, or `(name, None)` when the benchmark still gains
 /// at [`MAX_FACTOR`]. [`render`] and [`json`] read these rows.
 pub fn rows(scale: Scale) -> Vec<(&'static str, Option<f64>)> {
-    fan_out(FOCAL_NAMES.to_vec(), |name| {
-        let w = build_focal(name, scale);
+    fan_out(KERNELS[..FOCAL_NAMES.len()].to_vec(), |kernel| {
+        let w = kernel.build(scale);
         let (profile, _) = profile_program(&w.program, &CoreConfig::paper()).expect("profiles");
-        (name, break_even(&w.program, &profile))
+        (w.name, break_even(&w.program, &profile))
     })
 }
 
@@ -112,6 +112,7 @@ pub fn json(rows: &[(&str, Option<f64>)]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use amnesiac_workloads::build_focal;
 
     #[test]
     fn dear_compute_turns_amnesic_off() {

@@ -6,32 +6,23 @@
 
 use amnesiac_absint::{Analysis, SliceVerdict};
 use amnesiac_compiler::{compile, replay_validate, CompileOptions, CompileReport};
-use amnesiac_energy::EnergyModel;
 use amnesiac_isa::Program;
 use amnesiac_profile::profile_program;
 use amnesiac_sim::CoreConfig;
 use amnesiac_verify::Severity;
-use amnesiac_workloads::{build_control, build_focal, Scale, FOCAL_NAMES};
+use amnesiac_workloads::{workload, Scale, FOCAL_NAMES};
 
 /// Compiles both slice sets of a workload, returning `(set, binary, report)`.
-fn compile_both(name: &str, focal: bool) -> Vec<(&'static str, Program, CompileReport)> {
+fn compile_both(name: &str) -> Vec<(&'static str, Program, CompileReport)> {
     let config = CoreConfig::paper();
-    let w = if focal {
-        build_focal(name, Scale::Test)
-    } else {
-        build_control(name, Scale::Test)
-    };
+    let w = workload(name, Scale::Test).unwrap();
     let (profile, _) = profile_program(&w.program, &config).unwrap();
     [
         ("probabilistic", CompileOptions::default()),
         ("oracle", CompileOptions::oracle()),
     ]
     .into_iter()
-    .map(|(set, base)| {
-        let options = CompileOptions {
-            energy: EnergyModel::paper(),
-            ..base
-        };
+    .map(|(set, options)| {
         let (binary, report) = compile(&w.program, &profile, &options).unwrap();
         (set, binary, report)
     })
@@ -49,7 +40,7 @@ fn verdicts(binary: &Program) -> Vec<SliceVerdict> {
 
 #[test]
 fn rt_slice_proves_statically_and_skips_its_round() {
-    for (set, binary, report) in compile_both("rt", true) {
+    for (set, binary, report) in compile_both("rt") {
         if binary.slices.is_empty() {
             continue;
         }
@@ -71,7 +62,7 @@ fn data_dependent_slices_stay_dynamic() {
     // bfs: reachability invariant (every visited cell holds 7). Neither is
     // in reach of the prover — replay must remain the oracle.
     for name in ["is", "bfs"] {
-        for (set, binary, report) in compile_both(name, true) {
+        for (set, binary, report) in compile_both(name) {
             if binary.slices.is_empty() {
                 continue;
             }
@@ -90,13 +81,8 @@ fn data_dependent_slices_stay_dynamic() {
 
 #[test]
 fn focal_suite_has_no_unexplained_warnings() {
-    let names: Vec<(&str, bool)> = FOCAL_NAMES
-        .iter()
-        .map(|n| (*n, true))
-        .chain([("hotspot", false)])
-        .collect();
-    for (name, focal) in names {
-        for (set, _, report) in compile_both(name, focal) {
+    for name in FOCAL_NAMES.into_iter().chain(["hotspot"]) {
+        for (set, _, report) in compile_both(name) {
             for d in &report.verify.diagnostics {
                 assert_eq!(report.verify.error_count(), 0, "{name}/{set}: {d}");
                 assert!(
@@ -114,13 +100,8 @@ fn statically_approved_skips_are_replay_exact() {
     // validation round was skipped) must still replay bit-exactly when the
     // dynamic oracle is forced to run.
     let mut checked = 0;
-    let names: Vec<(&str, bool)> = FOCAL_NAMES
-        .iter()
-        .map(|n| (*n, true))
-        .chain([("hotspot", false)])
-        .collect();
-    for (name, focal) in names {
-        for (set, binary, _) in compile_both(name, focal) {
+    for name in FOCAL_NAMES.into_iter().chain(["hotspot"]) {
+        for (set, binary, _) in compile_both(name) {
             if binary.slices.is_empty() {
                 continue;
             }
@@ -154,7 +135,7 @@ fn statically_approved_skips_are_replay_exact() {
 fn focal_static_skip_ratio_meets_the_gate() {
     let (mut run, mut saved) = (0u64, 0u64);
     for name in FOCAL_NAMES {
-        for (_, _, report) in compile_both(name, true) {
+        for (_, _, report) in compile_both(name) {
             run += u64::from(report.validation_rounds);
             saved += u64::from(report.validation_rounds_saved_static);
         }

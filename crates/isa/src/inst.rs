@@ -350,19 +350,6 @@ impl Category {
         Category::Rtn,
         Category::Rec,
     ];
-
-    /// Returns `true` for the categories that access data memory under
-    /// classic execution (`Load`, `Store`).
-    pub fn is_memory(self) -> bool {
-        matches!(self, Category::Load | Category::Store)
-    }
-
-    /// Returns `true` for the "Non-mem" bucket of the paper's Table 4:
-    /// everything that is neither a load nor a store. The amnesic control
-    /// instructions count as non-memory overhead.
-    pub fn is_non_mem(self) -> bool {
-        !self.is_memory()
-    }
 }
 
 /// A single machine instruction.
@@ -589,10 +576,6 @@ mod tests {
         assert_eq!(FpOp::Div.category(), Category::FpDiv);
         assert_eq!(FpUnOp::Sqrt.category(), Category::FpDiv);
         assert_eq!(FpUnOp::Neg.category(), Category::FpAdd);
-        assert!(Category::Load.is_memory());
-        assert!(Category::Store.is_memory());
-        assert!(Category::Fma.is_non_mem());
-        assert!(Category::Rec.is_non_mem());
     }
 
     #[test]

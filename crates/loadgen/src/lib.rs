@@ -198,14 +198,12 @@ pub const PAPER_SWEEP: &[&str] = &[
 ];
 
 /// The listing sweep pool for `disasm`: every built-in kernel at test
-/// scale, as `bench:<name>` references, in suite order (focal, control,
-/// extended) — breadth for the listing side of the cache.
+/// scale, as `bench:<name>` references, in kernel-table order (focal,
+/// control, extended) — breadth for the listing side of the cache.
 fn listing_sweep_targets() -> Vec<String> {
-    amnesiac_workloads::FOCAL_NAMES
+    amnesiac_workloads::KERNELS
         .iter()
-        .chain(amnesiac_workloads::CONTROL_NAMES.iter())
-        .chain(amnesiac_workloads::EXTENDED_NAMES.iter())
-        .map(|name| format!("bench:{name}"))
+        .map(|k| format!("bench:{}", k.name))
         .collect()
 }
 

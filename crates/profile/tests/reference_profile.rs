@@ -18,7 +18,7 @@ use amnesiac_profile::{
 };
 use amnesiac_rng::Rng;
 use amnesiac_sim::{ClassicCore, CoreConfig, RunError};
-use amnesiac_workloads::{all_workloads, focal_workloads, Scale};
+use amnesiac_workloads::{all_workloads, build_focal, Scale, FOCAL_NAMES, KERNELS};
 
 /// The `Rc` provenance DAG.
 mod provenance {
@@ -569,9 +569,8 @@ fn every_workload_matches_the_reference_at_test_scale() {
 #[test]
 #[ignore = "paper scale: minutes in a debug build; run with --release"]
 fn focal_kernels_match_the_reference_at_paper_scale() {
-    let focal = focal_workloads(Scale::Paper);
-    assert_eq!(focal.len(), 11);
-    for workload in &focal {
+    for name in FOCAL_NAMES {
+        let workload = build_focal(name, Scale::Paper);
         assert_matches(&workload.program, &CoreConfig::paper());
     }
 }
@@ -582,14 +581,14 @@ fn focal_kernels_match_the_reference_at_paper_scale() {
 #[test]
 #[ignore = "paper scale: minutes in a debug build; run with --release"]
 fn serve_sweep_kernels_match_the_reference_at_paper_scale() {
-    let sweep: Vec<_> = all_workloads(Scale::Paper)
-        .into_iter()
-        .filter(|w| PAPER_SWEEP.contains(&w.name))
+    let sweep: Vec<_> = KERNELS
+        .iter()
+        .filter(|k| PAPER_SWEEP.contains(&k.name))
         .collect();
     assert_eq!(sweep.len(), PAPER_SWEEP.len());
     assert_eq!(sweep.len(), 17);
-    for workload in &sweep {
-        assert_matches(&workload.program, &CoreConfig::paper());
+    for kernel in sweep {
+        assert_matches(&kernel.build(Scale::Paper).program, &CoreConfig::paper());
     }
 }
 

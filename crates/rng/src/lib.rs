@@ -85,15 +85,6 @@ impl Rng {
         lo + self.below(hi - lo)
     }
 
-    /// A uniform value in the inclusive range `[lo, hi]`.
-    pub fn range_inclusive_u64(&mut self, lo: u64, hi: u64) -> u64 {
-        assert!(lo <= hi, "empty range {lo}..={hi}");
-        if lo == 0 && hi == u64::MAX {
-            return self.next_u64();
-        }
-        lo + self.below(hi - lo + 1)
-    }
-
     /// A uniform `usize` in `[lo, hi)`.
     pub fn range_usize(&mut self, lo: usize, hi: usize) -> usize {
         self.range_u64(lo as u64, hi as u64) as usize
@@ -198,11 +189,6 @@ mod tests {
             seen[r.range_usize(0, 4)] = true;
         }
         assert!(seen.iter().all(|&s| s), "all buckets reached: {seen:?}");
-        for _ in 0..100 {
-            let x = r.range_inclusive_u64(5, 6);
-            assert!((5..=6).contains(&x));
-        }
-        assert_eq!(r.range_inclusive_u64(3, 3), 3);
     }
 
     #[test]
@@ -222,13 +208,5 @@ mod tests {
         let mut sorted = v.clone();
         sorted.sort_unstable();
         assert_eq!(sorted, (0..50).collect::<Vec<_>>());
-    }
-
-    #[test]
-    fn full_u64_range_does_not_panic() {
-        let mut r = Rng::seed_from_u64(17);
-        for _ in 0..10 {
-            let _ = r.range_inclusive_u64(0, u64::MAX);
-        }
     }
 }

@@ -50,10 +50,13 @@ pub const PROTOCOL_VERSION: u64 = 2;
 
 /// Stable machine-readable error codes carried in `error.code`.
 pub mod code {
-    /// The request line was not valid JSON or not a valid request object.
+    /// The request line was not valid JSON or not a valid request object,
+    /// or it lacks what its verb needs: a program verb without a target,
+    /// or a `scale` other than `test` or `paper`.
     pub const BAD_REQUEST: &str = "bad_request";
-    /// The request was well-formed JSON but asked for something the API
-    /// rejects (unknown verb for the handler, missing target, bad scale).
+    /// The request was well-formed but asked for something the handler
+    /// does not do: a verb it does not answer (an unknown verb, or a
+    /// lifecycle verb that reached it) or `experiments` with a target.
     pub const USAGE: &str = "usage";
     /// The toolchain failed while executing the request (compile error,
     /// unknown benchmark, diverging policy, …).

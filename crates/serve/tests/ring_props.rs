@@ -3,16 +3,14 @@
 //! the paper's 33-benchmark deployment across a small cluster.
 
 use amnesiac_serve::{Membership, Ring, WorkerId};
-use amnesiac_workloads::{CONTROL_NAMES, EXTENDED_NAMES, FOCAL_NAMES};
+use amnesiac_workloads::KERNELS;
 
 /// The 33 `bench:NAME` routing keys of the full Table 2 deployment —
 /// exactly what the cluster routes in practice.
 fn workload_keys() -> Vec<String> {
-    FOCAL_NAMES
+    KERNELS
         .iter()
-        .chain(CONTROL_NAMES.iter())
-        .chain(EXTENDED_NAMES.iter())
-        .map(|name| format!("bench:{name}"))
+        .map(|k| format!("bench:{}", k.name))
         .collect()
 }
 

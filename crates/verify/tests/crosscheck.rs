@@ -12,8 +12,7 @@ use amnesiac_sim::CoreConfig;
 use amnesiac_telemetry::ToJson;
 use amnesiac_verify::verify;
 use amnesiac_workloads::{
-    build_control, build_extended, build_focal, Scale, Workload, CONTROL_NAMES, EXTENDED_NAMES,
-    FOCAL_NAMES,
+    build_focal, workload, Scale, Workload, CONTROL_NAMES, EXTENDED_NAMES, FOCAL_NAMES,
 };
 
 const REPLAY_FUSE: u64 = 50_000_000;
@@ -62,8 +61,8 @@ fn sampled_controls_and_extended_workloads_agree_with_replay() {
     let mut rng = Rng::seed_from_u64(0xC0550);
     for _ in 0..3 {
         let c = CONTROL_NAMES[rng.below(CONTROL_NAMES.len() as u64) as usize];
-        check(&build_control(c, Scale::Test));
+        check(&workload(c, Scale::Test).unwrap());
         let e = EXTENDED_NAMES[rng.below(EXTENDED_NAMES.len() as u64) as usize];
-        check(&build_extended(e, Scale::Test));
+        check(&workload(e, Scale::Test).unwrap());
     }
 }

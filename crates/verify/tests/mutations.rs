@@ -10,10 +10,7 @@ use amnesiac_profile::profile_program;
 use amnesiac_rng::Rng;
 use amnesiac_sim::CoreConfig;
 use amnesiac_verify::{verify, DiagnosticKind};
-use amnesiac_workloads::{
-    build_control, build_extended, build_focal, Scale, Workload, CONTROL_NAMES, EXTENDED_NAMES,
-    FOCAL_NAMES,
-};
+use amnesiac_workloads::{all_workloads, Scale, Workload};
 
 /// Compiles a workload into a verifier-clean annotated binary.
 fn annotated(workload: &Workload) -> Program {
@@ -27,17 +24,9 @@ fn annotated(workload: &Workload) -> Program {
 /// Binaries across all three suites that actually carry slices (many
 /// test-scale kernels swap nothing, which would make a mutation vacuous).
 fn sliced_binaries() -> Vec<Program> {
-    let workloads = FOCAL_NAMES
+    all_workloads(Scale::Test)
         .iter()
-        .map(|n| build_focal(n, Scale::Test))
-        .chain(CONTROL_NAMES.iter().map(|n| build_control(n, Scale::Test)))
-        .chain(
-            EXTENDED_NAMES
-                .iter()
-                .map(|n| build_extended(n, Scale::Test)),
-        );
-    workloads
-        .map(|w| annotated(&w))
+        .map(annotated)
         .filter(|b| !b.slices.is_empty())
         .collect()
 }

@@ -20,7 +20,7 @@ use amnesiac_profile::profile_program;
 use amnesiac_sim::CoreConfig;
 use amnesiac_telemetry::ToJson;
 use amnesiac_verify::verify;
-use amnesiac_workloads::{all_workloads, Scale, Workload, FOCAL_NAMES};
+use amnesiac_workloads::{all_workloads, Scale, Workload, FOCAL_NAMES, KERNELS};
 
 /// `(name, [compile report, image, verify and verdicts])` digests.
 type Pin = (&'static str, [u128; 3]);
@@ -139,11 +139,12 @@ fn check(workloads: &[Workload], pins: &[Pin]) {
     );
 }
 
-/// The paper-scale workloads whose names satisfy `keep`.
+/// The paper-scale workloads whose names satisfy `keep`, built alone.
 fn paper_workloads(keep: impl Fn(&str) -> bool) -> Vec<Workload> {
-    all_workloads(Scale::Paper)
-        .into_iter()
-        .filter(|w| keep(w.name))
+    KERNELS
+        .iter()
+        .filter(|k| keep(k.name))
+        .map(|k| k.build(Scale::Paper))
         .collect()
 }
 

@@ -16,6 +16,11 @@
 //! controls stand in for "the rest" — benchmarks the paper reports as not
 //! benefiting.
 //!
+//! Each kernel is one row of [`KERNELS`] — its name, suite and builder —
+//! in Table-2 order. [`workload`] builds a kernel by name; the name arrays
+//! ([`FOCAL_NAMES`], [`CONTROL_NAMES`], [`EXTENDED_NAMES`]) are the
+//! table's three runs of rows, so a name cannot exist without a builder.
+//!
 //! | name | models | pattern |
 //! |---|---|---|
 //! | `mcf` | SPEC mcf | pointer-chasing reduced-cost updates over a memory-resident arc array |
@@ -66,261 +71,168 @@ pub enum Scale {
     Paper,
 }
 
-/// A named, buildable benchmark.
+/// A built benchmark: a row of [`KERNELS`] and the program its builder
+/// made.
 #[derive(Debug, Clone)]
 pub struct Workload {
     /// Short name used in the paper's figures (e.g. `"sx"`).
     pub name: &'static str,
-    /// The benchmark this kernel models.
-    pub models: &'static str,
     /// Originating suite.
     pub suite: Suite,
     /// The built program.
     pub program: Program,
 }
 
+/// One row of [`KERNELS`]: a built-in kernel's name, suite and builder.
+#[derive(Debug, Clone, Copy)]
+pub struct Kernel {
+    /// Short name used in the paper's figures and in `bench:NAME` targets.
+    pub name: &'static str,
+    /// Originating suite.
+    pub suite: Suite,
+    program: fn(Scale) -> Program,
+}
+
+impl Kernel {
+    const fn new(name: &'static str, suite: Suite, program: fn(Scale) -> Program) -> Self {
+        Kernel {
+            name,
+            suite,
+            program,
+        }
+    }
+
+    /// Builds this kernel at `scale`.
+    pub fn build(&self, scale: Scale) -> Workload {
+        Workload {
+            name: self.name,
+            suite: self.suite,
+            program: (self.program)(scale),
+        }
+    }
+}
+
+/// Every built-in kernel, in Table-2 order: the 11 focal kernels in the
+/// paper's figure order, the 5 compute-bound controls, then the 17
+/// kernels that complete the paper's 33-benchmark deployment.
+/// [`FOCAL_NAMES`], [`CONTROL_NAMES`] and [`EXTENDED_NAMES`] are its three
+/// runs of rows.
+pub const KERNELS: &[Kernel] = &[
+    Kernel::new("mcf", Suite::Spec, spec::mcf),
+    Kernel::new("sx", Suite::Spec, spec::sphinx3),
+    Kernel::new("cg", Suite::Nas, nas::cg),
+    Kernel::new("is", Suite::Nas, nas::is),
+    Kernel::new("ca", Suite::Parsec, parsec::canneal),
+    Kernel::new("fs", Suite::Parsec, parsec::facesim),
+    Kernel::new("fe", Suite::Parsec, parsec::ferret),
+    Kernel::new("rt", Suite::Parsec, parsec::raytrace),
+    Kernel::new("bp", Suite::Rodinia, rodinia::backprop),
+    Kernel::new("bfs", Suite::Rodinia, rodinia::bfs),
+    Kernel::new("sr", Suite::Rodinia, rodinia::srad),
+    Kernel::new("blackscholes", Suite::Control, control::blackscholes),
+    Kernel::new("swaptions", Suite::Control, control::swaptions),
+    Kernel::new("freqmine", Suite::Control, control::freqmine),
+    Kernel::new("kmeans", Suite::Control, control::kmeans),
+    Kernel::new("hotspot", Suite::Control, control::hotspot),
+    Kernel::new("perlbench", Suite::Spec, extended::perlbench),
+    Kernel::new("gobmk", Suite::Spec, extended::gobmk),
+    Kernel::new("calculix", Suite::Spec, extended::calculix),
+    Kernel::new("GemsFDTD", Suite::Spec, extended::gemsfdtd),
+    Kernel::new("libquantum", Suite::Spec, extended::libquantum),
+    Kernel::new("soplex", Suite::Spec, extended::soplex),
+    Kernel::new("lbm", Suite::Spec, extended::lbm),
+    Kernel::new("omnetpp", Suite::Spec, extended::omnetpp),
+    Kernel::new("mg", Suite::Nas, extended::mg),
+    Kernel::new("ft", Suite::Nas, extended::ft),
+    Kernel::new("x264", Suite::Parsec, extended::x264),
+    Kernel::new("dedup", Suite::Parsec, extended::dedup),
+    Kernel::new("fluidanimate", Suite::Parsec, extended::fluidanimate),
+    Kernel::new("streamcluster", Suite::Parsec, extended::streamcluster),
+    Kernel::new("bodytrack", Suite::Parsec, extended::bodytrack),
+    Kernel::new("nw", Suite::Rodinia, extended::nw),
+    Kernel::new("particlefilter", Suite::Rodinia, extended::particlefilter),
+];
+
+/// The 11 focal benchmarks, in the paper's figure order.
+pub const FOCAL_NAMES: [&str; 11] = names(0);
+
+/// The compute-bound controls.
+pub const CONTROL_NAMES: [&str; 5] = names(FOCAL_NAMES.len());
+
+/// The remaining benchmarks of the paper's Table 2 (11 focal + 5 controls
+/// + these 17 = the full 33-benchmark deployment).
+pub const EXTENDED_NAMES: [&str; 17] = names(FOCAL_NAMES.len() + CONTROL_NAMES.len());
+
+const _: () = assert!(
+    FOCAL_NAMES.len() + CONTROL_NAMES.len() + EXTENDED_NAMES.len() == KERNELS.len(),
+    "the three name runs cover every row of KERNELS"
+);
+
+/// The names of the `N` rows of [`KERNELS`] from row `first` on.
+const fn names<const N: usize>(first: usize) -> [&'static str; N] {
+    let mut names = [""; N];
+    let mut i = 0;
+    while i < N {
+        names[i] = KERNELS[first + i].name;
+        i += 1;
+    }
+    names
+}
+
+/// Builds the built-in kernel called `name`, or `None` when no row of
+/// [`KERNELS`] has that name.
+pub fn workload(name: &str, scale: Scale) -> Option<Workload> {
+    KERNELS
+        .iter()
+        .find(|k| k.name == name)
+        .map(|k| k.build(scale))
+}
+
 /// Builds one focal benchmark by name.
 ///
 /// # Panics
 ///
-/// Panics on an unknown name; see [`FOCAL_NAMES`].
+/// Panics on a name that is not in [`FOCAL_NAMES`].
 pub fn build_focal(name: &str, scale: Scale) -> Workload {
-    match name {
-        "mcf" => Workload {
-            name: "mcf",
-            models: "SPEC mcf",
-            suite: Suite::Spec,
-            program: spec::mcf(scale),
-        },
-        "sx" => Workload {
-            name: "sx",
-            models: "SPEC sphinx3",
-            suite: Suite::Spec,
-            program: spec::sphinx3(scale),
-        },
-        "cg" => Workload {
-            name: "cg",
-            models: "NAS CG",
-            suite: Suite::Nas,
-            program: nas::cg(scale),
-        },
-        "is" => Workload {
-            name: "is",
-            models: "NAS IS",
-            suite: Suite::Nas,
-            program: nas::is(scale),
-        },
-        "ca" => Workload {
-            name: "ca",
-            models: "PARSEC canneal",
-            suite: Suite::Parsec,
-            program: parsec::canneal(scale),
-        },
-        "fs" => Workload {
-            name: "fs",
-            models: "PARSEC facesim",
-            suite: Suite::Parsec,
-            program: parsec::facesim(scale),
-        },
-        "fe" => Workload {
-            name: "fe",
-            models: "PARSEC ferret",
-            suite: Suite::Parsec,
-            program: parsec::ferret(scale),
-        },
-        "rt" => Workload {
-            name: "rt",
-            models: "PARSEC raytrace",
-            suite: Suite::Parsec,
-            program: parsec::raytrace(scale),
-        },
-        "bp" => Workload {
-            name: "bp",
-            models: "Rodinia backprop",
-            suite: Suite::Rodinia,
-            program: rodinia::backprop(scale),
-        },
-        "bfs" => Workload {
-            name: "bfs",
-            models: "Rodinia bfs",
-            suite: Suite::Rodinia,
-            program: rodinia::bfs(scale),
-        },
-        "sr" => Workload {
-            name: "sr",
-            models: "Rodinia srad",
-            suite: Suite::Rodinia,
-            program: rodinia::srad(scale),
-        },
-        other => panic!("unknown focal benchmark `{other}`"),
-    }
-}
-
-/// Builds one control benchmark by name.
-///
-/// # Panics
-///
-/// Panics on an unknown name; see [`CONTROL_NAMES`].
-pub fn build_control(name: &str, scale: Scale) -> Workload {
-    let program = match name {
-        "blackscholes" => control::blackscholes(scale),
-        "swaptions" => control::swaptions(scale),
-        "freqmine" => control::freqmine(scale),
-        "kmeans" => control::kmeans(scale),
-        "hotspot" => control::hotspot(scale),
-        other => panic!("unknown control benchmark `{other}`"),
-    };
-    Workload {
-        name: CONTROL_NAMES
-            .iter()
-            .find(|&&n| n == name)
-            .expect("checked above"),
-        models: "compute-bound control",
-        suite: Suite::Control,
-        program,
-    }
-}
-
-/// The 11 focal benchmarks, in the paper's figure order.
-pub const FOCAL_NAMES: [&str; 11] = [
-    "mcf", "sx", "cg", "is", "ca", "fs", "fe", "rt", "bp", "bfs", "sr",
-];
-
-/// The compute-bound controls.
-pub const CONTROL_NAMES: [&str; 5] = ["blackscholes", "swaptions", "freqmine", "kmeans", "hotspot"];
-
-/// The remaining benchmarks of the paper's Table 2 (11 focal + 5 controls
-/// + these 17 = the full 33-benchmark deployment).
-pub const EXTENDED_NAMES: [&str; 17] = [
-    "perlbench",
-    "gobmk",
-    "calculix",
-    "GemsFDTD",
-    "libquantum",
-    "soplex",
-    "lbm",
-    "omnetpp",
-    "mg",
-    "ft",
-    "x264",
-    "dedup",
-    "fluidanimate",
-    "streamcluster",
-    "bodytrack",
-    "nw",
-    "particlefilter",
-];
-
-/// Builds one of the extended (Table 2 remainder) benchmarks by name.
-///
-/// # Panics
-///
-/// Panics on an unknown name; see [`EXTENDED_NAMES`].
-pub fn build_extended(name: &str, scale: Scale) -> Workload {
-    let (program, suite) = match name {
-        "perlbench" => (extended::perlbench(scale), Suite::Spec),
-        "gobmk" => (extended::gobmk(scale), Suite::Spec),
-        "calculix" => (extended::calculix(scale), Suite::Spec),
-        "GemsFDTD" => (extended::gemsfdtd(scale), Suite::Spec),
-        "libquantum" => (extended::libquantum(scale), Suite::Spec),
-        "soplex" => (extended::soplex(scale), Suite::Spec),
-        "lbm" => (extended::lbm(scale), Suite::Spec),
-        "omnetpp" => (extended::omnetpp(scale), Suite::Spec),
-        "mg" => (extended::mg(scale), Suite::Nas),
-        "ft" => (extended::ft(scale), Suite::Nas),
-        "x264" => (extended::x264(scale), Suite::Parsec),
-        "dedup" => (extended::dedup(scale), Suite::Parsec),
-        "fluidanimate" => (extended::fluidanimate(scale), Suite::Parsec),
-        "streamcluster" => (extended::streamcluster(scale), Suite::Parsec),
-        "bodytrack" => (extended::bodytrack(scale), Suite::Parsec),
-        "nw" => (extended::nw(scale), Suite::Rodinia),
-        "particlefilter" => (extended::particlefilter(scale), Suite::Rodinia),
-        other => panic!("unknown extended benchmark `{other}`"),
-    };
-    let name = EXTENDED_NAMES
+    KERNELS[..FOCAL_NAMES.len()]
         .iter()
-        .find(|&&n| n == name)
-        .expect("checked above");
-    Workload {
-        name,
-        models: "Table 2 remainder",
-        suite,
-        program,
-    }
+        .find(|k| k.name == name)
+        .unwrap_or_else(|| panic!("unknown focal benchmark `{name}`"))
+        .build(scale)
 }
 
-/// Builds the extended benchmarks.
-pub fn extended_workloads(scale: Scale) -> Vec<Workload> {
-    EXTENDED_NAMES
-        .iter()
-        .map(|n| build_extended(n, scale))
-        .collect()
+/// Builds the paper's full 33-benchmark deployment, in [`KERNELS`] order.
+pub fn all_workloads(scale: Scale) -> Vec<Workload> {
+    KERNELS.iter().map(|k| k.build(scale)).collect()
 }
 
 /// Seeded variants of the input-dependent focal benchmarks, for
 /// cross-input (train/test) studies: the program *structure* is identical
 /// for every seed; only the read-only input data changes.
+///
+/// # Panics
+///
+/// Panics on a name other than `mcf`, `is` and `ca`.
 pub fn build_focal_with_input(name: &str, scale: Scale, seed: u64) -> Workload {
-    let program = match name {
-        "mcf" => spec::mcf_with_input(scale, seed),
-        "is" => nas::is_with_input(scale, seed),
-        "ca" => parsec::canneal_with_input(scale, seed),
-        other => panic!("no seeded variant for `{other}`"),
-    };
-    let mut w = build_focal(name, scale);
-    w.program = program;
-    w
-}
-
-/// Builds the paper's full 33-benchmark deployment: 11 focal + 5 controls
-/// + 17 extended.
-pub fn all_workloads(scale: Scale) -> Vec<Workload> {
-    focal_workloads(scale)
-        .into_iter()
-        .chain(control_workloads(scale))
-        .chain(extended_workloads(scale))
-        .collect()
-}
-
-/// Builds all focal benchmarks.
-pub fn focal_workloads(scale: Scale) -> Vec<Workload> {
-    FOCAL_NAMES.iter().map(|n| build_focal(n, scale)).collect()
-}
-
-/// Builds all control benchmarks.
-pub fn control_workloads(scale: Scale) -> Vec<Workload> {
-    CONTROL_NAMES
+    type Seeded = fn(Scale, u64) -> Program;
+    let seeded: [(&str, Seeded); 3] = [
+        ("mcf", spec::mcf_with_input),
+        ("is", nas::is_with_input),
+        ("ca", parsec::canneal_with_input),
+    ];
+    let (_, program) = seeded
         .iter()
-        .map(|n| build_control(n, scale))
-        .collect()
+        .find(|(n, _)| *n == name)
+        .unwrap_or_else(|| panic!("no seeded variant for `{name}`"));
+    Workload {
+        program: program(scale, seed),
+        ..build_focal(name, scale)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn every_workload_builds_and_validates_at_test_scale() {
-        for w in focal_workloads(Scale::Test)
-            .into_iter()
-            .chain(control_workloads(Scale::Test))
-        {
-            amnesiac_isa::validate::validate(&w.program)
-                .unwrap_or_else(|e| panic!("{} invalid: {e}", w.name));
-            assert!(!w.program.output.is_empty(), "{} declares output", w.name);
-        }
-    }
-
-    #[test]
-    fn registry_is_consistent() {
-        assert_eq!(focal_workloads(Scale::Test).len(), FOCAL_NAMES.len());
-        assert_eq!(control_workloads(Scale::Test).len(), CONTROL_NAMES.len());
-        let names: Vec<_> = focal_workloads(Scale::Test)
-            .iter()
-            .map(|w| w.name)
-            .collect();
-        assert_eq!(names, FOCAL_NAMES.to_vec());
-    }
 
     #[test]
     fn full_deployment_has_33_benchmarks_like_table_2() {
@@ -334,12 +246,23 @@ mod tests {
         for w in &all {
             amnesiac_isa::validate::validate(&w.program)
                 .unwrap_or_else(|e| panic!("{} invalid: {e}", w.name));
+            assert!(!w.program.output.is_empty(), "{} declares output", w.name);
         }
+    }
+
+    #[test]
+    fn every_row_is_found_by_its_name_and_nothing_else_is() {
+        for kernel in KERNELS {
+            let built = workload(kernel.name, Scale::Test).expect("a row's name is found");
+            assert_eq!((built.name, built.suite), (kernel.name, kernel.suite));
+        }
+        assert!(workload("nope", Scale::Test).is_none());
+        assert_eq!(build_focal("sr", Scale::Test).name, "sr");
     }
 
     #[test]
     #[should_panic(expected = "unknown focal benchmark")]
     fn unknown_name_panics() {
-        build_focal("nope", Scale::Test);
+        build_focal("blackscholes", Scale::Test);
     }
 }

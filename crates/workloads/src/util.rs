@@ -23,38 +23,6 @@ pub fn random_permutation(seed: u64, n: usize) -> Vec<u64> {
     v
 }
 
-/// Generates `n` random f64 values in `[lo, hi)` as bit patterns.
-#[allow(dead_code)] // kept for example kernels and future workloads
-pub fn random_f64_bits(seed: u64, n: usize, lo: f64, hi: f64) -> Vec<u64> {
-    let mut r = rng(seed);
-    (0..n).map(|_| r.range_f64(lo, hi).to_bits()).collect()
-}
-
-/// A counted loop skeleton: emits
-/// `for counter in 0..limit { body }` using `counter_reg` and a scratch
-/// `limit_reg`, invoking `body` to emit the loop body.
-///
-/// The body closure receives the builder; `counter_reg` holds the index.
-#[allow(dead_code)] // kept for example kernels and future workloads
-pub fn counted_loop(
-    b: &mut ProgramBuilder,
-    counter: Reg,
-    limit: Reg,
-    n: u64,
-    body: impl FnOnce(&mut ProgramBuilder),
-) {
-    b.li(counter, 0);
-    b.li(limit, n);
-    let top = b.label();
-    let done = b.label();
-    b.bind(top).expect("fresh label");
-    b.branch(BranchCond::Geu, counter, limit, done);
-    body(b);
-    b.alui(AluOp::Add, counter, counter, 1);
-    b.jump(top);
-    b.bind(done).expect("fresh label");
-}
-
 /// Emits the loop header for a hand-managed loop; returns `(top, done)`
 /// labels with `top` already bound. The caller must emit the back-jump and
 /// bind `done`.
@@ -100,32 +68,7 @@ mod tests {
     }
 
     #[test]
-    fn f64_bits_in_range() {
-        for bits in random_f64_bits(3, 100, 0.5, 2.0) {
-            let x = f64::from_bits(bits);
-            assert!((0.5..2.0).contains(&x));
-        }
-    }
-
-    #[test]
-    fn counted_loop_iterates_n_times() {
-        let mut b = ProgramBuilder::new("t");
-        let out = b.alloc_zeroed(1);
-        b.mark_output(out, 1);
-        b.li(Reg(10), 0); // acc
-        counted_loop(&mut b, Reg(1), Reg(2), 7, |b| {
-            b.alui(AluOp::Add, Reg(10), Reg(10), 1);
-        });
-        b.li(Reg(3), out);
-        b.store(Reg(10), Reg(3), 0);
-        b.halt();
-        let p = b.finish().unwrap();
-        let r = ClassicCore::new(CoreConfig::paper()).run(&p).unwrap();
-        assert_eq!(r.final_memory[&out], 7);
-    }
-
-    #[test]
-    fn manual_loop_matches_counted_loop() {
+    fn loop_header_and_footer_iterate_n_times() {
         let mut b = ProgramBuilder::new("t");
         let out = b.alloc_zeroed(1);
         b.mark_output(out, 1);

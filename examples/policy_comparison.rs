@@ -25,10 +25,7 @@ fn main() {
         Scale::Test
     };
 
-    let eval = BenchEval::compute(
-        build_focal(name, scale),
-        &amnesiac::energy::EnergyModel::paper(),
-    );
+    let eval = BenchEval::compute(build_focal(name, scale));
     println!(
         "benchmark `{name}`: {} dynamic instructions classic, {} slices embedded\n",
         eval.classic.instructions,

@@ -7,7 +7,7 @@ use amnesiac::core::{AmnesicConfig, AmnesicCore, Policy};
 use amnesiac::energy::EnergyModel;
 use amnesiac::profile::profile_program;
 use amnesiac::sim::{ClassicCore, CoreConfig};
-use amnesiac::workloads::{build_control, build_focal, Scale, CONTROL_NAMES, FOCAL_NAMES};
+use amnesiac::workloads::{build_focal, workload, Scale, CONTROL_NAMES, FOCAL_NAMES};
 
 fn check_program(program: &amnesiac::isa::Program) {
     let config = CoreConfig::paper();
@@ -47,7 +47,7 @@ fn every_focal_benchmark_is_policy_equivalent() {
 #[test]
 fn every_control_benchmark_is_policy_equivalent() {
     for name in CONTROL_NAMES {
-        check_program(&build_control(name, Scale::Test).program);
+        check_program(&workload(name, Scale::Test).unwrap().program);
     }
 }
 

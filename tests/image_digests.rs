@@ -15,7 +15,7 @@ use amnesiac::isa::{decode_program, encode_program, encoded_len};
 use amnesiac::mem::hash128;
 use amnesiac::profile::profile_program;
 use amnesiac::sim::CoreConfig;
-use amnesiac::workloads::{all_workloads, focal_workloads, Scale};
+use amnesiac::workloads::{all_workloads, build_focal, Scale, FOCAL_NAMES};
 
 /// `(name, test-scale digest, paper-scale digest)`, in `all_workloads`
 /// order.
@@ -100,7 +100,7 @@ fn encoded_len_is_the_image_length() {
     }
     // annotated binaries add slice bodies, operand plans and leaves
     let mut slices = 0;
-    for w in focal_workloads(Scale::Test) {
+    for w in FOCAL_NAMES.map(|name| build_focal(name, Scale::Test)) {
         let (profile, _) = profile_program(&w.program, &CoreConfig::paper()).unwrap();
         for slice_set in [SliceSetPolicy::Probabilistic, SliceSetPolicy::Oracle] {
             let options = CompileOptions {

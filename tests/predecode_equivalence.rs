@@ -7,9 +7,7 @@ use amnesiac_compiler::{compile, CompileOptions};
 use amnesiac_isa::{predecode, DecodedInst, Program};
 use amnesiac_profile::profile_program;
 use amnesiac_sim::CoreConfig;
-use amnesiac_workloads::{
-    build_control, build_extended, build_focal, Scale, CONTROL_NAMES, EXTENDED_NAMES, FOCAL_NAMES,
-};
+use amnesiac_workloads::{all_workloads, build_focal, Scale};
 
 fn assert_agrees(program: &Program, what: &str) {
     let decoded = predecode(program);
@@ -32,14 +30,8 @@ fn assert_agrees(program: &Program, what: &str) {
 
 #[test]
 fn predecode_agrees_with_accessors_on_every_generated_workload() {
-    for name in FOCAL_NAMES {
-        assert_agrees(&build_focal(name, Scale::Test).program, name);
-    }
-    for name in CONTROL_NAMES {
-        assert_agrees(&build_control(name, Scale::Test).program, name);
-    }
-    for name in EXTENDED_NAMES {
-        assert_agrees(&build_extended(name, Scale::Test).program, name);
+    for w in all_workloads(Scale::Test) {
+        assert_agrees(&w.program, w.name);
     }
 }
 
