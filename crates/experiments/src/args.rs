@@ -25,7 +25,7 @@ impl DriverArgs {
     /// Names the first unknown argument, a `--json` without a directory
     /// (end of line or another `--flag` in its place), or a repeated
     /// `--json`.
-    pub fn parse(args: &[String], json: bool) -> Result<DriverArgs, String> {
+    fn parse(args: &[String], json: bool) -> Result<DriverArgs, String> {
         let mut parsed = DriverArgs {
             scale: Scale::Paper,
             json_dir: None,

@@ -139,7 +139,8 @@ fn check(workloads: &[Workload], pins: &[Pin]) {
     );
 }
 
-/// The paper-scale workloads whose names satisfy `keep`, built alone.
+/// The paper-scale workloads whose names satisfy `keep`; no other kernel
+/// is built.
 fn paper_workloads(keep: impl Fn(&str) -> bool) -> Vec<Workload> {
     KERNELS
         .iter()
