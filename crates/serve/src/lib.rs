@@ -28,13 +28,16 @@
 //! # }
 //! ```
 //!
-//! See [`protocol`] for the wire schema and the stable error codes,
-//! [`server`] for the backpressure / deadline / shutdown semantics, and
-//! [`router`] for the sharded cluster topology (consistent-hash
-//! placement over [`ring`], generation-numbered [`membership`], health
-//! probes, and retry-once reroute).
+//! [`Server`] and [`Router`] run on one connection front end (acceptor,
+//! a reader and a writer thread per connection, line parsing, envelopes,
+//! drain). See [`protocol`] for the wire schema and the stable error
+//! codes, [`server`] for what the server adds (a job queue with
+//! backpressure and deadlines), and [`router`] for the sharded cluster
+//! topology (consistent-hash placement over [`ring`], generation-numbered
+//! [`membership`], health probes, and retry-once reroute).
 
 pub mod client;
+mod front;
 pub mod membership;
 pub mod protocol;
 pub mod ring;

@@ -5,12 +5,13 @@
 //! ## Topology
 //!
 //! Clients connect to the router exactly as they would to a single
-//! server — v1 clients round-trip unchanged. Each client connection
-//! gets a reader thread (parses requests, forwards them over per-worker
-//! "lanes") and a writer thread (resolves responses in request order).
-//! A lane is one TCP connection from this client connection to one
-//! worker; because both the lane and the worker deliver responses in
-//! request order, no id-matching is needed — ordering is the protocol.
+//! server — v1 clients round-trip unchanged: the router runs on the
+//! server's connection front end. Its dispatch forwards each request on
+//! a per-worker "lane", and its writer resolves each forwarded request
+//! and adds the worker's hop to a v2 `meta`. A lane is one TCP
+//! connection from one client connection to one worker; because both
+//! the lane and the worker deliver responses in request order, no
+//! id-matching is needed — ordering is the protocol.
 //!
 //! ## Membership, probes, reroute
 //!
@@ -35,24 +36,21 @@
 
 use std::collections::BTreeMap;
 use std::io::{BufRead, BufReader, Write};
-use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
+use std::net::{Shutdown, SocketAddr, TcpStream};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
 use amnesiac_telemetry::Json;
 
 use crate::client::ClientConfig;
+use crate::front::{lock, serve_connection, Acceptor, Front, Pending, Settled, Slot, READ_POLL};
 use crate::membership::{Membership, WorkerState};
-use crate::protocol::{code, Request, Response, RouteMeta, ServeError, WireVerb, PROTOCOL_VERSION};
+use crate::protocol::{code, Request, Response, ServeError, WireVerb};
 use crate::ring::WorkerId;
-use crate::server::{fresh_server_id, prepare_accepted, wall_clock_ms};
-
-/// Poll interval for reader/lane sockets (bounds how long threads take
-/// to notice shutdown or a passed deadline).
-const READ_POLL: Duration = Duration::from_millis(25);
+use crate::server::{verbs_json, VerbStats};
 
 /// Grace beyond a request's deadline before a silent worker is declared
 /// wedged. The worker itself answers a structured timeout *at* the
@@ -95,19 +93,12 @@ impl Default for RouterConfig {
     }
 }
 
-/// See [`crate::server`]: recover a poisoned guard instead of turning
-/// one panic into a router outage.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
-}
-
 struct RouterShared {
-    addr: SocketAddr,
+    front: Arc<Front>,
     timeout_ms: u64,
     probe_interval: Duration,
     probe_timeout: Duration,
     probe_failure_threshold: u32,
-    shutdown: AtomicBool,
     membership: Mutex<Membership>,
     /// Last successful `stats` payload per worker (from probes and
     /// cluster-stats sweeps); kept for workers that later die.
@@ -116,29 +107,27 @@ struct RouterShared {
     rerouted: AtomicU64,
     unavailable: AtomicU64,
     probe_failures: AtomicU64,
-    open_connections: AtomicUsize,
-    router_id: String,
-    started: Instant,
-    started_at_ms: u64,
 }
 
 impl RouterShared {
     fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            // Wake the acceptor out of its blocking accept.
-            let _ = TcpStream::connect(self.addr);
+        if self.front.begin_shutdown() {
             // Drain the fleet: ask every live worker to shut down
             // gracefully (best-effort; a dead worker is already gone).
-            let addrs: Vec<SocketAddr> = lock(&self.membership)
-                .workers()
-                .iter()
-                .filter(|w| w.state != WorkerState::Down)
-                .map(|w| w.addr)
-                .collect();
-            for addr in addrs {
+            for (_, addr) in self.live_workers() {
                 let _ = send_admin(addr, "shutdown", self.probe_timeout);
             }
         }
+    }
+
+    /// The workers not marked down.
+    fn live_workers(&self) -> Vec<(WorkerId, SocketAddr)> {
+        lock(&self.membership)
+            .workers()
+            .iter()
+            .filter(|w| w.state != WorkerState::Down)
+            .map(|w| (w.id, w.addr))
+            .collect()
     }
 
     fn mark_worker_down(&self, id: WorkerId) {
@@ -150,13 +139,7 @@ impl RouterShared {
     /// cached probe snapshot when a sweep call fails).
     fn stats_payload(&self, fresh: bool) -> Json {
         if fresh {
-            let sweep: Vec<(WorkerId, SocketAddr)> = lock(&self.membership)
-                .workers()
-                .iter()
-                .filter(|w| w.state != WorkerState::Down)
-                .map(|w| (w.id, w.addr))
-                .collect();
-            for (id, addr) in sweep {
+            for (id, addr) in self.live_workers() {
                 if let Ok(stats) = probe_worker(addr, self.probe_timeout) {
                     self.observe_worker_stats(id, stats);
                 }
@@ -165,7 +148,7 @@ impl RouterShared {
         let membership = lock(&self.membership);
         let cache = lock(&self.worker_stats);
         // Aggregate per-verb counters across the live workers.
-        let mut verbs: BTreeMap<String, (f64, f64, f64, f64, f64, f64)> = BTreeMap::new();
+        let mut verbs: BTreeMap<String, VerbStats> = BTreeMap::new();
         let mut workers = Vec::new();
         for worker in membership.workers() {
             let stats = cache.get(&worker.id);
@@ -174,15 +157,7 @@ impl RouterShared {
                     stats.and_then(|s| s.get("verbs")).and_then(Json::as_obj)
                 {
                     for (verb, counters) in worker_verbs {
-                        let entry = verbs.entry(verb.clone()).or_default();
-                        let n =
-                            |field: &str| counters.get(field).and_then(Json::as_f64).unwrap_or(0.0);
-                        entry.0 += n("requests");
-                        entry.1 += n("ok");
-                        entry.2 += n("errors");
-                        entry.3 += n("timeouts");
-                        entry.4 += n("total_ms");
-                        entry.5 = entry.5.max(n("max_ms"));
+                        verbs.entry(verb.clone()).or_default().add(counters);
                     }
                 }
             }
@@ -197,25 +172,9 @@ impl RouterShared {
             }
             workers.push(row);
         }
-        let mut verbs_json = Json::obj();
-        for (verb, (requests, ok, errors, timeouts, total_ms, max_ms)) in verbs {
-            verbs_json.set(
-                &verb,
-                Json::obj()
-                    .with("requests", requests)
-                    .with("ok", ok)
-                    .with("errors", errors)
-                    .with("timeouts", timeouts)
-                    .with("total_ms", total_ms)
-                    .with("max_ms", max_ms),
-            );
-        }
-        Json::obj()
-            .with("role", "router")
-            .with("protocol_version", PROTOCOL_VERSION)
-            .with("server_id", self.router_id.as_str())
-            .with("started_at_ms", self.started_at_ms)
-            .with("uptime_ms", self.started.elapsed().as_secs_f64() * 1e3)
+        let front = &self.front;
+        front
+            .identify(Json::obj().with("role", "router"))
             .with("timeout_ms", self.timeout_ms)
             .with("generation", membership.generation())
             .with("workers_up", membership.up_count())
@@ -227,12 +186,10 @@ impl RouterShared {
                 "probe_failures",
                 self.probe_failures.load(Ordering::Acquire),
             )
-            .with(
-                "open_connections",
-                self.open_connections.load(Ordering::Acquire),
-            )
-            .with("draining", self.shutdown.load(Ordering::SeqCst))
-            .with("verbs", verbs_json)
+            .with("accept_errors", front.accept_errors.load(Ordering::Acquire))
+            .with("open_connections", front.open_connections())
+            .with("draining", front.draining())
+            .with("verbs", verbs_json(&verbs))
             .with("workers", Json::Arr(workers))
     }
 
@@ -274,13 +231,6 @@ fn send_admin(addr: SocketAddr, verb: &str, timeout: Duration) -> std::io::Resul
     Ok(())
 }
 
-/// One forwarded request's completion slot, shared between the lane
-/// receiver resolving it and the connection writer waiting on it.
-struct RouterJob {
-    slot: Mutex<Option<LaneOutcome>>,
-    done: Condvar,
-}
-
 enum LaneOutcome {
     /// The worker answered: its result and self-reported elapsed ms.
     Answered {
@@ -295,43 +245,8 @@ enum LaneOutcome {
     TimedOut,
 }
 
-impl RouterJob {
-    fn new() -> RouterJob {
-        RouterJob {
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    fn complete(&self, outcome: LaneOutcome) {
-        *lock(&self.slot) = Some(outcome);
-        self.done.notify_all();
-    }
-
-    fn wait_until(&self, deadline: Instant) -> Option<LaneOutcome> {
-        let mut slot = lock(&self.slot);
-        loop {
-            if let Some(outcome) = slot.take() {
-                return Some(outcome);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (next, timeout) = self
-                .done
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = next;
-            if timeout.timed_out() && slot.is_none() {
-                return None;
-            }
-        }
-    }
-}
-
 struct LaneEntry {
-    job: Arc<RouterJob>,
+    job: Arc<Slot<LaneOutcome>>,
     deadline: Instant,
 }
 
@@ -515,7 +430,7 @@ fn forward(
     request: &Request,
     deadline: Instant,
     reroutes: &mut u64,
-) -> Result<(Arc<RouterJob>, WorkerId), ServeError> {
+) -> Result<(Arc<Slot<LaneOutcome>>, WorkerId), ServeError> {
     let key = request.routing_key();
     let mut line = request.to_json().compact().into_bytes();
     line.push(b'\n');
@@ -558,7 +473,7 @@ fn forward(
         let Some(lane) = map.get_mut(&worker) else {
             continue;
         };
-        let job = Arc::new(RouterJob::new());
+        let job = Arc::new(Slot::new());
         let entry = LaneEntry {
             job: Arc::clone(&job),
             deadline,
@@ -577,27 +492,13 @@ fn forward(
     ))
 }
 
-/// A response owed to the client, in request order.
-struct RouterPendingResponse {
-    id: Json,
-    verb: String,
-    received: Instant,
-    /// `Some(key)` when the request opted into the v2 envelope.
-    routing_key: Option<String>,
-    kind: RouterPending,
-}
-
-enum RouterPending {
-    /// Decided at dispatch time (admin verbs, rejections, errors).
-    Ready(Result<Json, ServeError>),
-    /// In flight on a worker lane.
-    Forwarded {
-        job: Arc<RouterJob>,
-        worker: WorkerId,
-        deadline: Instant,
-        reroutes: u64,
-        request: Request,
-    },
+/// A request in flight on a worker lane.
+struct Forwarded {
+    job: Arc<Slot<LaneOutcome>>,
+    worker: WorkerId,
+    deadline: Instant,
+    reroutes: u64,
+    request: Request,
 }
 
 /// A running cluster router. Same lifecycle contract as
@@ -605,9 +506,8 @@ enum RouterPending {
 /// [`Router::join`], or [`Router::stop`] for both.
 pub struct Router {
     shared: Arc<RouterShared>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
     prober: Option<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 impl Router {
@@ -618,33 +518,25 @@ impl Router {
     ///
     /// Propagates the bind failure.
     pub fn start(config: RouterConfig, workers: &[SocketAddr]) -> std::io::Result<Router> {
-        let listener = TcpListener::bind((config.host.as_str(), config.port))?;
-        let addr = listener.local_addr()?;
+        let (listener, front) = Front::bind(&config.host, config.port, "router")?;
         let shared = Arc::new(RouterShared {
-            addr,
+            front,
             timeout_ms: config.timeout_ms.max(1),
             probe_interval: config.probe_interval,
             probe_timeout: config.probe_timeout,
             probe_failure_threshold: config.probe_failure_threshold.max(1),
-            shutdown: AtomicBool::new(false),
             membership: Mutex::new(Membership::new(workers)),
             worker_stats: Mutex::new(BTreeMap::new()),
             forwarded: AtomicU64::new(0),
             rerouted: AtomicU64::new(0),
             unavailable: AtomicU64::new(0),
             probe_failures: AtomicU64::new(0),
-            open_connections: AtomicUsize::new(0),
-            router_id: fresh_server_id(),
-            started: Instant::now(),
-            started_at_ms: wall_clock_ms(),
         });
-        let conns = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            thread::Builder::new()
-                .name("amnesiac-router-accept".into())
-                .spawn(move || acceptor_loop(listener, shared, conns))?
+            Acceptor::spawn(listener, Arc::clone(&shared.front), move |stream| {
+                serve_client(&shared, stream);
+            })?
         };
         let prober = {
             let shared = Arc::clone(&shared);
@@ -654,15 +546,14 @@ impl Router {
         };
         Ok(Router {
             shared,
-            acceptor: Some(acceptor),
+            acceptor,
             prober: Some(prober),
-            conns,
         })
     }
 
     /// The bound address (read this when `port` was 0).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.front.addr
     }
 
     /// Begins a graceful drain of the router and (best-effort) of every
@@ -685,15 +576,7 @@ impl Router {
     /// Waits until the acceptor, every connection, and the probe thread
     /// have exited (prompt only after [`Router::shutdown`]).
     pub fn join(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        loop {
-            let Some(conn) = lock(&self.conns).pop() else {
-                break;
-            };
-            let _ = conn.join();
-        }
+        self.acceptor.join();
         if let Some(prober) = self.prober.take() {
             let _ = prober.join();
         }
@@ -706,58 +589,15 @@ impl Router {
     }
 }
 
-fn acceptor_loop(
-    listener: TcpListener,
-    shared: Arc<RouterShared>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-) {
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            thread::sleep(Duration::from_millis(10));
-            continue;
-        };
-        if shared.shutdown.load(Ordering::SeqCst) {
-            break;
-        }
-        // Reap finished connection handles (same bounded-tracking
-        // policy as the server's acceptor).
-        {
-            let mut guard = lock(&conns);
-            let mut i = 0;
-            while i < guard.len() {
-                if guard[i].is_finished() {
-                    let _ = guard.swap_remove(i).join();
-                } else {
-                    i += 1;
-                }
-            }
-        }
-        shared.open_connections.fetch_add(1, Ordering::AcqRel);
-        let conn_shared = Arc::clone(&shared);
-        match thread::Builder::new()
-            .name("amnesiac-router-conn".into())
-            .spawn(move || serve_connection(conn_shared, stream))
-        {
-            Ok(handle) => lock(&conns).push(handle),
-            Err(_) => {
-                shared.open_connections.fetch_sub(1, Ordering::AcqRel);
-            }
-        }
-    }
-}
-
 fn probe_loop(shared: Arc<RouterShared>) {
-    while !shared.shutdown.load(Ordering::SeqCst) {
+    while !shared.front.draining() {
         let snapshot: Vec<(WorkerId, SocketAddr)> = lock(&shared.membership)
             .workers()
             .iter()
             .map(|w| (w.id, w.addr))
             .collect();
         for (id, addr) in snapshot {
-            if shared.shutdown.load(Ordering::SeqCst) {
+            if shared.front.draining() {
                 return;
             }
             match probe_worker(addr, shared.probe_timeout) {
@@ -777,7 +617,7 @@ fn probe_loop(shared: Arc<RouterShared>) {
         }
         // Sleep in slices so shutdown stays prompt.
         let mut remaining = shared.probe_interval;
-        while remaining > Duration::ZERO && !shared.shutdown.load(Ordering::SeqCst) {
+        while remaining > Duration::ZERO && !shared.front.draining() {
             let step = remaining.min(Duration::from_millis(50));
             thread::sleep(step);
             remaining = remaining.saturating_sub(step);
@@ -785,126 +625,41 @@ fn probe_loop(shared: Arc<RouterShared>) {
     }
 }
 
-fn serve_connection(shared: Arc<RouterShared>, stream: TcpStream) {
-    struct OpenGuard(Arc<RouterShared>);
-    impl Drop for OpenGuard {
-        fn drop(&mut self) {
-            self.0.open_connections.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-    let _open = OpenGuard(Arc::clone(&shared));
-    if prepare_accepted(&stream).is_err() {
-        return;
-    }
-    let Ok(write_stream) = stream.try_clone() else {
-        return;
-    };
-    let lanes: Arc<LaneMap> = Arc::new(Mutex::new(BTreeMap::new()));
-    let (tx, rx) = channel::<RouterPendingResponse>();
-    let writer = {
-        let shared = Arc::clone(&shared);
+/// Serves one client connection on its own lanes. The front end returns
+/// only after its writer has settled every request, so the lanes close
+/// (sockets shut, receiver threads joined) with nothing left on them.
+fn serve_client(shared: &Arc<RouterShared>, stream: TcpStream) {
+    let lanes: Arc<LaneMap> = Arc::default();
+    let settle = {
+        let shared = Arc::clone(shared);
         let lanes = Arc::clone(&lanes);
-        let spawned = thread::Builder::new()
-            .name("amnesiac-router-write".into())
-            .spawn(move || writer_loop(shared, write_stream, rx, lanes));
-        match spawned {
-            Ok(handle) => handle,
-            Err(_) => return,
-        }
+        move |forwarded, _received| resolve(&shared, &lanes, forwarded)
     };
-    reader_loop(&shared, stream, &tx, &lanes);
-    drop(tx);
-    let _ = writer.join();
-    // `lanes` drops here (writer's clone is gone too): sockets shut,
-    // receiver threads joined.
-}
-
-fn reader_loop(
-    shared: &Arc<RouterShared>,
-    stream: TcpStream,
-    tx: &Sender<RouterPendingResponse>,
-    lanes: &Arc<LaneMap>,
-) {
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        match reader.read_until(b'\n', &mut buf) {
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) | Ok(0) => return,
-            Ok(_) => {
-                if buf.last() != Some(&b'\n') {
-                    process_line(shared, lanes, tx, &buf);
-                    return;
-                }
-                process_line(shared, lanes, tx, &buf);
-                buf.clear();
-            }
-        }
-    }
-}
-
-fn process_line(
-    shared: &Arc<RouterShared>,
-    lanes: &Arc<LaneMap>,
-    tx: &Sender<RouterPendingResponse>,
-    raw: &[u8],
-) {
-    let line = String::from_utf8_lossy(raw);
-    let line = line.trim();
-    if line.is_empty() {
-        return;
-    }
-    let received = Instant::now();
-    let request = match Request::parse_line(line) {
-        Ok(request) => request,
-        Err(error) => {
-            let _ = tx.send(RouterPendingResponse {
-                id: Json::Null,
-                verb: "?".to_string(),
-                received,
-                routing_key: None,
-                kind: RouterPending::Ready(Err(error)),
-            });
-            return;
-        }
-    };
-    let routing_key = (request.proto_version() >= 2).then(|| request.routing_key());
-    let kind = route_dispatch(shared, lanes, &request);
-    let _ = tx.send(RouterPendingResponse {
-        id: request.id.clone(),
-        verb: request.verb.clone(),
-        received,
-        routing_key,
-        kind,
-    });
+    serve_connection(
+        &shared.front,
+        stream,
+        |request| route_dispatch(shared, &lanes, request),
+        settle,
+        |_, _, _| {},
+    );
 }
 
 /// Decides one parsed request: answered inline (admin verbs, drain
 /// rejections, placement failures) or forwarded to a worker lane.
 fn route_dispatch(
     shared: &Arc<RouterShared>,
-    lanes: &Arc<LaneMap>,
+    lanes: &LaneMap,
     request: &Request,
-) -> RouterPending {
+) -> Pending<Forwarded> {
     match request.wire_verb() {
-        Some(WireVerb::Stats) => RouterPending::Ready(Ok(shared.stats_payload(true))),
-        Some(WireVerb::Cluster) => RouterPending::Ready(Ok(lock(&shared.membership).to_json())),
+        Some(WireVerb::Stats) => Pending::Ready(Ok(shared.stats_payload(true))),
+        Some(WireVerb::Cluster) => Pending::Ready(Ok(lock(&shared.membership).to_json())),
         Some(WireVerb::Shutdown) => {
-            let ready = RouterPending::Ready(Ok(Json::obj().with("draining", true)));
             shared.begin_shutdown();
-            ready
+            Pending::Ready(Ok(Json::obj().with("draining", true)))
         }
-        Some(WireVerb::Drain) => RouterPending::Ready(drain_worker(shared, request)),
-        _ if shared.shutdown.load(Ordering::SeqCst) => RouterPending::Ready(Err(ServeError::new(
+        Some(WireVerb::Drain) => Pending::Ready(drain_worker(shared, request)),
+        _ if shared.front.draining() => Pending::Ready(Err(ServeError::new(
             code::SHUTTING_DOWN,
             "router is draining and refuses new work",
         ))),
@@ -918,17 +673,17 @@ fn route_dispatch(
                     if reroutes > 0 {
                         shared.rerouted.fetch_add(reroutes, Ordering::AcqRel);
                     }
-                    RouterPending::Forwarded {
+                    Pending::Waiting(Forwarded {
                         job,
                         worker,
                         deadline,
                         reroutes,
                         request: request.clone(),
-                    }
+                    })
                 }
                 Err(error) => {
                     shared.unavailable.fetch_add(1, Ordering::AcqRel);
-                    RouterPending::Ready(Err(error))
+                    Pending::Ready(Err(error))
                 }
             }
         }
@@ -978,114 +733,63 @@ fn drain_worker(shared: &Arc<RouterShared>, request: &Request) -> Result<Json, S
         .with("generation", generation))
 }
 
-fn writer_loop(
-    shared: Arc<RouterShared>,
-    mut stream: TcpStream,
-    rx: Receiver<RouterPendingResponse>,
-    lanes: Arc<LaneMap>,
-) {
-    let mut broken_client = false;
-    for pending in rx {
-        let (result, reroutes, worker_hop) = resolve(&shared, &lanes, pending.kind);
-        if broken_client {
-            continue; // keep draining so in-flight jobs are resolved
-        }
-        let elapsed_ms = pending.received.elapsed().as_secs_f64() * 1e3;
-        let meta = pending.routing_key.map(|key| {
-            let mut hops = vec![("router".to_string(), elapsed_ms)];
-            if let Some((worker, worker_ms)) = worker_hop {
-                hops.push((format!("w{worker}"), worker_ms));
+/// Resolves one forwarded request: waits out its lane, re-placing it
+/// once when the lane is lost (retry-once), and converts every terminal
+/// state into a structured result — never a hang.
+fn resolve(shared: &Arc<RouterShared>, lanes: &LaneMap, forwarded: Forwarded) -> Settled {
+    let Forwarded {
+        mut job,
+        mut worker,
+        deadline,
+        mut reroutes,
+        request,
+    } = forwarded;
+    let mut retried = false;
+    let (result, answered_by) = loop {
+        match job.wait_until(deadline + RESPONSE_SLACK * 2) {
+            Some(LaneOutcome::Answered { result, worker_ms }) => {
+                break (result, Some((worker, worker_ms)));
             }
-            RouteMeta {
-                proto: 2,
-                routing_key: key,
-                rerouted: reroutes,
-                hops,
+            Some(LaneOutcome::TimedOut) | None => {
+                let error = ServeError::new(
+                    code::TIMEOUT,
+                    format!("request exceeded its deadline (worker w{worker} unresponsive)"),
+                );
+                break (Err(error), Some((worker, 0.0)));
             }
-        });
-        let response = Response {
-            id: pending.id,
-            verb: pending.verb,
-            elapsed_ms,
-            result,
-            meta,
-        };
-        let mut line = response.to_json().compact();
-        line.push('\n');
-        if stream.write_all(line.as_bytes()).is_err() || stream.flush().is_err() {
-            broken_client = true;
-        }
-    }
-}
-
-/// Resolves one pending response: waits out the forwarded job,
-/// re-placing it once when its lane is lost (retry-once), and converts
-/// every terminal state into a structured result — never a hang.
-fn resolve(
-    shared: &Arc<RouterShared>,
-    lanes: &Arc<LaneMap>,
-    kind: RouterPending,
-) -> (Result<Json, ServeError>, u64, Option<(WorkerId, f64)>) {
-    match kind {
-        RouterPending::Ready(result) => (result, 0, None),
-        RouterPending::Forwarded {
-            mut job,
-            mut worker,
-            deadline,
-            mut reroutes,
-            request,
-        } => {
-            let mut lane_retries = 0u32;
-            loop {
-                match job.wait_until(deadline + RESPONSE_SLACK * 2) {
-                    Some(LaneOutcome::Answered { result, worker_ms }) => {
-                        return (result, reroutes, Some((worker, worker_ms)));
-                    }
-                    Some(LaneOutcome::TimedOut) | None => {
-                        return (
-                            Err(ServeError::new(
-                                code::TIMEOUT,
-                                format!(
-                                    "request exceeded its deadline (worker w{worker} unresponsive)"
-                                ),
-                            )),
-                            reroutes,
-                            Some((worker, 0.0)),
-                        );
-                    }
-                    Some(LaneOutcome::LaneLost) => {
-                        if lane_retries >= 1 {
-                            shared.unavailable.fetch_add(1, Ordering::AcqRel);
-                            return (
-                                Err(ServeError::new(
-                                    code::UNAVAILABLE,
-                                    "worker lost twice while handling this request",
-                                )),
-                                reroutes,
-                                None,
-                            );
+            Some(LaneOutcome::LaneLost) if retried => {
+                shared.unavailable.fetch_add(1, Ordering::AcqRel);
+                let error = ServeError::new(
+                    code::UNAVAILABLE,
+                    "worker lost twice while handling this request",
+                );
+                break (Err(error), None);
+            }
+            Some(LaneOutcome::LaneLost) => {
+                retried = true;
+                reroutes += 1;
+                shared.rerouted.fetch_add(1, Ordering::AcqRel);
+                let mut extra = 0u64;
+                match forward(shared, lanes, &request, deadline, &mut extra) {
+                    Ok((next_job, next_worker)) => {
+                        reroutes += extra;
+                        if extra > 0 {
+                            shared.rerouted.fetch_add(extra, Ordering::AcqRel);
                         }
-                        lane_retries += 1;
-                        reroutes += 1;
-                        shared.rerouted.fetch_add(1, Ordering::AcqRel);
-                        let mut extra = 0u64;
-                        match forward(shared, lanes, &request, deadline, &mut extra) {
-                            Ok((next_job, next_worker)) => {
-                                reroutes += extra;
-                                if extra > 0 {
-                                    shared.rerouted.fetch_add(extra, Ordering::AcqRel);
-                                }
-                                job = next_job;
-                                worker = next_worker;
-                            }
-                            Err(error) => {
-                                shared.unavailable.fetch_add(1, Ordering::AcqRel);
-                                return (Err(error), reroutes, None);
-                            }
-                        }
+                        job = next_job;
+                        worker = next_worker;
+                    }
+                    Err(error) => {
+                        shared.unavailable.fetch_add(1, Ordering::AcqRel);
+                        break (Err(error), None);
                     }
                 }
             }
         }
+    };
+    Settled {
+        result,
+        rerouted: reroutes,
+        worker: answered_by,
     }
 }

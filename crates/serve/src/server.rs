@@ -1,12 +1,13 @@
 //! The concurrent batch server.
 //!
-//! One acceptor thread takes TCP connections; each connection gets a
-//! reader thread (parses request lines, dispatches jobs) and a writer
-//! thread (waits for each job up to its deadline, writes response lines
-//! in request order). Requests execute on `workers` threads that take
-//! jobs from one shared queue in arrival order, so heavy verbs from many
-//! connections share one bounded set of workers, and each request runs
-//! on exactly one of them.
+//! The server runs on the connection front end it shares with the
+//! cluster router (acceptor, a reader and a writer thread per
+//! connection, line parsing, envelopes, drain). What it adds is one job
+//! queue: requests execute on `workers` threads that take jobs from it
+//! in arrival order, so heavy verbs from many connections share one
+//! bounded set of workers, and each request runs on exactly one of them.
+//! It also answers `stats` and `shutdown` itself and counts every answer
+//! per verb.
 //!
 //! ## Backpressure
 //!
@@ -34,19 +35,18 @@
 //! once every connection and every worker have wound down.
 
 use std::collections::BTreeMap;
-use std::io::{BufRead, BufReader, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::SocketAddr;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::{self, JoinHandle};
 use std::time::{Duration, Instant};
 
-use amnesiac_rng::Rng;
 use amnesiac_telemetry::Json;
 
-use crate::protocol::{code, Request, Response, RouteMeta, ServeError, PROTOCOL_VERSION};
+use crate::front::{lock, serve_connection, Acceptor, Front, Pending, Settled, Slot};
+use crate::protocol::{code, Request, ServeError};
 
 /// How the request handler is plugged into the server: a function from
 /// parsed request to payload-or-error. Called on worker threads; must be
@@ -93,99 +93,64 @@ impl Default for ServerConfig {
     }
 }
 
-/// Per-verb counters exposed by the `stats` verb.
+/// One verb's counters in a `stats` payload: a server's own, or a
+/// router's sums over its live workers. Kept as JSON numbers (`f64`,
+/// exact for any count a process reaches).
 #[derive(Debug, Clone, Default)]
-struct VerbStats {
-    requests: u64,
-    ok: u64,
-    errors: u64,
-    timeouts: u64,
+pub(crate) struct VerbStats {
+    requests: f64,
+    ok: f64,
+    errors: f64,
+    timeouts: f64,
     total_ms: f64,
     max_ms: f64,
 }
 
-#[derive(Debug, Default)]
-struct Stats {
-    verbs: BTreeMap<String, VerbStats>,
+impl VerbStats {
+    /// Adds another node's counters: one entry of its `verbs` object.
+    pub(crate) fn add(&mut self, counters: &Json) {
+        let n = |field: &str| counters.get(field).and_then(Json::as_f64).unwrap_or(0.0);
+        self.requests += n("requests");
+        self.ok += n("ok");
+        self.errors += n("errors");
+        self.timeouts += n("timeouts");
+        self.total_ms += n("total_ms");
+        self.max_ms = self.max_ms.max(n("max_ms"));
+    }
 }
 
-/// The poll interval readers use while blocked on a quiet socket; bounds
-/// how long shutdown waits for an idle connection to notice the flag.
-const READ_POLL: Duration = Duration::from_millis(25);
-
-/// First pause after a transient `accept()` error. Without a pause, fd
-/// exhaustion (EMFILE) under load turns the acceptor into a 100%-CPU
-/// spin; with one, it backs off and retries once pressure eases.
-const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(2);
-
-/// Ceiling of the accept-error backoff (doubles per consecutive error).
-/// Also bounds how long a draining server waits for the acceptor to
-/// re-check the shutdown flag after an error streak.
-const ACCEPT_BACKOFF_MAX: Duration = Duration::from_millis(100);
-
-/// The next accept-error pause: exponential, capped.
-fn next_accept_backoff(current: Duration) -> Duration {
-    (current * 2).min(ACCEPT_BACKOFF_MAX)
-}
-
-/// Wall-clock milliseconds since the UNIX epoch (0 if the clock is
-/// before the epoch, which only a badly broken host reports).
-pub(crate) fn wall_clock_ms() -> u64 {
-    std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.as_millis() as u64)
-        .unwrap_or(0)
-}
-
-/// A fresh process-unique server identity: a seeded-random 64-bit hex
-/// string. Paired with `started_at_ms` in the `stats` payload so a
-/// cluster membership view can tell a restarted worker from the old one
-/// even when the OS reuses the port.
-pub(crate) fn fresh_server_id() -> String {
-    let nanos = std::time::SystemTime::now()
-        .duration_since(std::time::UNIX_EPOCH)
-        .map(|d| d.subsec_nanos() as u64 ^ (d.as_secs() << 20))
-        .unwrap_or(0);
-    let seed = nanos ^ u64::from(std::process::id()).rotate_left(32);
-    let mut rng = Rng::seed_from_u64(seed);
-    format!("{:016x}", rng.next_u64())
-}
-
-/// Locks a mutex, recovering the guard when a panicking thread poisoned
-/// it. Every structure behind a server mutex (stats counters, connection
-/// handles, completion slots) stays well-formed across a handler panic,
-/// and refusing all further service over a poisoned counter would turn
-/// one panic into an outage.
-fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
-    m.lock().unwrap_or_else(PoisonError::into_inner)
+/// A `stats` payload's `verbs` object.
+pub(crate) fn verbs_json(verbs: &BTreeMap<String, VerbStats>) -> Json {
+    let mut out = Json::obj();
+    for (verb, v) in verbs {
+        out.set(
+            verb,
+            Json::obj()
+                .with("requests", v.requests)
+                .with("ok", v.ok)
+                .with("errors", v.errors)
+                .with("timeouts", v.timeouts)
+                .with("total_ms", v.total_ms)
+                .with("max_ms", v.max_ms),
+        );
+    }
+    out
 }
 
 struct Shared {
+    front: Arc<Front>,
     handler: Handler,
-    addr: SocketAddr,
     backlog: usize,
     timeout_ms: u64,
     workers: usize,
-    shutdown: AtomicBool,
     /// Requests currently queued or running (admission counter).
     inflight: AtomicUsize,
     rejected_overload: AtomicU64,
-    /// Transient `listener.accept()` failures (each one also costs a
-    /// backoff pause in the acceptor).
-    accept_errors: AtomicU64,
-    /// Connections whose reader/writer threads are still running.
-    open_connections: AtomicUsize,
     /// Jobs a worker skipped because their deadline had already passed
     /// (or the writer had cancelled them) by the time a worker got there.
     expired_skipped: AtomicU64,
-    stats: Mutex<Stats>,
+    verbs: Mutex<BTreeMap<String, VerbStats>>,
     stats_ext: Option<StatsHook>,
-    started: Instant,
-    /// Seeded-random process identity, exposed via `stats` so a cluster
-    /// membership view can detect a restart behind a reused port.
-    server_id: String,
-    /// Wall-clock UNIX ms at startup (same restart-detection purpose).
-    started_at_ms: u64,
 }
 
 impl Shared {
@@ -202,22 +167,14 @@ impl Shared {
         self.inflight.fetch_sub(1, Ordering::AcqRel);
     }
 
-    fn begin_shutdown(&self) {
-        if !self.shutdown.swap(true, Ordering::SeqCst) {
-            // Wake the acceptor out of its blocking `accept` so it can see
-            // the flag; the throwaway connection is dropped unserved.
-            let _ = TcpStream::connect(self.addr);
-        }
-    }
-
     fn record(&self, verb: &str, outcome: &Result<Json, ServeError>, elapsed_ms: f64) {
-        let mut stats = lock(&self.stats);
-        let entry = stats.verbs.entry(verb.to_string()).or_default();
-        entry.requests += 1;
+        let mut verbs = lock(&self.verbs);
+        let entry = verbs.entry(verb.to_string()).or_default();
+        entry.requests += 1.0;
         match outcome {
-            Ok(_) => entry.ok += 1,
-            Err(e) if e.code == code::TIMEOUT => entry.timeouts += 1,
-            Err(_) => entry.errors += 1,
+            Ok(_) => entry.ok += 1.0,
+            Err(e) if e.code == code::TIMEOUT => entry.timeouts += 1.0,
+            Err(_) => entry.errors += 1.0,
         }
         entry.total_ms += elapsed_ms;
         entry.max_ms = entry.max_ms.max(elapsed_ms);
@@ -225,25 +182,10 @@ impl Shared {
 
     /// The `stats` verb's payload.
     fn stats_json(&self) -> Json {
-        let stats = lock(&self.stats);
-        let mut verbs = Json::obj();
-        for (verb, v) in &stats.verbs {
-            verbs.set(
-                verb,
-                Json::obj()
-                    .with("requests", v.requests)
-                    .with("ok", v.ok)
-                    .with("errors", v.errors)
-                    .with("timeouts", v.timeouts)
-                    .with("total_ms", v.total_ms)
-                    .with("max_ms", v.max_ms),
-            );
-        }
-        let mut payload = Json::obj()
-            .with("protocol_version", PROTOCOL_VERSION)
-            .with("server_id", self.server_id.as_str())
-            .with("started_at_ms", self.started_at_ms)
-            .with("uptime_ms", self.started.elapsed().as_secs_f64() * 1e3)
+        let verbs = verbs_json(&lock(&self.verbs));
+        let front = &self.front;
+        let mut payload = front
+            .identify(Json::obj())
             .with("workers", self.workers)
             .with("backlog", self.backlog)
             .with("timeout_ms", self.timeout_ms)
@@ -252,91 +194,30 @@ impl Shared {
                 "rejected_overload",
                 self.rejected_overload.load(Ordering::Acquire),
             )
-            .with("accept_errors", self.accept_errors.load(Ordering::Acquire))
-            .with(
-                "open_connections",
-                self.open_connections.load(Ordering::Acquire),
-            )
+            .with("accept_errors", front.accept_errors.load(Ordering::Acquire))
+            .with("open_connections", front.open_connections())
             .with(
                 "expired_skipped",
                 self.expired_skipped.load(Ordering::Acquire),
             )
-            .with("draining", self.shutdown.load(Ordering::SeqCst))
+            .with("draining", front.draining())
             .with("verbs", verbs);
-        if let Some(hook) = &self.stats_ext {
-            if let Json::Obj(fields) = hook() {
-                for (key, value) in fields {
-                    payload.set(&key, value);
-                }
+        if let Some(Json::Obj(fields)) = self.stats_ext.as_ref().map(|hook| hook()) {
+            for (key, value) in fields {
+                payload.set(&key, value);
             }
         }
         payload
     }
 }
 
-/// One request's completion slot, shared between the worker job computing
-/// it and the connection writer waiting on it.
+/// One admitted request, shared between the worker computing it and the
+/// connection writer waiting on it.
 struct Job {
+    /// Set by the writer once the deadline passed: a job still queued is
+    /// then skipped instead of run.
     cancelled: AtomicBool,
-    slot: Mutex<Option<Result<Json, ServeError>>>,
-    done: Condvar,
-}
-
-impl Job {
-    fn new() -> Job {
-        Job {
-            cancelled: AtomicBool::new(false),
-            slot: Mutex::new(None),
-            done: Condvar::new(),
-        }
-    }
-
-    fn complete(&self, result: Result<Json, ServeError>) {
-        *lock(&self.slot) = Some(result);
-        self.done.notify_all();
-    }
-
-    /// Waits for completion until `deadline`; `None` means the deadline
-    /// passed first (the caller reports a timeout and cancels).
-    fn wait_until(&self, deadline: Instant) -> Option<Result<Json, ServeError>> {
-        let mut slot = lock(&self.slot);
-        loop {
-            if let Some(result) = slot.take() {
-                return Some(result);
-            }
-            let now = Instant::now();
-            if now >= deadline {
-                return None;
-            }
-            let (next, timeout) = self
-                .done
-                .wait_timeout(slot, deadline - now)
-                .unwrap_or_else(PoisonError::into_inner);
-            slot = next;
-            if timeout.timed_out() && slot.is_none() {
-                return None;
-            }
-        }
-    }
-}
-
-/// A response owed to the client, in request order.
-struct PendingResponse {
-    id: Json,
-    verb: String,
-    received: Instant,
-    /// `Some(key)` when the request opted into the v2 envelope: the
-    /// writer folds routing metadata (key, zero reroutes, one `serve`
-    /// hop) into the response. `None` keeps the v1 envelope unchanged.
-    routing_key: Option<String>,
-    kind: PendingKind,
-}
-
-enum PendingKind {
-    /// Decided at dispatch time (stats, rejections, protocol errors).
-    Ready(Result<Json, ServeError>),
-    /// Executing (or queued) on a worker; resolved by the writer.
-    Running(Arc<Job>, Instant),
+    result: Slot<Result<Json, ServeError>>,
 }
 
 /// A running batch service. Dropping the handle does **not** stop the
@@ -344,9 +225,8 @@ enum PendingKind {
 /// [`Server::stop`] for both).
 pub struct Server {
     shared: Arc<Shared>,
-    acceptor: Option<JoinHandle<()>>,
+    acceptor: Acceptor,
     workers: Vec<JoinHandle<()>>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
 }
 
 /// One admitted request's work, queued for the workers.
@@ -374,31 +254,24 @@ impl Server {
         handler: Handler,
         stats_ext: Option<StatsHook>,
     ) -> std::io::Result<Server> {
-        let listener = TcpListener::bind((config.host.as_str(), config.port))?;
-        let addr = listener.local_addr()?;
+        let (listener, front) = Front::bind(&config.host, config.port, "serve")?;
         let workers = config.workers.max(1);
         let shared = Arc::new(Shared {
+            front,
             handler,
-            addr,
             backlog: config.backlog.max(1),
             timeout_ms: config.timeout_ms.max(1),
             workers,
-            shutdown: AtomicBool::new(false),
             inflight: AtomicUsize::new(0),
             rejected_overload: AtomicU64::new(0),
-            accept_errors: AtomicU64::new(0),
-            open_connections: AtomicUsize::new(0),
             expired_skipped: AtomicU64::new(0),
-            stats: Mutex::new(Stats::default()),
+            verbs: Mutex::new(BTreeMap::new()),
             stats_ext,
-            started: Instant::now(),
-            server_id: fresh_server_id(),
-            started_at_ms: wall_clock_ms(),
         });
-        // Jobs reach the workers over one channel whose senders are held
-        // by the acceptor and the connection readers. It disconnects only
-        // once the last of them is done, and a receiver still yields every
-        // queued job before it sees the disconnect, so admitted work runs
+        // Jobs reach the workers over one channel. Its sender lives in the
+        // connection function the acceptor and every connection thread
+        // share, so it disconnects only once they are all done; a receiver
+        // still yields every queued job first, so admitted work runs
         // before the workers exit.
         let (jobs_tx, jobs_rx) = channel::<Task>();
         let jobs_rx = Arc::new(Mutex::new(jobs_rx));
@@ -410,32 +283,36 @@ impl Server {
                     .spawn(move || worker_loop(&jobs))
             })
             .collect::<std::io::Result<Vec<_>>>()?;
-        let conns = Arc::new(Mutex::new(Vec::new()));
         let acceptor = {
             let shared = Arc::clone(&shared);
-            let conns = Arc::clone(&conns);
-            thread::Builder::new()
-                .name("amnesiac-serve-accept".into())
-                .spawn(move || acceptor_loop(listener, shared, conns, jobs_tx))?
+            Acceptor::spawn(listener, Arc::clone(&shared.front), move |stream| {
+                let recorder = Arc::clone(&shared);
+                serve_connection(
+                    &shared.front,
+                    stream,
+                    |request| dispatch(&shared, &jobs_tx, request),
+                    settle,
+                    move |verb, result, elapsed_ms| recorder.record(verb, result, elapsed_ms),
+                );
+            })?
         };
         Ok(Server {
             shared,
-            acceptor: Some(acceptor),
+            acceptor,
             workers,
-            conns,
         })
     }
 
     /// The bound address (read this when `port` was 0).
     pub fn addr(&self) -> SocketAddr {
-        self.shared.addr
+        self.shared.front.addr
     }
 
     /// Begins a graceful shutdown: stop accepting, refuse new requests,
     /// drain in-flight ones. Returns immediately; pair with
     /// [`Server::join`].
     pub fn shutdown(&self) {
-        self.shared.begin_shutdown();
+        self.shared.front.begin_shutdown();
     }
 
     /// A snapshot of the server counters (same payload as the `stats`
@@ -449,8 +326,7 @@ impl Server {
     /// number of live connections instead of growing by one per
     /// connection ever accepted — soak tests assert exactly that bound.
     pub fn tracked_connections(&self) -> usize {
-        reap_finished(&self.conns);
-        lock(&self.conns).len()
+        self.acceptor.tracked()
     }
 
     /// Waits until the acceptor, every connection, and every worker have
@@ -459,15 +335,7 @@ impl Server {
     /// server handle stays usable afterwards (e.g. for a final
     /// [`Server::stats_json`] snapshot); a second call is a no-op.
     pub fn join(&mut self) {
-        if let Some(acceptor) = self.acceptor.take() {
-            let _ = acceptor.join();
-        }
-        loop {
-            let Some(conn) = lock(&self.conns).pop() else {
-                break;
-            };
-            let _ = conn.join();
-        }
+        self.acceptor.join();
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
@@ -491,213 +359,38 @@ fn worker_loop(jobs: &Mutex<Receiver<Task>>) {
     }
 }
 
-fn acceptor_loop(
-    listener: TcpListener,
-    shared: Arc<Shared>,
-    conns: Arc<Mutex<Vec<JoinHandle<()>>>>,
-    jobs_tx: Sender<Task>,
-) {
-    let mut backoff = ACCEPT_BACKOFF_MIN;
-    loop {
-        let Ok((stream, _)) = listener.accept() else {
-            // Transient failure (EMFILE under load, a reset mid-handshake):
-            // count it and pause before retrying so an error streak does
-            // not pin a core at 100%.
-            shared.accept_errors.fetch_add(1, Ordering::AcqRel);
-            if shared.shutdown.load(Ordering::SeqCst) {
-                break;
-            }
-            thread::sleep(backoff);
-            backoff = next_accept_backoff(backoff);
-            continue;
-        };
-        backoff = ACCEPT_BACKOFF_MIN;
-        if shared.shutdown.load(Ordering::SeqCst) {
-            // Includes the self-connection `begin_shutdown` used as a wakeup.
-            break;
-        }
-        // Reap connections that already wound down, so a long-running
-        // server holds handles only for live connections rather than one
-        // per connection ever accepted.
-        reap_finished(&conns);
-        shared.open_connections.fetch_add(1, Ordering::AcqRel);
-        let conn_shared = Arc::clone(&shared);
-        let conn_jobs = jobs_tx.clone();
-        match thread::Builder::new()
-            .name("amnesiac-serve-conn".into())
-            .spawn(move || serve_connection(conn_shared, stream, conn_jobs))
-        {
-            Ok(handle) => lock(&conns).push(handle),
-            Err(_) => {
-                // Thread exhaustion: drop the connection unserved and count
-                // it like an accept failure (same transient-pressure class).
-                shared.open_connections.fetch_sub(1, Ordering::AcqRel);
-                shared.accept_errors.fetch_add(1, Ordering::AcqRel);
-            }
-        }
-    }
-}
-
-/// Removes and joins every finished connection handle. The join is
-/// outside the lock (it is prompt — the threads are already done — but
-/// there is no reason to hold up the acceptor's critical section for it).
-fn reap_finished(conns: &Mutex<Vec<JoinHandle<()>>>) {
-    let finished: Vec<JoinHandle<()>> = {
-        let mut guard = lock(conns);
-        let mut out = Vec::new();
-        let mut i = 0;
-        while i < guard.len() {
-            if guard[i].is_finished() {
-                out.push(guard.swap_remove(i));
-            } else {
-                i += 1;
-            }
-        }
-        out
-    };
-    for handle in finished {
-        let _ = handle.join();
-    }
-}
-
-/// Readies an accepted service connection (the server's and the
-/// router's). Short read timeouts turn the blocking reader into a poll
-/// loop that notices the shutdown flag; writes stay blocking.
-/// `TCP_NODELAY` sends each small response at once: under Nagle's
-/// algorithm a pipelined response waits until the one before it is
-/// acknowledged.
-pub(crate) fn prepare_accepted(stream: &TcpStream) -> std::io::Result<()> {
-    stream.set_read_timeout(Some(READ_POLL))?;
-    stream.set_nodelay(true)
-}
-
-fn serve_connection(shared: Arc<Shared>, stream: TcpStream, jobs_tx: Sender<Task>) {
-    // Balances the acceptor's increment on every exit path.
-    struct OpenGuard(Arc<Shared>);
-    impl Drop for OpenGuard {
-        fn drop(&mut self) {
-            self.0.open_connections.fetch_sub(1, Ordering::AcqRel);
-        }
-    }
-    let _open = OpenGuard(Arc::clone(&shared));
-    if prepare_accepted(&stream).is_err() {
-        return;
-    }
-    let Ok(write_stream) = stream.try_clone() else {
-        return;
-    };
-    let (tx, rx) = channel::<PendingResponse>();
-    let writer = {
-        let shared = Arc::clone(&shared);
-        let spawned = thread::Builder::new()
-            .name("amnesiac-serve-write".into())
-            .spawn(move || writer_loop(shared, write_stream, rx));
-        match spawned {
-            Ok(handle) => handle,
-            // No writer means no way to answer: close the connection.
-            Err(_) => return,
-        }
-    };
-    reader_loop(&shared, stream, &jobs_tx, &tx);
-    drop(tx); // close the writer's queue so it drains and exits
-    let _ = writer.join();
-}
-
-fn reader_loop(
-    shared: &Arc<Shared>,
-    stream: TcpStream,
-    jobs_tx: &Sender<Task>,
-    tx: &Sender<PendingResponse>,
-) {
-    let mut reader = BufReader::new(stream);
-    let mut buf: Vec<u8> = Vec::new();
-    loop {
-        match reader.read_until(b'\n', &mut buf) {
-            // A timeout: keep any partial line accumulated so far and
-            // poll again, unless the server is draining.
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) =>
-            {
-                if shared.shutdown.load(Ordering::SeqCst) {
-                    return;
-                }
-            }
-            Err(_) | Ok(0) => return, // connection error or clean EOF
-            Ok(_) => {
-                if buf.last() != Some(&b'\n') {
-                    // EOF mid-line: process what we got, then close.
-                    process_line(shared, jobs_tx, tx, &buf);
-                    return;
-                }
-                process_line(shared, jobs_tx, tx, &buf);
-                buf.clear();
-            }
-        }
-    }
-}
-
-fn process_line(
-    shared: &Arc<Shared>,
-    jobs_tx: &Sender<Task>,
-    tx: &Sender<PendingResponse>,
-    raw: &[u8],
-) {
-    let line = String::from_utf8_lossy(raw);
-    let line = line.trim();
-    if line.is_empty() {
-        return; // blank keep-alive lines are ignored
-    }
-    let received = Instant::now();
-    let request = match Request::parse_line(line) {
-        Ok(request) => request,
-        Err(error) => {
-            let _ = tx.send(PendingResponse {
-                id: Json::Null,
-                verb: "?".to_string(),
-                received,
-                routing_key: None,
-                kind: PendingKind::Ready(Err(error)),
-            });
-            return;
-        }
-    };
-    let routing_key = (request.proto_version() >= 2).then(|| request.routing_key());
-    let kind = dispatch(shared, jobs_tx, &request);
-    let _ = tx.send(PendingResponse {
-        id: request.id,
-        verb: request.verb,
-        received,
-        routing_key,
-        kind,
-    });
-}
-
 /// Decides what happens to one parsed request: answered inline (server
 /// verbs, rejections) or admitted and queued for the workers.
-fn dispatch(shared: &Arc<Shared>, jobs_tx: &Sender<Task>, request: &Request) -> PendingKind {
-    match request.verb.as_str() {
-        "stats" => PendingKind::Ready(Ok(shared.stats_json())),
-        "shutdown" => {
-            let ready = PendingKind::Ready(Ok(Json::obj().with("draining", true)));
-            shared.begin_shutdown();
-            ready
-        }
-        _ if shared.shutdown.load(Ordering::SeqCst) => PendingKind::Ready(Err(ServeError::new(
+fn dispatch(
+    shared: &Arc<Shared>,
+    jobs_tx: &Sender<Task>,
+    request: &Request,
+) -> Pending<(Arc<Job>, Instant)> {
+    let refused = || {
+        Pending::Ready(Err(ServeError::new(
             code::SHUTTING_DOWN,
             "server is draining and refuses new work",
-        ))),
+        )))
+    };
+    match request.verb.as_str() {
+        "stats" => Pending::Ready(Ok(shared.stats_json())),
+        "shutdown" => {
+            shared.front.begin_shutdown();
+            Pending::Ready(Ok(Json::obj().with("draining", true)))
+        }
+        _ if shared.front.draining() => refused(),
         _ => {
             if !shared.try_admit() {
                 shared.rejected_overload.fetch_add(1, Ordering::AcqRel);
-                return PendingKind::Ready(Err(ServeError::new(
+                return Pending::Ready(Err(ServeError::new(
                     code::OVERLOADED,
                     format!("backlog full ({} requests in flight)", shared.backlog),
                 )));
             }
-            let job = Arc::new(Job::new());
+            let job = Arc::new(Job {
+                cancelled: AtomicBool::new(false),
+                result: Slot::new(),
+            });
             let deadline = Instant::now()
                 + Duration::from_millis(request.timeout_ms.unwrap_or(shared.timeout_ms));
             let task = {
@@ -723,7 +416,7 @@ fn dispatch(shared: &Arc<Shared>, jobs_tx: &Sender<Task>, request: &Request) -> 
                                     format!("handler panicked on verb `{}`", request.verb),
                                 ))
                             });
-                        job.complete(outcome);
+                        job.result.complete(outcome);
                     }
                     shared.release();
                 }) as Task
@@ -731,87 +424,25 @@ fn dispatch(shared: &Arc<Shared>, jobs_tx: &Sender<Task>, request: &Request) -> 
             if jobs_tx.send(task).is_err() {
                 // No worker is left to take it.
                 shared.release();
-                return PendingKind::Ready(Err(ServeError::new(
-                    code::SHUTTING_DOWN,
-                    "server is draining and refuses new work",
-                )));
+                return refused();
             }
-            PendingKind::Running(job, deadline)
+            Pending::Waiting((job, deadline))
         }
     }
 }
 
-fn writer_loop(shared: Arc<Shared>, mut stream: TcpStream, rx: Receiver<PendingResponse>) {
-    let mut broken = false;
-    for pending in rx {
-        let result = match pending.kind {
-            PendingKind::Ready(result) => result,
-            PendingKind::Running(job, deadline) => match job.wait_until(deadline) {
-                Some(result) => result,
-                None => {
-                    job.cancelled.store(true, Ordering::Release);
-                    Err(ServeError::new(
-                        code::TIMEOUT,
-                        format!(
-                            "request exceeded its {} ms deadline",
-                            (deadline - pending.received).as_millis()
-                        ),
-                    ))
-                }
-            },
-        };
-        let elapsed_ms = pending.received.elapsed().as_secs_f64() * 1e3;
-        shared.record(&pending.verb, &result, elapsed_ms);
-        if broken {
-            continue; // client is gone; keep draining so jobs are released
-        }
-        let response = Response {
-            id: pending.id,
-            verb: pending.verb,
-            elapsed_ms,
-            result,
-            meta: pending
-                .routing_key
-                .map(|key| RouteMeta::local(key, "serve", elapsed_ms)),
-        };
-        let mut line = response.to_json().compact();
-        line.push('\n');
-        if stream.write_all(line.as_bytes()).is_err() || stream.flush().is_err() {
-            broken = true;
-        }
-    }
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn accept_backoff_doubles_and_caps() {
-        let mut backoff = ACCEPT_BACKOFF_MIN;
-        let mut seen = vec![backoff];
-        for _ in 0..10 {
-            backoff = next_accept_backoff(backoff);
-            seen.push(backoff);
-        }
-        // strictly doubling until the cap, then pinned at the cap
-        for pair in seen.windows(2) {
-            assert!(pair[1] >= pair[0], "backoff never shrinks: {seen:?}");
-            assert!(pair[1] <= ACCEPT_BACKOFF_MAX, "capped: {seen:?}");
-        }
-        assert_eq!(seen[1], ACCEPT_BACKOFF_MIN * 2);
-        assert_eq!(*seen.last().unwrap(), ACCEPT_BACKOFF_MAX);
-    }
-
-    #[test]
-    fn service_sockets_disable_nagle_on_both_ends() {
-        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
-        let connected = crate::ClientConfig::new()
-            .connect_stream(listener.local_addr().unwrap())
-            .unwrap();
-        let (accepted, _) = listener.accept().unwrap();
-        prepare_accepted(&accepted).unwrap();
-        assert!(connected.nodelay().unwrap(), "connect_stream");
-        assert!(accepted.nodelay().unwrap(), "an accepted connection");
-    }
+/// Waits for an admitted job up to its deadline. Past it the client gets
+/// a structured timeout, and the job is cancelled.
+fn settle((job, deadline): (Arc<Job>, Instant), received: Instant) -> Settled {
+    let result = job.result.wait_until(deadline).unwrap_or_else(|| {
+        job.cancelled.store(true, Ordering::Release);
+        Err(ServeError::new(
+            code::TIMEOUT,
+            format!(
+                "request exceeded its {} ms deadline",
+                (deadline - received).as_millis()
+            ),
+        ))
+    });
+    Settled::from(result)
 }
