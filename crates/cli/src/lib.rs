@@ -462,15 +462,22 @@ fn source_of(target: &str, paper_scale: bool) -> Source<'_> {
 /// (unreadable input, simulator fault, divergence).
 pub fn run(command: &Command) -> Result<Response, CliError> {
     // the serve verbs thread their own shared cache through the handler;
-    // for the one-shot verbs a `--cache-dir` opens the persistent store
-    let cache = match (&command.verb, command.cache_dir.as_deref()) {
-        (Verb::Compile | Verb::Disasm | Verb::Verify, Some(dir)) => Some(
-            CompileCache::persistent(std::path::Path::new(dir))
-                .map_err(|e| CliError::Tool(format!("cannot open cache dir `{dir}`: {e}")))?,
-        ),
+    // a one-shot verb compiles through a cache of its own, persistent
+    // under `--cache-dir`
+    let dir = match command.verb {
+        Verb::Compile | Verb::Disasm | Verb::Verify => command.cache_dir.as_deref(),
         _ => None,
     };
-    run_with_cache(command, cache.as_ref())
+    run_with_cache(command, &open_cache(dir)?)
+}
+
+/// The persistent compile cache under `dir`, or a memory-only one.
+fn open_cache(dir: Option<&str>) -> Result<CompileCache, CliError> {
+    match dir {
+        Some(dir) => CompileCache::persistent(std::path::Path::new(dir))
+            .map_err(|e| CliError::Tool(format!("cannot open cache dir `{dir}`: {e}"))),
+        None => Ok(CompileCache::in_memory()),
+    }
 }
 
 /// [`run`] with an externally owned cache — the entry point the serve
@@ -480,7 +487,7 @@ pub fn run(command: &Command) -> Result<Response, CliError> {
 /// the wire.
 pub(crate) fn run_with_cache(
     command: &Command,
-    cache: Option<&CompileCache>,
+    cache: &CompileCache,
 ) -> Result<Response, CliError> {
     let paper_scale = command.scale == Scale::Paper;
     let target = || {
@@ -531,89 +538,59 @@ fn default_options() -> &'static (CompileOptions, OptionsFingerprint) {
     })
 }
 
-/// Compiles `target` under the default options, through the cache when
-/// one is threaded in and plain otherwise, and returns the program's name
-/// with the shared artifact. With a cache a `bench:` target is keyed by
-/// its source first, so a hit builds nothing; profiling (a full observed
-/// simulation, the expensive step) runs only on a miss. `loaded` is the
-/// target's program when the caller has built it already.
-fn compile_maybe_cached(
-    cache: Option<&CompileCache>,
+/// Compiles `target` under the default options through the cache, and
+/// returns the program's name with the shared artifact. A `bench:` target
+/// is keyed by its source first, so a hit builds nothing; profiling (a
+/// full observed simulation, the expensive step) runs only on a miss.
+/// `loaded` is the target's program when the caller has built it already.
+fn compile_cached(
+    cache: &CompileCache,
     target: &str,
     paper_scale: bool,
     loaded: Option<Program>,
 ) -> Result<(Arc<str>, Arc<CompileArtifact>), CliError> {
     let (options, fingerprint) = default_options();
-    let build = || loaded.map_or_else(|| load_program(target, paper_scale), Ok);
-    let compute = |program: &Program| {
-        let (profile, _) =
-            profile_program(program, &CoreConfig::paper()).map_err(CompileError::Replay)?;
-        compile(program, &profile, options)
-    };
-    match cache {
-        Some(cache) => cache.get_or_compile_source(
-            &source_of(target, paper_scale),
-            fingerprint,
-            build,
-            compute,
-        ),
-        None => {
-            let program = build()?;
-            let (binary, report) = compute(&program)?;
-            let artifact = CompileArtifact {
-                program: binary,
-                report,
-            };
-            Ok((Arc::from(program.name), Arc::new(artifact)))
-        }
-    }
+    cache.get_or_compile_source(
+        &source_of(target, paper_scale),
+        fingerprint,
+        || loaded.map_or_else(|| load_program(target, paper_scale), Ok),
+        |program| {
+            let (profile, _) =
+                profile_program(program, &CoreConfig::paper()).map_err(CompileError::Replay)?;
+            compile(program, &profile, options)
+        },
+    )
 }
 
 /// The `compile` verb: annotate the target and report every site.
 fn run_compile(
     command: &Command,
     target: &str,
-    cache: Option<&CompileCache>,
+    cache: &CompileCache,
 ) -> Result<Response, CliError> {
-    let (program, artifact) =
-        compile_maybe_cached(cache, target, command.scale == Scale::Paper, None)?;
-    // counters ride along only on the one-shot `--cache-dir` path;
-    // served responses must stay byte-identical hit vs cold
-    let cache_stats = match (cache, &command.cache_dir) {
-        (Some(cache), Some(_)) => Some(cache.stats_json()),
-        _ => None,
-    };
+    let (program, artifact) = compile_cached(cache, target, command.scale == Scale::Paper, None)?;
     Ok(Response::Compile {
         program: program.to_string(),
         report: artifact.report.clone(),
         listing: disassemble(&artifact.program),
-        cache: cache_stats,
+        // counters ride along only on the one-shot `--cache-dir` path;
+        // served responses must stay byte-identical hit vs cold
+        cache: command.cache_dir.as_ref().map(|_| cache.stats_json()),
     })
 }
 
 /// The `disasm` verb: the target's listing, through the cache's listing
-/// entries when one is threaded in.
-fn run_disasm(
-    target: &str,
-    paper_scale: bool,
-    cache: Option<&CompileCache>,
-) -> Result<Response, CliError> {
-    let (program, listing) = match cache {
-        Some(cache) => {
-            let (program, listing) = cache.get_or_listing_source(
-                &source_of(target, paper_scale),
-                || load_program(target, paper_scale),
-                disassemble,
-            )?;
-            (program.to_string(), listing.to_string())
-        }
-        None => {
-            let program = load_program(target, paper_scale)?;
-            let listing = disassemble(&program);
-            (program.name, listing)
-        }
-    };
-    Ok(Response::Disasm { program, listing })
+/// entries.
+fn run_disasm(target: &str, paper_scale: bool, cache: &CompileCache) -> Result<Response, CliError> {
+    let (program, listing) = cache.get_or_listing_source(
+        &source_of(target, paper_scale),
+        || load_program(target, paper_scale),
+        disassemble,
+    )?;
+    Ok(Response::Disasm {
+        program: program.to_string(),
+        listing: listing.to_string(),
+    })
 }
 
 /// The `encode` verb: write the program's binary image to `out`.
@@ -665,7 +642,7 @@ fn run_profile(program: Program) -> Result<Response, CliError> {
 fn run_compare(
     target: &str,
     paper_scale: bool,
-    cache: Option<&CompileCache>,
+    cache: &CompileCache,
 ) -> Result<Response, CliError> {
     let program = load_program(target, paper_scale)?;
     let classic = ClassicCore::new(CoreConfig::paper())
@@ -673,7 +650,7 @@ fn run_compare(
         .map_err(tool)?;
     // the binary `compile` builds for the target, so a compare after a
     // compile (or another compare) profiles and compiles nothing
-    let (name, artifact) = compile_maybe_cached(cache, target, paper_scale, Some(program))?;
+    let (name, artifact) = compile_cached(cache, target, paper_scale, Some(program))?;
     let mut policies = Vec::new();
     for policy in Policy::ALL_EXTENDED {
         let result = AmnesicCore::new(AmnesicConfig::paper(policy))
@@ -693,15 +670,14 @@ fn run_compare(
 
 /// The `verify` verb: static well-formedness over one target (or, with no
 /// target, the whole built-in suite in parallel).
-fn run_verify(command: &Command, cache: Option<&CompileCache>) -> Result<Response, CliError> {
+fn run_verify(command: &Command, cache: &CompileCache) -> Result<Response, CliError> {
     use amnesiac_experiments::VerifySweep;
 
     match command.target.as_deref() {
         Some(target) => {
             // `compile` gated the binary with the verifier's default
             // options, so its report is the verdict; a cache hit carries it.
-            let (_, artifact) =
-                compile_maybe_cached(cache, target, command.scale == Scale::Paper, None)?;
+            let (_, artifact) = compile_cached(cache, target, command.scale == Scale::Paper, None)?;
             Ok(Response::VerifyTarget {
                 target: target.to_string(),
                 report: artifact.report.verify.clone(),
@@ -716,15 +692,14 @@ fn run_verify(command: &Command, cache: Option<&CompileCache>) -> Result<Respons
 /// The `lint` verb: abstract-interpretation findings for one target — or,
 /// with no target, the whole built-in suite in parallel. Stricter than
 /// `verify`: unexplained Warn diagnostics also fail the lint.
-fn run_lint(command: &Command, cache: Option<&CompileCache>) -> Result<Response, CliError> {
+fn run_lint(command: &Command, cache: &CompileCache) -> Result<Response, CliError> {
     use amnesiac_experiments::LintSweep;
 
     match command.target.as_deref() {
         Some(target) => {
             // the compile's report carries the verifier's findings and the
             // replay-validation counters, so a cache hit carries the lint
-            let (_, artifact) =
-                compile_maybe_cached(cache, target, command.scale == Scale::Paper, None)?;
+            let (_, artifact) = compile_cached(cache, target, command.scale == Scale::Paper, None)?;
             Ok(Response::LintTarget {
                 target: target.to_string(),
                 report: artifact.report.clone(),

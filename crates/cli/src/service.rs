@@ -36,7 +36,7 @@ pub fn serve_handler() -> Handler {
 pub fn serve_handler_with_cache(cache: Arc<CompileCache>) -> Handler {
     Arc::new(move |request: &Request| {
         let command = request_command(request)?;
-        let response = crate::run_with_cache(&command, Some(&cache))
+        let response = crate::run_with_cache(&command, &cache)
             .map_err(|e| ServeError::new(e.code(), e.message()))?;
         Ok(response.payload_json())
     })
@@ -45,11 +45,7 @@ pub fn serve_handler_with_cache(cache: Arc<CompileCache>) -> Handler {
 /// Builds the shared cache for a serve verb: persistent when the command
 /// carries `--cache-dir`, memory-only otherwise.
 fn serve_cache(command: &Command) -> Result<Arc<CompileCache>, CliError> {
-    Ok(Arc::new(match command.cache_dir.as_deref() {
-        Some(dir) => CompileCache::persistent(std::path::Path::new(dir))
-            .map_err(|e| CliError::Tool(format!("cannot open cache dir `{dir}`: {e}")))?,
-        None => CompileCache::in_memory(),
-    }))
+    crate::open_cache(command.cache_dir.as_deref()).map(Arc::new)
 }
 
 /// The `stats`-payload extension reporting the shared cache's counters.
