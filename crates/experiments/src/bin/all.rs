@@ -22,7 +22,7 @@ fn main() {
     println!("{}", fig7::render(&suite));
     println!("{}", fig8::render(&suite));
     println!("{}", ablations::store_elision(&suite));
-    let table6_rows = table6::rows(scale);
+    let table6_rows = table6::rows(&suite);
     println!("{}", table6::render(&table6_rows));
     if let Some(dir) = json_dir {
         let sink = JsonSink::new(&dir);

@@ -5,12 +5,11 @@
 use amnesiac_compiler::{compile, CompileOptions};
 use amnesiac_core::{AmnesicConfig, AmnesicCore, Policy};
 use amnesiac_energy::EnergyModel;
-use amnesiac_profile::{profile_program, ProgramProfile};
+use amnesiac_profile::ProgramProfile;
 use amnesiac_sim::{ClassicCore, CoreConfig};
 use amnesiac_telemetry::Json;
-use amnesiac_workloads::{Scale, FOCAL_NAMES, KERNELS};
 
-use crate::pipeline::{fan_out, pct_gain};
+use crate::pipeline::{fan_out, pct_gain, EvalSuite};
 use crate::report::Table;
 
 /// Upper limit of the sweep; benchmarks still winning here report `> MAX`.
@@ -63,14 +62,13 @@ pub fn break_even(program: &amnesiac_isa::Program, profile: &ProgramProfile) -> 
     Some((lo * hi).sqrt())
 }
 
-/// Computes the break-even factors for all focal benchmarks (in parallel):
+/// Computes the break-even factor of every bench of `suite` (the focal
+/// suite; in parallel), from the program and profile it already holds:
 /// `(name, Some(factor))`, or `(name, None)` when the benchmark still gains
 /// at [`MAX_FACTOR`]. [`render`] and [`json`] read these rows.
-pub fn rows(scale: Scale) -> Vec<(&'static str, Option<f64>)> {
-    fan_out(KERNELS[..FOCAL_NAMES.len()].to_vec(), |kernel| {
-        let w = kernel.build(scale);
-        let (profile, _) = profile_program(&w.program, &CoreConfig::paper()).expect("profiles");
-        (w.name, break_even(&w.program, &profile))
+pub fn rows(suite: &EvalSuite) -> Vec<(&'static str, Option<f64>)> {
+    fan_out(suite.benches.iter().collect(), |bench| {
+        (bench.name, break_even(&bench.program, &bench.profile))
     })
 }
 
@@ -112,7 +110,8 @@ pub fn json(rows: &[(&str, Option<f64>)]) -> Json {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use amnesiac_workloads::build_focal;
+    use amnesiac_profile::profile_program;
+    use amnesiac_workloads::{build_focal, Scale};
 
     #[test]
     fn dear_compute_turns_amnesic_off() {

@@ -71,7 +71,7 @@ const PAPER_SCALE: [Pin; 11] = [
 /// each with the twin `all` writes for it.
 fn focal_outputs(scale: Scale) -> Vec<Output> {
     let suite = EvalSuite::compute(scale);
-    let table6_rows = table6::rows(scale);
+    let table6_rows = table6::rows(&suite);
     let mut twins = export::artifacts(&suite);
     twins.push(("table6.json", table6::json(&table6_rows)));
     let twin = |name: &str| {
