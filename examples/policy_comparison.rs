@@ -6,23 +6,36 @@
 //! ```
 //!
 //! `bench` is one of the 11 focal names (`mcf sx cg is ca fs fe rt bp bfs
-//! sr`); default `is`.
+//! sr`); default `is`. Any other argument prints the usage and exits 2.
 
 use amnesiac::experiments::pipeline::{BenchEval, PolicyOutcome};
 use amnesiac::workloads::{build_focal, Scale, FOCAL_NAMES};
 
+/// The benchmark and scale the arguments name, or `None` on anything but
+/// at most one focal name and at most one `--paper-scale`.
+fn parse_args() -> Option<(&'static str, Scale)> {
+    let (mut name, mut scale) = (None, None);
+    for arg in std::env::args().skip(1) {
+        if arg == "--paper-scale" && scale.is_none() {
+            scale = Some(Scale::Paper);
+        } else if let Some(&focal) = FOCAL_NAMES.iter().find(|&&n| n == arg) {
+            if name.replace(focal).is_some() {
+                return None;
+            }
+        } else {
+            return None;
+        }
+    }
+    Some((name.unwrap_or("is"), scale.unwrap_or(Scale::Test)))
+}
+
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let name = args
-        .iter()
-        .skip(1)
-        .find(|a| FOCAL_NAMES.contains(&a.as_str()))
-        .map(String::as_str)
-        .unwrap_or("is");
-    let scale = if args.iter().any(|a| a == "--paper-scale") {
-        Scale::Paper
-    } else {
-        Scale::Test
+    let Some((name, scale)) = parse_args() else {
+        eprintln!(
+            "usage: policy_comparison [{}] [--paper-scale]",
+            FOCAL_NAMES.join("|")
+        );
+        std::process::exit(2);
     };
 
     let eval = BenchEval::compute(build_focal(name, scale));

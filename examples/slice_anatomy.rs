@@ -5,6 +5,9 @@
 //! ```sh
 //! cargo run --release --example slice_anatomy [bench]
 //! ```
+//!
+//! `bench` is one of the 11 focal names; default `is`. Any other argument
+//! prints the usage and exits 2.
 
 use amnesiac::compiler::{compile, CompileOptions, SiteOutcome};
 use amnesiac::isa::disassemble;
@@ -13,11 +16,16 @@ use amnesiac::sim::CoreConfig;
 use amnesiac::workloads::{build_focal, Scale, FOCAL_NAMES};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
-    let name = std::env::args()
-        .skip(1)
-        .find(|a| FOCAL_NAMES.contains(&a.as_str()))
-        .unwrap_or_else(|| "is".to_string());
-    let workload = build_focal(&name, Scale::Test);
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    let name = match args.as_slice() {
+        [] => "is",
+        [arg] if FOCAL_NAMES.contains(&arg.as_str()) => arg,
+        _ => {
+            eprintln!("usage: slice_anatomy [{}]", FOCAL_NAMES.join("|"));
+            std::process::exit(2);
+        }
+    };
+    let workload = build_focal(name, Scale::Test);
     let config = CoreConfig::paper();
 
     let (profile, _) = profile_program(&workload.program, &config)?;
